@@ -59,7 +59,9 @@ type t = {
   mutable loo_enabled : bool;
   mutable recent_survival : float;
   mutable gc_hook : Phase.t -> unit;
-  mutable event_hook : Trace.event -> unit;
+  (* [None] unless a recorder is attached: the mutator calls build no
+     trace event otherwise. *)
+  mutable event_hook : (Trace.event -> unit) option;
   mutable in_major : bool;
   mutable pcm_writes_at_last_major : int;
 }
@@ -88,7 +90,7 @@ let add_gc_hook t f =
   let g = t.gc_hook in
   t.gc_hook <- (fun p -> g p; f p)
 
-let set_event_hook t f = t.event_hook <- f
+let set_event_hook t f = t.event_hook <- Some f
 
 (* ------------------------------------------------------------------ *)
 (* Introspection (for the invariant auditor and tests)                 *)
@@ -248,7 +250,7 @@ let create ?(domains = 1) ?(parallel_gc = false) ~config:cfg ~mem ~map ~seed () 
     loo_enabled = false;
     recent_survival = 0.2;
     gc_hook = (fun _ -> ());
-    event_hook = (fun _ -> ());
+    event_hook = None;
     in_major = false;
     pcm_writes_at_last_major = 0;
   }
@@ -426,7 +428,7 @@ let promote_nursery_object t o =
       alloc_into_immix t t.mature_pcm o;
       copy_traffic t ~old_addr o
     end);
-  O.set_age w o (min (O.age w o + 1) O.max_age)
+  O.set_age w o (Int.min (O.age w o + 1) O.max_age)
 
 let collect_nursery t =
   let w = t.words in
@@ -439,7 +441,7 @@ let collect_nursery t =
      consumed. *)
   let survived = ref 0 in
   let used =
-    max 1 (Array.fold_left (fun a n -> a + Bump_space.used_bytes n) 0 t.nurseries)
+    Int.max 1 (Array.fold_left (fun a n -> a + Bump_space.used_bytes n) 0 t.nurseries)
   in
   let par = Gc_par.runner t.par in
   let live = Array.init t.domains (fun _ -> Vec.create ()) in
@@ -523,7 +525,7 @@ let evacuate_observer t obs =
           copy_traffic t ~old_addr o;
           st.Gc_stats.observer_to_pcm_bytes <- st.Gc_stats.observer_to_pcm_bytes + osize
         end;
-        O.set_age w o (min (O.age w o + 1) O.max_age))
+        O.set_age w o (Int.min (O.age w o + 1) O.max_age))
       live.(i)
   done;
   Bump_space.reset obs
@@ -563,7 +565,7 @@ let mark_object t ~(mdo : bool) ~in_pcm o =
   st.Gc_stats.scanned_objects <- st.Gc_stats.scanned_objects + 1;
   let oaddr = O.addr w o in
   Mem_iface.read t.mem ~addr:oaddr
-    ~size:(min (O.size w o) (Layout.header_bytes + (O.ref_fields w o * Layout.word)));
+    ~size:(Int.min (O.size w o) (Layout.header_bytes + (O.ref_fields w o * Layout.word)));
   O.set_marked w o true;
   if mdo && in_pcm && not (O.is_small16 w o) then begin
     let rbase = Immix_space.region_base_of_addr t.mature_pcm oaddr in
@@ -752,7 +754,7 @@ let run_major t =
 (* Only externally forced majors are traced: heap- and write-triggered
    collections re-fire by themselves when a trace is replayed. *)
 let major_gc t =
-  t.event_hook Trace.Major_gc;
+  Option.iter (fun f -> f Trace.Major_gc) t.event_hook;
   run_major t
 
 let maybe_major t =
@@ -837,7 +839,9 @@ let alloc ?(domain = 0) t ~size ~heat ~death ~ref_fields =
   O.stream_init t.words (mut_mem t domain) o;
   t.now <- t.now +. float_of_int size;
   maybe_major t;
-  t.event_hook (Trace.Alloc { id = O.id o; size; heat; death; ref_fields });
+  (match t.event_hook with
+  | Some f -> f (Trace.Alloc { id = O.id o; size; heat; death; ref_fields })
+  | None -> ());
   o
 
 let alloc_boot t ~size ~heat ~ref_fields =
@@ -850,7 +854,9 @@ let alloc_boot t ~size ~heat ~ref_fields =
   O.set_age t.words o 1;
   O.stream_init t.words t.mem o;
   t.now <- t.now +. float_of_int size;
-  t.event_hook (Trace.Alloc_boot { id = O.id o; size; heat; ref_fields });
+  (match t.event_hook with
+  | Some f -> f (Trace.Alloc_boot { id = O.id o; size; heat; ref_fields })
+  | None -> ());
   o
 
 let classify_app_write t o slot_addr =
@@ -859,7 +865,7 @@ let classify_app_write t o slot_addr =
   let sp = O.space w o in
   (* Per-object counts feed the Figure 2 concentration analysis, which
      considers only writes received outside the nursery. *)
-  if sp <> sp_nursery then O.set_writes w o (min (O.writes w o + 1) O.max_writes);
+  if sp <> sp_nursery then O.set_writes w o (Int.min (O.writes w o + 1) O.max_writes);
   if sp = sp_nursery then
     st.Gc_stats.app_writes_nursery <- st.Gc_stats.app_writes_nursery + 1
   else if sp = sp_observer then
@@ -873,16 +879,14 @@ let classify_app_write t o slot_addr =
 
 (* The KG-W monitoring slow path (Figure 4, lines 13-17): every store
    to a non-nursery object also sets the write word in its header.
-   [mem] is the issuing domain's port (the runtime's own port when the
-   GC itself monitors). *)
-let monitor_write ?mem t o =
+   [mem] is the issuing domain's port. *)
+let monitor_write t mem o =
   let w = t.words in
-  let mem = Option.value mem ~default:t.mem in
   if O.space w o <> sp_nursery then begin
     (* The write word records a count; "written" for placement means
        reaching the configured threshold (1 reproduces the paper's
        single bit; higher values are the counting extension). *)
-    let ew = min (O.epoch_writes w o + 1) O.max_epoch_writes in
+    let ew = Int.min (O.epoch_writes w o + 1) O.max_epoch_writes in
     O.set_epoch_writes w o ew;
     if ew >= t.cfg.Gc_config.write_threshold then O.set_written w o true;
     Mem_iface.write mem ~addr:(O.addr w o + Layout.header_bytes) ~size:Layout.word;
@@ -904,7 +908,9 @@ let[@inline] pick_slot t o =
 
 let write_ref ?(domain = 0) t ~src ~tgt =
   let w = t.words in
-  t.event_hook (Trace.Write_ref { src = O.id src; tgt = O.id tgt });
+  (match t.event_hook with
+  | Some f -> f (Trace.Write_ref { src = O.id src; tgt = O.id tgt })
+  | None -> ());
   let st = t.stats in
   let mem = mut_mem t domain in
   st.Gc_stats.ref_writes <- st.Gc_stats.ref_writes + 1;
@@ -926,7 +932,7 @@ let write_ref ?(domain = 0) t ~src ~tgt =
   | _ -> ());
   (match t.cfg.Gc_config.collector with
   | Gc_config.Kg_writers _ ->
-    monitor_write ~mem t src;
+    monitor_write t mem src;
     slow := true
   | _ -> ());
   if not !slow then st.Gc_stats.barrier_fast_paths <- st.Gc_stats.barrier_fast_paths + 1;
@@ -934,19 +940,19 @@ let write_ref ?(domain = 0) t ~src ~tgt =
 
 let write_prim ?(domain = 0) t o =
   let w = t.words in
-  t.event_hook (Trace.Write_prim { obj = O.id o });
+  (match t.event_hook with Some f -> f (Trace.Write_prim { obj = O.id o }) | None -> ());
   let st = t.stats in
   let mem = mut_mem t domain in
   st.Gc_stats.prim_writes <- st.Gc_stats.prim_writes + 1;
   let slot_addr = O.field_addr w o (pick_slot t o) in
   classify_app_write t o slot_addr;
   (match t.cfg.Gc_config.collector with
-  | Gc_config.Kg_writers { pm = true; _ } -> monitor_write ~mem t o
+  | Gc_config.Kg_writers { pm = true; _ } -> monitor_write t mem o
   | _ -> st.Gc_stats.barrier_fast_paths <- st.Gc_stats.barrier_fast_paths + 1);
   Mem_iface.write mem ~addr:slot_addr ~size:Layout.word
 
 let read_obj ?(domain = 0) t o =
-  t.event_hook (Trace.Read { obj = O.id o });
+  (match t.event_hook with Some f -> f (Trace.Read { obj = O.id o }) | None -> ());
   t.stats.Gc_stats.reads <- t.stats.Gc_stats.reads + 1;
   Mem_iface.read (mut_mem t domain)
     ~addr:(O.field_addr t.words o (pick_slot t o))
@@ -954,11 +960,13 @@ let read_obj ?(domain = 0) t o =
 
 let read_burst ?(domain = 0) t o n =
   let w = t.words in
-  t.event_hook (Trace.Read_burst { obj = O.id o; words = n });
+  (match t.event_hook with
+  | Some f -> f (Trace.Read_burst { obj = O.id o; words = n })
+  | None -> ());
   t.stats.Gc_stats.reads <- t.stats.Gc_stats.reads + n;
   let addr = O.field_addr w o (pick_slot t o) in
-  let size = min (n * Layout.word) (O.size w o - (addr - O.addr w o)) in
-  Mem_iface.read (mut_mem t domain) ~addr ~size:(max Layout.word size)
+  let size = Int.min (n * Layout.word) (O.size w o - (addr - O.addr w o)) in
+  Mem_iface.read (mut_mem t domain) ~addr ~size:(Int.max Layout.word size)
 
 let flush_retirement_stats t =
   let w = t.words in

@@ -12,4 +12,4 @@ let mark_table_bytes_per_region = 262 * 1024
 let mature_region = 4 * 1024 * 1024
 
 let align_up x a = (x + a - 1) land lnot (a - 1)
-let align_object_size s = max min_object (align_up s word)
+let align_object_size s = Int.max min_object (align_up s word)

@@ -39,7 +39,7 @@ let is_live w o now = death w o > now
 let end_addr w o = addr w o + size w o
 
 let field_slots w o =
-  max Layout.word (size w o - Layout.header_bytes) / Layout.word
+  Int.max Layout.word (size w o - Layout.header_bytes) / Layout.word
 
 let field_addr w o i =
   (* Out-of-range indices used to wrap silently ([i mod slots]); the

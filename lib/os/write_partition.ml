@@ -91,8 +91,8 @@ let create ?(config = default_config) ~hier ~virt_size () =
       | Some p ->
         p.writes <- p.writes + 1;
         (* Queue n holds pages with 2^n writes. *)
-        let rank = int_of_float (Float.log2 (float_of_int (max 1 p.writes))) in
-        p.rank <- min (t.cfg.queues - 1) rank);
+        let rank = int_of_float (Float.log2 (float_of_int (Int.max 1 p.writes))) in
+        p.rank <- Int.min (t.cfg.queues - 1) rank);
   t
 
 let alloc_frame t =
@@ -152,7 +152,7 @@ let run_quantum t =
     let falling = ref [] in
     Hashtbl.iter
       (fun _ p ->
-        p.rank <- max 0 (p.rank - 1);
+        p.rank <- Int.max 0 (p.rank - 1);
         p.writes <- p.writes / 2;
         if p.rank < t.cfg.promote_rank then falling := p :: !falling)
       t.dram_rev;
@@ -178,7 +178,7 @@ let chunked t vaddr size f =
   let rec go vaddr size =
     if size > 0 then begin
       let in_page = page_size - (vaddr mod page_size) in
-      let n = min size in_page in
+      let n = Int.min size in_page in
       f (translate t vaddr) n;
       go (vaddr + n) (size - n)
     end

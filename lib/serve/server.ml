@@ -92,6 +92,11 @@ type entry = { mutable c_tgt : target option; mutable c_expiry : float }
 
 type dstate = {
   d_rng : Rng.t;
+  (* Zipf samplers: session picks (s = 1.2) and the two cache tiers'
+     keys (s = 1.1), one each so every sampler keeps its cached n. *)
+  d_session_zipf : Rng.Zipf.t;
+  d_tier1_zipf : Rng.Zipf.t;
+  d_tier2_zipf : Rng.Zipf.t;
   d_recent : target option array;
   mutable d_recent_cursor : int;
   mutable d_write_debt : float;
@@ -167,6 +172,9 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) ?(conf
   let mk_dstate _ =
     {
       d_rng = Rng.split root;
+      d_session_zipf = Rng.Zipf.create ~s:1.2;
+      d_tier1_zipf = Rng.Zipf.create ~s:1.1;
+      d_tier2_zipf = Rng.Zipf.create ~s:1.1;
       d_recent = Array.make recent_size None;
       d_recent_cursor = 0;
       d_write_debt = 0.0;
@@ -236,10 +244,10 @@ let draw_scratch_size t rng =
   let mean_words = float_of_int t.desc.Descriptor.mean_small /. 8.0 in
   let p = 1.0 /. Float.max 2.0 mean_words in
   let words = 2 + Rng.geometric rng p in
-  min Kg_heap.Layout.max_small_object (max 16 (words * 8))
+  Int.min Kg_heap.Layout.max_small_object (Int.max 16 (words * 8))
 
-let session_size t = max 256 (t.desc.Descriptor.mean_small * 4)
-let cache_obj_size t = max 128 (t.desc.Descriptor.mean_small * 2)
+let session_size t = Int.max 256 (t.desc.Descriptor.mean_small * 4)
+let cache_obj_size t = Int.max 128 (t.desc.Descriptor.mean_small * 2)
 
 let push_recent ds tgt =
   ds.d_recent.(ds.d_recent_cursor) <- Some tgt;
@@ -270,7 +278,7 @@ let g_pick_mature t ds now =
     | tgt -> tgt
   in
   let pick_session () =
-    live ds.d_sessions.(Rng.zipf ds.d_rng ~n:(Array.length ds.d_sessions) ~s:1.2)
+    live ds.d_sessions.(Rng.Zipf.draw ds.d_session_zipf ds.d_rng ~n:(Array.length ds.d_sessions))
   in
   let pick_cache () =
     let tier = if Rng.bernoulli ds.d_rng 0.7 then ds.d_tier1 else ds.d_tier2 in
@@ -322,7 +330,7 @@ let g_mutate_debt t ds now ops size =
     ds.d_write_debt <- ds.d_write_debt -. 1.0;
     ds.d_read_debt <- ds.d_read_debt +. t.desc.Descriptor.read_write_ratio;
     if ds.d_read_debt >= 1.0 then begin
-      let burst = min 8 (int_of_float ds.d_read_debt) in
+      let burst = Int.min 8 (int_of_float ds.d_read_debt) in
       g_do_reads t ds now ops burst;
       ds.d_read_debt <- ds.d_read_debt -. float_of_int burst
     end
@@ -347,7 +355,7 @@ let g_request t ds snap ops pending =
   ds.d_next_arrival <- arrival +. Rng.exponential ds.d_rng t.interarrival;
   Vec.push ops Op_req_begin;
   (* session touch: refill dead/expired slots, churn live ones *)
-  let si = Rng.zipf ds.d_rng ~n:(Array.length ds.d_sessions) ~s:1.2 in
+  let si = Rng.Zipf.draw ds.d_session_zipf ds.d_rng ~n:(Array.length ds.d_sessions) in
   let slot_live =
     match ds.d_sessions.(si) with
     | Some (T_obj o) -> O.is_live t.words o now
@@ -360,7 +368,7 @@ let g_request t ds snap ops pending =
       let heat = if Rng.bernoulli ds.d_rng 0.3 then O.Hot else O.Warm in
       let s =
         alloc ~size:(session_size t) ~heat ~life:t.session_life
-          ~ref_fields:(max 1 (session_size t / 32))
+          ~ref_fields:(Int.max 1 (session_size t / 32))
       in
       ds.d_sessions.(si) <- Some s;
       s
@@ -378,19 +386,19 @@ let g_request t ds snap ops pending =
   let insert tier key ~life ~expiry_ms ~heat =
     let e = tier.(key) in
     let tgt =
-      alloc ~size:(cache_obj_size t) ~heat ~life ~ref_fields:(max 1 (cache_obj_size t / 32))
+      alloc ~size:(cache_obj_size t) ~heat ~life ~ref_fields:(Int.max 1 (cache_obj_size t / 32))
     in
     e.c_tgt <- Some tgt;
     e.c_expiry <- ds.d_bytes +. (expiry_ms *. t.bytes_per_ms);
     tgt
   in
-  let k1 = Rng.zipf ds.d_rng ~n:(Array.length ds.d_tier1) ~s:1.1 in
+  let k1 = Rng.Zipf.draw ds.d_tier1_zipf ds.d_rng ~n:(Array.length ds.d_tier1) in
   (match probe ds.d_tier1 k1 with
   | Some tgt ->
     ds.d_t1_hits <- ds.d_t1_hits + 1;
     Vec.push ops (Op_read_burst { tgt; words = 16 })
   | None -> (
-    let k2 = Rng.zipf ds.d_rng ~n:(Array.length ds.d_tier2) ~s:1.1 in
+    let k2 = Rng.Zipf.draw ds.d_tier2_zipf ds.d_rng ~n:(Array.length ds.d_tier2) in
     match probe ds.d_tier2 k2 with
     | Some tgt ->
       ds.d_t2_hits <- ds.d_t2_hits + 1;
@@ -418,7 +426,7 @@ let g_request t ds snap ops pending =
     let cls, life = Lifetime.draw t.life ds.d_rng ~nursery_remaining:nursery_free in
     let size = draw_scratch_size t ds.d_rng in
     let heat = scratch_heat ds cls in
-    let tgt = alloc ~size ~heat ~life ~ref_fields:(max 1 (size / 32)) in
+    let tgt = alloc ~size ~heat ~life ~ref_fields:(Int.max 1 (size / 32)) in
     push_recent ds tgt;
     if Rng.bernoulli ds.d_rng 0.25 then Vec.push ops (Op_write_ref { src = session; tgt });
     g_mutate_debt t ds now ops size

@@ -51,10 +51,34 @@ val geometric : t -> float -> int
 val pareto : t -> alpha:float -> xmin:float -> float
 (** Pareto(alpha, xmin) draw; heavy-tailed sizes/lifetimes. *)
 
-val zipf : t -> n:int -> s:float -> int
-(** [zipf t ~n ~s] draws a rank in [\[0, n)] with probability
-    proportional to 1/(rank+1)^s, via rejection-inversion. Models the
-    skewed "top 2% of objects take 81% of writes" behaviour. *)
+(** Zipf-distributed ranks: the skew of the "top 2% of objects take
+    81% of writes" behaviour.
+
+    A sampler inverts the integral h of the continuous envelope
+    x{^ -s} at one uniform draw, x = h{^ -1}(u), and rounds x to the
+    nearest rank k. It keeps the acceptance test of Hörmann and
+    Derflinger's rejection-inversion (accept when k - x <= 0.5, or
+    when u >= h(k + 0.5) - k{^ -s}), but for the exponents the
+    simulator uses, s in \{1.1, 1.2\}, h{^ -1}(h(1.5) - 1) > 0.5, so the
+    first test always passes and the rejection branch is unreachable:
+    a draw costs one uniform, one [pow] and one rounding, and advances
+    the generator exactly as one {!float} draw does. *)
+module Zipf : sig
+  type rng := t
+
+  type t
+  (** Mutable sampler for one exponent: the exponent's constants and
+      h(n + 0.5) for the last [n] drawn over. Owned by the state that
+      draws from it, like its generator; never shared across domains. *)
+
+  val create : s:float -> t
+  (** [s] must be non-negative; 0 is uniform. *)
+
+  val draw : t -> rng -> n:int -> int
+  (** A rank in [\[0, n)] with probability proportional to
+      1/(rank+1){^ s}. [n] must be positive; [n = 1] returns 0 without
+      drawing. *)
+end
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

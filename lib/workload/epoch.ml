@@ -31,7 +31,7 @@ let merge_schedule rng (streams : 'a Vec.t array) : (int * 'a) Vec.t =
     let d = alive.(Rng.int rng !na) in
     let chunk = 1 + Rng.int rng 8 in
     let len = Vec.length streams.(d) in
-    let take = min chunk (len - pos.(d)) in
+    let take = Int.min chunk (len - pos.(d)) in
     for _ = 1 to take do
       Vec.push out (d, Vec.get streams.(d) pos.(d));
       pos.(d) <- pos.(d) + 1
@@ -45,7 +45,10 @@ let merge_schedule rng (streams : 'a Vec.t array) : (int * 'a) Vec.t =
    on a condition variable between epochs. In oracle mode no Domains
    are spawned and [round] runs every generator inline in domain
    order — producing, by purity of the generators, the identical
-   streams. *)
+   streams. A generator that raises on a worker still counts the worker
+   as done; [round] re-raises the first exception, with its backtrace,
+   on the coordinator once every generator has returned, as Gc_par
+   does. *)
 type team = {
   n : int;
   oracle : bool;
@@ -55,6 +58,7 @@ type team = {
   mutable t_epoch : int;
   mutable t_done : int;
   mutable t_stop : bool;
+  mutable t_exn : (exn * Printexc.raw_backtrace) option;
   mutable workers : unit Domain.t array;
 }
 
@@ -69,6 +73,7 @@ let spawn ~n ~oracle gen =
       t_epoch = 0;
       t_done = 0;
       t_stop = false;
+      t_exn = None;
       workers = [||];
     }
   in
@@ -87,7 +92,12 @@ let spawn ~n ~oracle gen =
       else begin
         seen := team.t_epoch;
         Mutex.unlock team.tm;
-        gen d;
+        (try gen d
+         with e ->
+           let bt = Printexc.get_raw_backtrace () in
+           Mutex.lock team.tm;
+           if team.t_exn = None then team.t_exn <- Some (e, bt);
+           Mutex.unlock team.tm);
         Mutex.lock team.tm;
         team.t_done <- team.t_done + 1;
         Condition.broadcast team.tcv;
@@ -107,15 +117,25 @@ let round team =
   else begin
     Mutex.lock team.tm;
     team.t_done <- 0;
+    team.t_exn <- None;
     team.t_epoch <- team.t_epoch + 1;
     Condition.broadcast team.tcv;
     Mutex.unlock team.tm;
-    team.gen 0;
+    let local_exn =
+      try
+        team.gen 0;
+        None
+      with e -> Some (e, Printexc.get_raw_backtrace ())
+    in
     Mutex.lock team.tm;
     while team.t_done < team.n - 1 do
       Condition.wait team.tcv team.tm
     done;
-    Mutex.unlock team.tm
+    let worker_exn = team.t_exn in
+    Mutex.unlock team.tm;
+    match (local_exn, worker_exn) with
+    | Some (e, bt), _ | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None, None -> ()
   end
 
 let finish team =

@@ -23,7 +23,11 @@ val spawn : n:int -> oracle:bool -> (int -> unit) -> team
 val round : team -> unit
 (** Run one epoch's generation: workers run [gen d] concurrently while
     the coordinator runs [gen 0], returning once all are done — or, in
-    oracle mode, run [gen 0 .. gen (n-1)] inline in domain order. *)
+    oracle mode, run [gen 0 .. gen (n-1)] inline in domain order. If a
+    generator raises, [round] still waits for every other generator,
+    then re-raises the exception with its backtrace (the coordinator's
+    own first, else the first a worker caught); the workers stay parked
+    and {!finish} joins them. *)
 
 val finish : team -> unit
 (** Stop and join the workers. Idempotent. Callers must invoke this on

@@ -8,12 +8,19 @@ let cold_cap = 4096
 let large_min = 12 * 1024
 let large_alpha = 1.3
 
-(* Per-logical-thread mutator state: its own PRNG stream, window of
-   recently allocated objects, and outstanding read/write debts. Pools
-   of mature targets are shared (threads share data structures). *)
+(* Writes within the hot class are themselves skewed (a few session
+   tables/caches dominate), so hot picks rank the pool by a Zipf draw
+   of this exponent over registration order. *)
+let hot_skew = 1.2
+
+(* Per-logical-thread mutator state: its own PRNG stream and hot-pick
+   sampler, window of recently allocated objects ([O.null] marks an
+   empty slot), and outstanding read/write debts. Pools of mature
+   targets are shared (threads share data structures). *)
 type thread = {
   rng : Rng.t;
-  recent : O.t option array;
+  hot_zipf : Rng.Zipf.t;
+  recent : O.t array;
   mutable recent_cursor : int;
   mutable write_debt : float;
   mutable read_debt : float;
@@ -41,6 +48,7 @@ type op =
    generation and by the coordinator between epochs. *)
 type dstate = {
   d_rng : Rng.t;
+  d_hot_zipf : Rng.Zipf.t;
   d_recent : target option array;
   mutable d_recent_cursor : int;
   mutable d_write_debt : float;
@@ -101,7 +109,8 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) desc
   let mk_thread _ =
     {
       rng = Rng.split root;
-      recent = Array.make recent_size None;
+      hot_zipf = Rng.Zipf.create ~s:hot_skew;
+      recent = Array.make recent_size O.null;
       recent_cursor = 0;
       write_debt = 0.0;
       read_debt = 0.0;
@@ -110,6 +119,7 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) desc
   let mk_dstate _ =
     {
       d_rng = Rng.split root;
+      d_hot_zipf = Rng.Zipf.create ~s:hot_skew;
       d_recent = Array.make recent_size None;
       d_recent_cursor = 0;
       d_write_debt = 0.0;
@@ -142,13 +152,13 @@ let draw_small_size_rng t rng =
   let mean_words = float_of_int t.desc.Descriptor.mean_small /. 8.0 in
   let p = 1.0 /. Float.max 2.0 mean_words in
   let words = 2 + Rng.geometric rng p in
-  min Layout.max_small_object (max 16 (words * 8))
+  Int.min Layout.max_small_object (Int.max 16 (words * 8))
 
 let draw_small_size t th = draw_small_size_rng t th.rng
 
 let draw_large_size_rng rng =
   let s = Rng.pareto rng ~alpha:large_alpha ~xmin:(float_of_int large_min) in
-  min (2 * Units.mib) (int_of_float s)
+  Int.min (2 * Units.mib) (int_of_float s)
 
 let draw_large_size th = draw_large_size_rng th.rng
 
@@ -182,7 +192,7 @@ let assign_heat_rng t rng cls =
 let assign_heat t th cls = assign_heat_rng t th.rng cls
 
 let register t th (o : O.t) =
-  th.recent.(th.recent_cursor) <- Some o;
+  th.recent.(th.recent_cursor) <- o;
   th.recent_cursor <- (th.recent_cursor + 1) mod recent_size;
   t.allocated <- t.allocated + 1;
   match O.heat t.words o with
@@ -204,54 +214,50 @@ let allocate_one t th =
      hypothesis, i.e., they die quickly" (4.2.4). *)
   let heat = assign_heat t th cls in
   let death = Rt.now t.rt +. life in
-  let ref_fields = max 1 (size / 32) in
+  let ref_fields = Int.max 1 (size / 32) in
   let o = Rt.alloc t.rt ~size ~heat ~death ~ref_fields in
   register t th o;
   o
 
+(* The sequential picks return [O.null] for "nothing found" and
+   recurse through top-level functions, so a pick allocates nothing. *)
+
 (* Pick a live object from a pool, pruning dead entries on the way.
-   Returns None if the pool is effectively empty. *)
+   Returns [O.null] if the pool is effectively empty. *)
 let rec pick_live t th pool attempts =
-  if attempts = 0 || Vec.length pool = 0 then None
+  if attempts = 0 || Vec.length pool = 0 then O.null
   else begin
     let i = Rng.int th.rng (Vec.length pool) in
     let o = Vec.get pool i in
-    if O.is_live t.words o (Rt.now t.rt) then Some o
+    if O.is_live t.words o (Rt.now t.rt) then o
     else begin
       ignore (Vec.swap_remove pool i);
       pick_live t th pool (attempts - 1)
     end
   end
 
-let pick_recent t th =
-  let rec go attempts =
-    if attempts = 0 then None
-    else begin
-      match th.recent.(Rng.int th.rng recent_size) with
-      | Some o when O.is_live t.words o (Rt.now t.rt) -> Some o
-      | _ -> go (attempts - 1)
-    end
-  in
-  go 4
+let rec pick_recent_tries t th attempts =
+  if attempts = 0 then O.null
+  else begin
+    let o = th.recent.(Rng.int th.rng recent_size) in
+    if (not (O.is_null o)) && O.is_live t.words o (Rt.now t.rt) then o
+    else pick_recent_tries t th (attempts - 1)
+  end
 
-(* Writes within the hot class are themselves skewed (a few session
-   tables/caches dominate), so rank hot picks with a Zipf draw over
-   registration order rather than uniformly. *)
-let pick_hot t th attempts =
+let pick_recent t th = pick_recent_tries t th 4
+
+let rec pick_hot t th attempts =
   let pool = t.hot in
-  let rec go attempts =
-    if attempts = 0 || Vec.length pool = 0 then None
+  if attempts = 0 || Vec.length pool = 0 then O.null
+  else begin
+    let i = Rng.Zipf.draw th.hot_zipf th.rng ~n:(Vec.length pool) in
+    let o = Vec.get pool i in
+    if O.is_live t.words o (Rt.now t.rt) then o
     else begin
-      let i = Rng.zipf th.rng ~n:(Vec.length pool) ~s:1.2 in
-      let o = Vec.get pool i in
-      if O.is_live t.words o (Rt.now t.rt) then Some o
-      else begin
-        ignore (Vec.swap_remove pool i);
-        go (attempts - 1)
-      end
+      ignore (Vec.swap_remove pool i);
+      pick_hot t th (attempts - 1)
     end
-  in
-  go attempts
+  end
 
 let pick_mature t th =
   let d = t.desc in
@@ -261,29 +267,32 @@ let pick_mature t th =
     else if u < d.Descriptor.top10_frac then pick_live t th t.warm 8
     else pick_live t th t.cold 8
   in
-  match primary with
-  | Some _ as r -> r
-  | None -> (
-    match pick_live t th t.cold 8 with Some _ as r -> r | None -> pick_recent t th)
+  if not (O.is_null primary) then primary
+  else begin
+    let o = pick_live t th t.cold 8 in
+    if not (O.is_null o) then o else pick_recent t th
+  end
+
+(* A recent object, else a mature one. *)
+let pick_recent_first t th =
+  let o = pick_recent t th in
+  if O.is_null o then pick_mature t th else o
 
 let pick_write_target t th =
-  if Rng.bernoulli th.rng t.desc.Descriptor.nursery_write_frac then
-    match pick_recent t th with Some o -> Some o | None -> pick_mature t th
-  else match pick_mature t th with Some o -> Some o | None -> pick_recent t th
+  if Rng.bernoulli th.rng t.desc.Descriptor.nursery_write_frac then pick_recent_first t th
+  else begin
+    let o = pick_mature t th in
+    if O.is_null o then pick_recent t th else o
+  end
 
 let do_write t th =
-  match pick_write_target t th with
-  | None -> ()
-  | Some src ->
+  let src = pick_write_target t th in
+  if not (O.is_null src) then
     if Rng.bernoulli th.rng t.desc.Descriptor.ref_write_frac then begin
       let tgt =
-        if Rng.bernoulli th.rng 0.5 then
-          match pick_recent t th with Some o -> Some o | None -> pick_mature t th
-        else pick_mature t th
+        if Rng.bernoulli th.rng 0.5 then pick_recent_first t th else pick_mature t th
       in
-      match tgt with
-      | Some tgt -> Rt.write_ref t.rt ~src ~tgt
-      | None -> Rt.write_prim t.rt src
+      if O.is_null tgt then Rt.write_prim t.rt src else Rt.write_ref t.rt ~src ~tgt
     end
     else Rt.write_prim t.rt src
 
@@ -291,23 +300,28 @@ let do_write t th =
    scans), so one target pick services several load events. *)
 let do_reads t th n =
   let target = if Rng.bernoulli th.rng 0.6 then pick_recent t th else pick_mature t th in
-  match target with Some o -> Rt.read_burst t.rt o n | None -> ()
+  if not (O.is_null target) then Rt.read_burst t.rt target n
 
+(* The debts live in locals for the loop (a mutable float field of a
+   mixed record is boxed, so every store to one allocates) and are
+   written back once. *)
 let mutate_for t th (o : O.t) =
   let d = t.desc in
-  th.write_debt <-
-    th.write_debt
-    +. (float_of_int (O.size t.words o) *. d.Descriptor.write_alloc_ratio /. 8.0);
-  while th.write_debt >= 1.0 do
+  let owed = float_of_int (O.size t.words o) *. d.Descriptor.write_alloc_ratio /. 8.0 in
+  let write_debt = ref (th.write_debt +. owed) in
+  let read_debt = ref th.read_debt in
+  while !write_debt >= 1.0 do
     do_write t th;
-    th.write_debt <- th.write_debt -. 1.0;
-    th.read_debt <- th.read_debt +. d.Descriptor.read_write_ratio;
-    if th.read_debt >= 1.0 then begin
-      let burst = min 8 (int_of_float th.read_debt) in
+    write_debt := !write_debt -. 1.0;
+    read_debt := !read_debt +. d.Descriptor.read_write_ratio;
+    if !read_debt >= 1.0 then begin
+      let burst = Int.min 8 (int_of_float !read_debt) in
       do_reads t th burst;
-      th.read_debt <- th.read_debt -. float_of_int burst
+      read_debt := !read_debt -. float_of_int burst
     end
-  done
+  done;
+  th.write_debt <- !write_debt;
+  th.read_debt <- !read_debt
 
 (* Register a boot/epoch object against a mutator domain's state. The
    cold-reservoir draws use the domain's own stream here (startup runs
@@ -418,12 +432,12 @@ let g_pick_recent w ds now =
   in
   go 4
 
-let g_pick_hot t rng now attempts =
+let g_pick_hot t ds now attempts =
   let pool = t.hot in
   let rec go a =
     if a = 0 || Vec.length pool = 0 then None
     else begin
-      let o = Vec.get pool (Rng.zipf rng ~n:(Vec.length pool) ~s:1.2) in
+      let o = Vec.get pool (Rng.Zipf.draw ds.d_hot_zipf ds.d_rng ~n:(Vec.length pool)) in
       if O.is_live t.words o now then Some (T_obj o) else go (a - 1)
     end
   in
@@ -435,7 +449,7 @@ let g_pick_mature t ds now =
   let rng = ds.d_rng in
   let u = Rng.float rng 1.0 in
   let primary =
-    if u < d.Descriptor.top2_frac then g_pick_hot t rng now 8
+    if u < d.Descriptor.top2_frac then g_pick_hot t ds now 8
     else if u < d.Descriptor.top10_frac then g_pick_live w rng now t.warm 8
     else g_pick_live w rng now t.cold 8
   in
@@ -504,7 +518,7 @@ let generate t d snap =
     let large = Rng.bernoulli ds.d_rng t.p_large in
     let size = if large then draw_large_size_rng ds.d_rng else draw_small_size_rng t ds.d_rng in
     let heat = assign_heat_rng t ds.d_rng cls in
-    let ref_fields = max 1 (size / 32) in
+    let ref_fields = Int.max 1 (size / 32) in
     Vec.push ops (Op_alloc { size; heat; life; ref_fields });
     ds.d_recent.(ds.d_recent_cursor) <- Some (T_pending !pending);
     ds.d_recent_cursor <- (ds.d_recent_cursor + 1) mod recent_size;
@@ -517,7 +531,7 @@ let generate t d snap =
       ds.d_write_debt <- ds.d_write_debt -. 1.0;
       ds.d_read_debt <- ds.d_read_debt +. t.desc.Descriptor.read_write_ratio;
       if ds.d_read_debt >= 1.0 then begin
-        let burst = min 8 (int_of_float ds.d_read_debt) in
+        let burst = Int.min 8 (int_of_float ds.d_read_debt) in
         g_do_reads t ds now ops burst;
         ds.d_read_debt <- ds.d_read_debt -. float_of_int burst
       end

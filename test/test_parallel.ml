@@ -95,6 +95,28 @@ let test_schedule_seed_varies () =
   check_bool "seed 0 reproducible" true (a = a');
   check_bool "different schedules differ" true (a <> b)
 
+(* A generator that raises on a worker domain: the round must end in
+   that exception on the coordinator (not wait forever for a worker
+   that never reports done), the worker must stay parked and usable,
+   and finish must join it. *)
+exception Generator_failed of int
+
+let test_round_reraises_worker_exception () =
+  let failing = Atomic.make true and rounds = Atomic.make 0 in
+  let team =
+    Kg_workload.Epoch.spawn ~n:2 ~oracle:false (fun d ->
+        if d = 1 && Atomic.get failing then raise (Generator_failed d);
+        Atomic.incr rounds)
+  in
+  Fun.protect ~finally:(fun () -> Kg_workload.Epoch.finish team) (fun () ->
+      (match Kg_workload.Epoch.round team with
+      | () -> Alcotest.fail "round returned normally"
+      | exception Generator_failed d -> Alcotest.(check int) "raised by domain 1" 1 d);
+      Alcotest.(check int) "domain 0 still generated" 1 (Atomic.get rounds);
+      Atomic.set failing false;
+      Kg_workload.Epoch.round team;
+      Alcotest.(check int) "both domains generate next round" 3 (Atomic.get rounds))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_parallel"
@@ -109,5 +131,10 @@ let () =
         [
           Alcotest.test_case "repeat stress 1/2/4" `Quick test_repeat_determinism;
           Alcotest.test_case "schedule seed varies" `Quick test_schedule_seed_varies;
+        ] );
+      ( "failure",
+        [
+          Alcotest.test_case "worker exception re-raised" `Quick
+            test_round_reraises_worker_exception;
         ] );
     ]

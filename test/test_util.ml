@@ -91,14 +91,57 @@ let test_rng_pareto_min () =
 
 let test_rng_zipf_range_and_skew () =
   let r = Rng.of_seed 17 in
+  let z = Rng.Zipf.create ~s:1.1 in
   let n = 100 in
   let counts = Array.make n 0 in
   for _ = 1 to 50_000 do
-    let k = Rng.zipf r ~n ~s:1.1 in
+    let k = Rng.Zipf.draw z r ~n in
     check_bool "in range" true (k >= 0 && k < n);
     counts.(k) <- counts.(k) + 1
   done;
   check_bool "rank 0 beats rank 50" true (counts.(0) > counts.(50))
+
+(* Differential against the closure-based three-pow draw it replaced
+   (test/reference_zipf.ml): identically seeded generators, a sequence
+   of pool sizes that changes between draws (so the sampler's cached
+   h(n + 0.5) is both reused and recomputed), the same ranks draw for
+   draw, and the same generator state after. Besides the two exponents
+   the simulator uses, s = 0 (uniform), s = 1 (the log form) and a
+   shallow and a steep exponent cover the other branches. *)
+let zipf_matches_reference_qcheck =
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound 1_000_000)
+        (oneofl [ 1.1; 1.2; 0.0; 0.5; 1.0; 2.5 ])
+        (list_size (int_range 1 200)
+           (frequency [ (3, int_range 1 8); (3, int_range 1 5000); (1, return 1) ])))
+  in
+  QCheck.Test.make ~name:"Zipf.draw equals the three-pow reference" ~count:300
+    (QCheck.make gen ~print:(fun (seed, s, ns) ->
+         Printf.sprintf "seed %d, s %g, n = [%s]" seed s
+           (String.concat "; " (List.map string_of_int ns))))
+    (fun (seed, s, ns) ->
+      let r = Rng.of_seed seed and st = Random.State.make [| seed |] in
+      let z = Rng.Zipf.create ~s in
+      List.for_all (fun n -> Rng.Zipf.draw z r ~n = Reference_zipf.zipf st ~n ~s) ns
+      && List.init 4 (fun _ -> Rng.bits64 r) = List.init 4 (fun _ -> Random.State.bits64 st))
+
+(* The rejection branch is unreachable at the simulator's exponents:
+   every draw over n >= 2 consumes exactly one uniform, so m draws
+   leave the generator where m [Rng.float] draws would. *)
+let test_rng_zipf_one_uniform_per_draw () =
+  List.iter
+    (fun s ->
+      let r = Rng.of_seed 23 and u = Rng.of_seed 23 in
+      let z = Rng.Zipf.create ~s in
+      let m = 20_000 in
+      for i = 1 to m do
+        ignore (Rng.Zipf.draw z r ~n:(2 + (i * 7919 mod 10_000)));
+        ignore (Rng.float u 1.0)
+      done;
+      check_bool (Printf.sprintf "s = %g: same state as %d floats" s m) true
+        (List.init 4 (fun _ -> Rng.bits64 r) = List.init 4 (fun _ -> Rng.bits64 u)))
+    [ 1.1; 1.2 ]
 
 let test_rng_shuffle_permutation () =
   let r = Rng.of_seed 18 in
@@ -421,6 +464,8 @@ let () =
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
           Alcotest.test_case "pareto min" `Quick test_rng_pareto_min;
           Alcotest.test_case "zipf range and skew" `Quick test_rng_zipf_range_and_skew;
+          Alcotest.test_case "zipf one uniform per draw" `Quick test_rng_zipf_one_uniform_per_draw;
+          q zipf_matches_reference_qcheck;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         ] );
       ( "stats",

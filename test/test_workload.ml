@@ -225,6 +225,55 @@ let test_mutator_determinism () =
   let a = run () and b = run () in
   check_bool "bit-identical runs" true (a = b)
 
+(* The runtime builds a trace event only when a recorder is attached.
+   Attaching one must change no output: the same run with and without
+   it gives identical stats and port traffic, on the sequential path
+   and on the epoch path (inline oracle, 2 domains). And the recorder
+   sees exactly one event per runtime call: per kind, the counts agree
+   with the runtime's own counters. *)
+let test_recorder_changes_no_output () =
+  let run ~threads recorder =
+    let map = Kg_mem.Address_map.hybrid () in
+    let cfg = Kg_gc.Gc_config.make ~heap_mb:48 Kg_gc.Gc_config.kg_w_default in
+    let mem, _ = Kg_gc.Mem_iface.counting ~map in
+    let rt = Rt.create ~domains:threads ~config:cfg ~mem ~map ~seed:3 () in
+    Option.iter (fun r -> Rt.set_event_hook rt (Kg_gc.Trace.record r)) recorder;
+    let m = Mutator.create ~live_mb:16 ~threads ~oracle:true (D.find "lusearch") ~rt ~seed:11 in
+    Mutator.allocate_startup m;
+    Mutator.run m ~alloc_bytes:(6 * mib) ();
+    Rt.flush_mem rt;
+    (rt, Kg_gc.Mem_iface.stats mem)
+  in
+  List.iter
+    (fun threads ->
+      let what = Printf.sprintf "%d domains: " threads in
+      let rc = Kg_gc.Trace.recorder () in
+      let plain, plain_traffic = run ~threads None in
+      let traced, traced_traffic = run ~threads (Some rc) in
+      let st = Rt.stats traced in
+      check_bool (what ^ "stats equal") true (Kg_gc.Gc_stats.equal (Rt.stats plain) st);
+      check_bool (what ^ "port stats equal") true (plain_traffic = traced_traffic);
+      let allocs = ref 0 and refs = ref 0 and prims = ref 0 and bursts = ref 0 in
+      let words = ref 0 in
+      Array.iter
+        (function
+          | Kg_gc.Trace.Alloc _ | Kg_gc.Trace.Alloc_boot _ -> incr allocs
+          | Kg_gc.Trace.Write_ref _ -> incr refs
+          | Kg_gc.Trace.Write_prim _ -> incr prims
+          | Kg_gc.Trace.Read_burst { words = n; _ } ->
+            incr bursts;
+            words := !words + n
+          | _ -> Alcotest.fail "unexpected event kind")
+        (Kg_gc.Trace.events rc);
+      check_int (what ^ "one event per call") (Kg_gc.Trace.length rc)
+        (!allocs + !refs + !prims + !bursts);
+      check_int (what ^ "alloc calls") (Kg_heap.Heap_words.length (Rt.words traced)) !allocs;
+      check_int (what ^ "write_ref calls") st.Kg_gc.Gc_stats.ref_writes !refs;
+      check_int (what ^ "write_prim calls") st.Kg_gc.Gc_stats.prim_writes !prims;
+      check_int (what ^ "read_burst words") st.Kg_gc.Gc_stats.reads !words;
+      check_bool (what ^ "bursts recorded") true (!bursts > 0))
+    [ 1; 2 ]
+
 let test_scaled_alloc_bounds () =
   let d = D.find "als" in
   (* 14245 MB *)
@@ -391,6 +440,7 @@ let () =
           Alcotest.test_case "threads need domains" `Quick test_mutator_threads_need_domains;
           Alcotest.test_case "startup symmetry" `Quick test_mutator_startup_symmetry;
           Alcotest.test_case "determinism" `Quick test_mutator_determinism;
+          Alcotest.test_case "recorder changes no output" `Quick test_recorder_changes_no_output;
           Alcotest.test_case "scaled alloc bounds" `Quick test_scaled_alloc_bounds;
           q mutator_any_benchmark_qcheck;
         ] );
