@@ -453,13 +453,13 @@ let run_parallel_mutators ?(json_out = None) () =
     (fun path ->
       let oc = open_out path in
       Printf.fprintf oc
-        "{\n  \"bench\": \"parallel_mutators\",\n  \"benchmark\": \"xalan\",\n  \"cap_mb\": 32,\n  \"baseline\": { \"wall_s\": %.3f, \"sim_s\": %.4f },\n  \"domains\": [\n%s\n  ]\n}\n"
+        "{\n  \"bench\": \"parallel_mutators\",\n  \"benchmark\": \"xalan\",\n  \"cap_mb\": 32,\n  \"baseline\": { \"domains\": 1, \"wall_s\": %.3f, \"sim\": { \"modeled\": true, \"s\": %.4f } },\n  \"domains\": [\n%s\n  ]\n}\n"
         wall1 r1.Kg_sim.Run.time_s
         (String.concat ",\n"
            (List.map
               (fun (threads, wallp, wallo, sim_s, speedup) ->
                 Printf.sprintf
-                  "    { \"domains\": %d, \"wall_s\": %.3f, \"oracle_wall_s\": %.3f, \"sim_s\": %.4f, \"sim_speedup\": %.3f }"
+                  "    { \"domains\": %d, \"wall_s\": %.3f, \"oracle_wall_s\": %.3f, \"sim\": { \"modeled\": true, \"s\": %.4f, \"speedup\": %.3f } }"
                   threads wallp wallo sim_s speedup)
               rows));
       close_out oc;

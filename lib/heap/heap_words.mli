@@ -21,6 +21,13 @@
 type heat = Cold | Warm | Hot
 (** Write-hotness class assigned by the workload (Figure 2). *)
 
+val heat_code : heat -> int
+(** The 2-bit header encoding of a heat class: [Cold] 0, [Warm] 1,
+    [Hot] 2. *)
+
+val heat_of_code : int -> heat
+(** Inverse of {!heat_code}. *)
+
 type t
 
 val create : ?capacity:int -> unit -> t

@@ -148,10 +148,14 @@ let rec deliver sink b =
    single delivery — so the sink observes one global total order no
    matter which member's buffer happened to fill first. The counter is
    a plain mutable int: records are only issued from the deterministic
-   apply loop (one domain at a time), never concurrently. *)
+   apply loop (one domain at a time), never concurrently. The merge
+   writes into a scratch batch the group owns, grown only when a flush
+   is larger than any before it. *)
 type group = {
   mutable next_seq : int;
-  mutable members : t list;
+  mutable batches : batch array;  (* the members' buffers *)
+  mutable scratch : batch;
+  pos : int array;  (* per-member merge cursor *)
 }
 
 and t = {
@@ -163,17 +167,19 @@ and t = {
 
 let default_capacity = 1024
 
+let make_batch capacity =
+  {
+    len = 0;
+    addrs = Array.make capacity 0;
+    sizes = Array.make capacity 0;
+    metas = Array.make capacity 0;
+    seqs = Array.make capacity 0;
+  }
+
 let create ?(capacity = default_capacity) ~sink () =
   if capacity <= 0 then invalid_arg "Port.create: capacity must be positive";
   {
-    batch =
-      {
-        len = 0;
-        addrs = Array.make capacity 0;
-        sizes = Array.make capacity 0;
-        metas = Array.make capacity 0;
-        seqs = Array.make capacity 0;
-      };
+    batch = make_batch capacity;
     sink;
     phase_tag = 0;
     group = None;
@@ -183,26 +189,21 @@ let sink t = t.sink
 let set_sink t s = t.sink <- s
 let capacity t = Array.length t.batch.addrs
 
-(* Merge member batches into one batch ordered by issue stamp. Each
-   member's buffer is already ascending in [seqs] (the group counter is
+(* Merge member batches into [out] (which must hold them all) ordered
+   by issue stamp, using [pos] as the per-batch cursor. Each member's
+   buffer is already ascending in [seqs] (the group counter is
    monotonic), so this is a k-way merge of sorted runs. Stamps are
    unique, which makes the result a total order independent of the
    arrival order of the input batches — the property the QCheck suite
    pins down. *)
-let merge (batches : batch array) : batch =
+let merge_into out pos (batches : batch array) =
   let k = Array.length batches in
-  let total = Array.fold_left (fun a b -> a + b.len) 0 batches in
-  let out =
-    {
-      len = total;
-      addrs = Array.make (max total 1) 0;
-      sizes = Array.make (max total 1) 0;
-      metas = Array.make (max total 1) 0;
-      seqs = Array.make (max total 1) 0;
-    }
-  in
-  let pos = Array.make k 0 in
-  for i = 0 to total - 1 do
+  let total = ref 0 in
+  for j = 0 to k - 1 do
+    pos.(j) <- 0;
+    total := !total + batches.(j).len
+  done;
+  for i = 0 to !total - 1 do
     (* Pick the member whose next un-consumed record has the smallest
        stamp. k is the domain count (tiny), so a linear scan beats a
        heap here. *)
@@ -223,16 +224,21 @@ let merge (batches : batch array) : batch =
     out.seqs.(i) <- b.seqs.(p);
     pos.(!best) <- p + 1
   done;
+  out.len <- !total
+
+let merge (batches : batch array) : batch =
+  let total = Array.fold_left (fun a b -> a + b.len) 0 batches in
+  let out = make_batch (max total 1) in
+  merge_into out (Array.make (Array.length batches) 0) batches;
   out
 
 let flush_group g sink =
-  let pending =
-    List.filter (fun m -> m.batch.len > 0) g.members |> Array.of_list
-  in
-  if Array.length pending > 0 then begin
-    let merged = merge (Array.map (fun m -> m.batch) pending) in
-    deliver sink merged;
-    Array.iter (fun m -> m.batch.len <- 0) pending
+  let total = Array.fold_left (fun a b -> a + b.len) 0 g.batches in
+  if total > 0 then begin
+    if Array.length g.scratch.addrs < total then g.scratch <- make_batch total;
+    merge_into g.scratch g.pos g.batches;
+    deliver sink g.scratch;
+    Array.iter (fun b -> b.len <- 0) g.batches
   end
 
 let flush t =
@@ -247,14 +253,14 @@ let flush t =
 
 let sequenced_group ?(capacity = default_capacity) ~sink n =
   if n <= 0 then invalid_arg "Port.sequenced_group: n must be positive";
-  let g = { next_seq = 0; members = [] } in
+  let g = { next_seq = 0; batches = [||]; scratch = make_batch 1; pos = Array.make n 0 } in
   let members =
     Array.init n (fun _ ->
         let p = create ~capacity ~sink () in
         p.group <- Some g;
         p)
   in
-  g.members <- Array.to_list members;
+  g.batches <- Array.map (fun p -> p.batch) members;
   members
 
 let group_seq t =

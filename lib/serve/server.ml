@@ -5,8 +5,8 @@
    requests. Per domain and per epoch, generation is a pure function
    of the domain's private state (PRNG, arrival clock, session table,
    cache shard, recent ring, debts) plus the epoch-start snapshot;
-   the op streams are interleaved by the schedule PRNG
-   (Epoch.merge_schedule) and applied sequentially on the coordinator
+   the op buffers are interleaved by the schedule PRNG
+   (Epoch.draw_schedule) and applied sequentially on the coordinator
    through the domain-tagged runtime calls. The whole run is therefore
    a pure function of (seed, schedule_seed, domains, config) exactly
    like the batch mutator, and the ~oracle mode runs the identical
@@ -74,21 +74,17 @@ let default_config =
 let recent_size = 256
 let epoch_quantum = 16 * 1024
 
-type target = T_obj of O.t | T_pending of int
+(* The request markers, beside Epoch's shared op kinds; a request's
+   end carries its queueing delay in the op's float column. *)
+let k_req_begin = Epoch.k_private
+let k_req_end = Epoch.k_private + 1
 
-type op =
-  | Op_alloc of { size : int; heat : O.heat; life : float; ref_fields : int }
-  | Op_write_ref of { src : target; tgt : target }
-  | Op_write_prim of target
-  | Op_read_burst of { tgt : target; words : int }
-  | Op_req_begin
-  | Op_req_end of { queue_ms : float }
-
-(* A cache entry: the cached object (possibly pending this epoch) and
-   its expiry on the owning domain's byte clock. The object's death
-   stamp enforces the same TTL on the global allocation clock, so the
-   entry bookkeeping and the heap agree about eviction. *)
-type entry = { mutable c_tgt : target option; mutable c_expiry : float }
+(* A cache shard: per slot, the cached object (an Epoch target, so
+   possibly pending this epoch; [O.null] when empty) and its expiry on
+   the owning domain's byte clock. The object's death stamp enforces
+   the same TTL on the global allocation clock, so the entry
+   bookkeeping and the heap agree about eviction. *)
+type tier = { tgt : int array; expiry : float array }
 
 type dstate = {
   d_rng : Rng.t;
@@ -97,7 +93,8 @@ type dstate = {
   d_session_zipf : Rng.Zipf.t;
   d_tier1_zipf : Rng.Zipf.t;
   d_tier2_zipf : Rng.Zipf.t;
-  d_recent : target option array;
+  d_ops : Epoch.ops;
+  d_recent : int array;  (* Epoch targets; [O.null] marks an empty slot *)
   mutable d_recent_cursor : int;
   mutable d_write_debt : float;
   mutable d_read_debt : float;
@@ -105,9 +102,9 @@ type dstate = {
   mutable d_bytes : float;  (* cumulative bytes this domain generated *)
   mutable d_next_arrival : float;
   mutable d_busy_until : float;
-  d_sessions : target option array;
-  d_tier1 : entry array;
-  d_tier2 : entry array;
+  d_sessions : int array;  (* Epoch targets *)
+  d_tier1 : tier;
+  d_tier2 : tier;
   (* per-domain counters, summed deterministically at readout *)
   mutable d_t1_hits : int;
   mutable d_t2_hits : int;
@@ -168,23 +165,24 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) ?(conf
     Lifetime.make ~live_mb desc ~nursery_bytes:(4 * Units.mib) ~observer_bytes:(8 * Units.mib)
   in
   let root = Rng.of_seed seed in
-  let mk_entry () = { c_tgt = None; c_expiry = 0.0 } in
+  let mk_tier n = { tgt = Array.make (max 1 n) O.null; expiry = Array.make (max 1 n) 0.0 } in
   let mk_dstate _ =
     {
       d_rng = Rng.split root;
       d_session_zipf = Rng.Zipf.create ~s:1.2;
       d_tier1_zipf = Rng.Zipf.create ~s:1.1;
       d_tier2_zipf = Rng.Zipf.create ~s:1.1;
-      d_recent = Array.make recent_size None;
+      d_ops = Epoch.ops_create ();
+      d_recent = Array.make recent_size O.null;
       d_recent_cursor = 0;
       d_write_debt = 0.0;
       d_read_debt = 0.0;
       d_bytes = 0.0;
       d_next_arrival = 0.0;
       d_busy_until = 0.0;
-      d_sessions = Array.make (max 1 config.sessions) None;
-      d_tier1 = Array.init (max 1 config.tier1_entries) (fun _ -> mk_entry ());
-      d_tier2 = Array.init (max 1 config.tier2_entries) (fun _ -> mk_entry ());
+      d_sessions = Array.make (max 1 config.sessions) O.null;
+      d_tier1 = mk_tier config.tier1_entries;
+      d_tier2 = mk_tier config.tier2_entries;
       d_t1_hits = 0;
       d_t2_hits = 0;
       d_backend_fills = 0;
@@ -250,187 +248,176 @@ let session_size t = Int.max 256 (t.desc.Descriptor.mean_small * 4)
 let cache_obj_size t = Int.max 128 (t.desc.Descriptor.mean_small * 2)
 
 let push_recent ds tgt =
-  ds.d_recent.(ds.d_recent_cursor) <- Some tgt;
+  ds.d_recent.(ds.d_recent_cursor) <- tgt;
   ds.d_recent_cursor <- (ds.d_recent_cursor + 1) mod recent_size
 
-let g_alloc ops ~pending ~size ~heat ~life ~ref_fields =
-  Vec.push ops (Op_alloc { size; heat; life; ref_fields });
-  let tgt = T_pending !pending in
-  incr pending;
-  tgt
+(* The picks return [O.null] for "nothing found" and recurse through
+   top-level functions, so a pick allocates nothing. A pending target
+   counts as live: it is this epoch's allocation. *)
 
-let g_pick_recent t ds now =
-  let rec go a =
-    if a = 0 then None
-    else
-      match ds.d_recent.(Rng.int ds.d_rng recent_size) with
-      | Some (T_obj o) when O.is_live t.words o now -> Some (T_obj o)
-      | Some (T_pending i) -> Some (T_pending i)
-      | _ -> go (a - 1)
-  in
-  go 4
+let rec g_pick_recent t ds now attempts =
+  if attempts = 0 then O.null
+  else begin
+    let x = ds.d_recent.(Rng.int ds.d_rng recent_size) in
+    if x < 0 || (x > 0 && O.is_live t.words x now) then x else g_pick_recent t ds now (attempts - 1)
+  end
+
+let live t now x = if x > 0 && not (O.is_live t.words x now) then O.null else x
+
+let g_pick_session t ds now =
+  live t now ds.d_sessions.(Rng.Zipf.draw ds.d_session_zipf ds.d_rng ~n:(Array.length ds.d_sessions))
+
+let g_pick_cache t ds now =
+  let tier = if Rng.bernoulli ds.d_rng 0.7 then ds.d_tier1 else ds.d_tier2 in
+  let k = Rng.int ds.d_rng (Array.length tier.tgt) in
+  if tier.expiry.(k) > ds.d_bytes then live t now tier.tgt.(k) else O.null
 
 (* Mature write targets are the server's long-lived churn: session
    roots (Zipf — a few busy sessions dominate) and cache entries. *)
 let g_pick_mature t ds now =
-  let live = function
-    | Some (T_obj o) when not (O.is_live t.words o now) -> None
-    | tgt -> tgt
-  in
-  let pick_session () =
-    live ds.d_sessions.(Rng.Zipf.draw ds.d_session_zipf ds.d_rng ~n:(Array.length ds.d_sessions))
-  in
-  let pick_cache () =
-    let tier = if Rng.bernoulli ds.d_rng 0.7 then ds.d_tier1 else ds.d_tier2 in
-    let e = tier.(Rng.int ds.d_rng (Array.length tier)) in
-    if e.c_expiry > ds.d_bytes then live e.c_tgt else None
-  in
-  match (if Rng.bernoulli ds.d_rng 0.5 then pick_session () else pick_cache ()) with
-  | Some _ as r -> r
-  | None -> (
-    match pick_session () with Some _ as r -> r | None -> g_pick_recent t ds now)
+  let o = if Rng.bernoulli ds.d_rng 0.5 then g_pick_session t ds now else g_pick_cache t ds now in
+  if not (O.is_null o) then o
+  else begin
+    let o = g_pick_session t ds now in
+    if not (O.is_null o) then o else g_pick_recent t ds now 4
+  end
 
-let g_do_write t ds now ops =
+(* A recent object (or pending target), else a mature one. *)
+let g_pick_recent_first t ds now =
+  let o = g_pick_recent t ds now 4 in
+  if O.is_null o then g_pick_mature t ds now else o
+
+let g_do_write t ds now =
   let src =
-    if Rng.bernoulli ds.d_rng t.desc.Descriptor.nursery_write_frac then
-      match g_pick_recent t ds now with Some o -> Some o | None -> g_pick_mature t ds now
-    else
-      match g_pick_mature t ds now with Some o -> Some o | None -> g_pick_recent t ds now
+    if Rng.bernoulli ds.d_rng t.desc.Descriptor.nursery_write_frac then g_pick_recent_first t ds now
+    else begin
+      let o = g_pick_mature t ds now in
+      if O.is_null o then g_pick_recent t ds now 4 else o
+    end
   in
-  match src with
-  | None -> ()
-  | Some src ->
+  if not (O.is_null src) then
     if Rng.bernoulli ds.d_rng t.desc.Descriptor.ref_write_frac then begin
       let tgt =
-        if Rng.bernoulli ds.d_rng 0.5 then
-          match g_pick_recent t ds now with Some o -> Some o | None -> g_pick_mature t ds now
-        else g_pick_mature t ds now
+        if Rng.bernoulli ds.d_rng 0.5 then g_pick_recent_first t ds now else g_pick_mature t ds now
       in
-      match tgt with
-      | Some tgt -> Vec.push ops (Op_write_ref { src; tgt })
-      | None -> Vec.push ops (Op_write_prim src)
+      if O.is_null tgt then Epoch.push_write_prim ds.d_ops src
+      else Epoch.push_write_ref ds.d_ops ~src ~tgt
     end
-    else Vec.push ops (Op_write_prim src)
+    else Epoch.push_write_prim ds.d_ops src
 
-let g_do_reads t ds now ops n =
-  let target =
-    if Rng.bernoulli ds.d_rng 0.6 then g_pick_recent t ds now else g_pick_mature t ds now
-  in
-  match target with
-  | Some tgt -> Vec.push ops (Op_read_burst { tgt; words = n })
-  | None -> ()
-
-(* Descriptor-paced mutation debt, charged per allocated object like
-   the batch mutator's mutate_for. *)
-let g_mutate_debt t ds now ops size =
-  ds.d_write_debt <-
-    ds.d_write_debt +. (float_of_int size *. t.desc.Descriptor.write_alloc_ratio /. 8.0);
-  while ds.d_write_debt >= 1.0 do
-    g_do_write t ds now ops;
-    ds.d_write_debt <- ds.d_write_debt -. 1.0;
-    ds.d_read_debt <- ds.d_read_debt +. t.desc.Descriptor.read_write_ratio;
-    if ds.d_read_debt >= 1.0 then begin
-      let burst = Int.min 8 (int_of_float ds.d_read_debt) in
-      g_do_reads t ds now ops burst;
-      ds.d_read_debt <- ds.d_read_debt -. float_of_int burst
-    end
-  done
+let g_do_reads t ds now n =
+  let tgt = if Rng.bernoulli ds.d_rng 0.6 then g_pick_recent t ds now 4 else g_pick_mature t ds now in
+  if not (O.is_null tgt) then Epoch.push_read_burst ds.d_ops tgt ~words:n
 
 let scratch_heat ds = function
   | Lifetime.Short -> O.Cold
   | Lifetime.Medium -> if Rng.bernoulli ds.d_rng 0.02 then O.Warm else O.Cold
   | Lifetime.Long | Lifetime.Immortal -> if Rng.bernoulli ds.d_rng 0.2 then O.Warm else O.Cold
 
+(* Fill cache slot [key] of [tier] with a fresh object; returns its
+   pending target. *)
+let g_insert t ds tier key ~life ~expiry_ms ~heat =
+  let size = cache_obj_size t in
+  let tgt = Epoch.push_alloc ds.d_ops ~size ~heat ~life ~ref_fields:(Int.max 1 (size / 32)) in
+  tier.tgt.(key) <- tgt;
+  tier.expiry.(key) <- ds.d_bytes +. (expiry_ms *. t.bytes_per_ms);
+  tgt
+
 (* One request: session touch + churn, tiered cache probe, response
    scratch burst. Returns the bytes it allocated. *)
-let g_request t ds snap ops pending =
-  let now, nursery_free = snap in
+let g_request t ds now nursery_free =
   let cfg = t.cfg in
+  let ops = ds.d_ops in
   let bytes = ref 0 in
-  let alloc ~size ~heat ~life ~ref_fields =
-    bytes := !bytes + size;
-    g_alloc ops ~pending ~size ~heat ~life ~ref_fields
-  in
   let arrival = ds.d_next_arrival in
   ds.d_next_arrival <- arrival +. Rng.exponential ds.d_rng t.interarrival;
-  Vec.push ops Op_req_begin;
+  Epoch.push ops k_req_begin 0 0 0.0;
   (* session touch: refill dead/expired slots, churn live ones *)
   let si = Rng.Zipf.draw ds.d_session_zipf ds.d_rng ~n:(Array.length ds.d_sessions) in
-  let slot_live =
-    match ds.d_sessions.(si) with
-    | Some (T_obj o) -> O.is_live t.words o now
-    | Some (T_pending _) -> true
-    | None -> false
-  in
+  let slot = ds.d_sessions.(si) in
+  let slot_live = slot < 0 || (slot > 0 && O.is_live t.words slot now) in
   let session =
     if (not slot_live) || Rng.bernoulli ds.d_rng cfg.session_churn then begin
       if slot_live then ds.d_sessions_churned <- ds.d_sessions_churned + 1;
       let heat = if Rng.bernoulli ds.d_rng 0.3 then O.Hot else O.Warm in
+      let size = session_size t in
+      bytes := !bytes + size;
       let s =
-        alloc ~size:(session_size t) ~heat ~life:t.session_life
-          ~ref_fields:(Int.max 1 (session_size t / 32))
+        Epoch.push_alloc ops ~size ~heat ~life:t.session_life ~ref_fields:(Int.max 1 (size / 32))
       in
-      ds.d_sessions.(si) <- Some s;
+      ds.d_sessions.(si) <- s;
       s
     end
-    else Option.get ds.d_sessions.(si)
+    else slot
   in
-  Vec.push ops (Op_write_prim session);
-  (* tiered cache probe *)
-  let probe tier key =
-    let e = tier.(key) in
-    match e.c_tgt with
-    | Some tgt when e.c_expiry > ds.d_bytes -> Some tgt
-    | _ -> None
-  in
-  let insert tier key ~life ~expiry_ms ~heat =
-    let e = tier.(key) in
-    let tgt =
-      alloc ~size:(cache_obj_size t) ~heat ~life ~ref_fields:(Int.max 1 (cache_obj_size t / 32))
-    in
-    e.c_tgt <- Some tgt;
-    e.c_expiry <- ds.d_bytes +. (expiry_ms *. t.bytes_per_ms);
-    tgt
-  in
-  let k1 = Rng.Zipf.draw ds.d_tier1_zipf ds.d_rng ~n:(Array.length ds.d_tier1) in
-  (match probe ds.d_tier1 k1 with
-  | Some tgt ->
+  Epoch.push_write_prim ops session;
+  (* tiered cache probe: a slot hits while it holds an unexpired entry *)
+  let k1 = Rng.Zipf.draw ds.d_tier1_zipf ds.d_rng ~n:(Array.length ds.d_tier1.tgt) in
+  let hit1 = ds.d_tier1.tgt.(k1) in
+  if hit1 <> O.null && ds.d_tier1.expiry.(k1) > ds.d_bytes then begin
     ds.d_t1_hits <- ds.d_t1_hits + 1;
-    Vec.push ops (Op_read_burst { tgt; words = 16 })
-  | None -> (
-    let k2 = Rng.Zipf.draw ds.d_tier2_zipf ds.d_rng ~n:(Array.length ds.d_tier2) in
-    match probe ds.d_tier2 k2 with
-    | Some tgt ->
+    Epoch.push_read_burst ops hit1 ~words:16
+  end
+  else begin
+    let k2 = Rng.Zipf.draw ds.d_tier2_zipf ds.d_rng ~n:(Array.length ds.d_tier2.tgt) in
+    let hit2 = ds.d_tier2.tgt.(k2) in
+    if hit2 <> O.null && ds.d_tier2.expiry.(k2) > ds.d_bytes then begin
       ds.d_t2_hits <- ds.d_t2_hits + 1;
-      Vec.push ops (Op_read_burst { tgt; words = 16 });
+      Epoch.push_read_burst ops hit2 ~words:16;
       (* promote a fresh copy into tier 1 *)
+      bytes := !bytes + cache_obj_size t;
       let promoted =
-        insert ds.d_tier1 k1 ~life:t.tier1_life ~expiry_ms:t.cfg.tier1_ttl_ms ~heat:O.Warm
+        g_insert t ds ds.d_tier1 k1 ~life:t.tier1_life ~expiry_ms:cfg.tier1_ttl_ms ~heat:O.Warm
       in
-      Vec.push ops (Op_write_ref { src = promoted; tgt })
-    | None ->
+      Epoch.push_write_ref ops ~src:promoted ~tgt:hit2
+    end
+    else begin
       (* backend fill *)
       ds.d_backend_fills <- ds.d_backend_fills + 1;
+      bytes := !bytes + cache_obj_size t;
       let filled =
-        insert ds.d_tier1 k1 ~life:t.tier1_life ~expiry_ms:t.cfg.tier1_ttl_ms ~heat:O.Warm
+        g_insert t ds ds.d_tier1 k1 ~life:t.tier1_life ~expiry_ms:cfg.tier1_ttl_ms ~heat:O.Warm
       in
-      Vec.push ops (Op_write_ref { src = session; tgt = filled });
-      if Rng.bernoulli ds.d_rng cfg.tier2_insert_p then
+      Epoch.push_write_ref ops ~src:session ~tgt:filled;
+      if Rng.bernoulli ds.d_rng cfg.tier2_insert_p then begin
+        bytes := !bytes + cache_obj_size t;
         ignore
-          (insert ds.d_tier2 k2 ~life:t.tier2_life ~expiry_ms:t.cfg.tier2_ttl_ms ~heat:O.Cold)));
-  (* response scratch burst from the Lifetime demographics *)
+          (g_insert t ds ds.d_tier2 k2 ~life:t.tier2_life ~expiry_ms:cfg.tier2_ttl_ms ~heat:O.Cold)
+      end
+    end
+  end;
+  (* response scratch burst from the Lifetime demographics, with the
+     descriptor-paced mutation debt charged per object like the batch
+     mutator's; the debts live in locals and are written back once *)
   let budget =
-    (cfg.req_alloc_mean / 2) + int_of_float (Rng.exponential ds.d_rng (float_of_int cfg.req_alloc_mean /. 2.0))
+    (cfg.req_alloc_mean / 2)
+    + int_of_float (Rng.exponential ds.d_rng (float_of_int cfg.req_alloc_mean /. 2.0))
   in
+  let desc = t.desc in
+  let write_debt = ref ds.d_write_debt in
+  let read_debt = ref ds.d_read_debt in
   while !bytes < budget do
     let cls, life = Lifetime.draw t.life ds.d_rng ~nursery_remaining:nursery_free in
     let size = draw_scratch_size t ds.d_rng in
     let heat = scratch_heat ds cls in
-    let tgt = alloc ~size ~heat ~life ~ref_fields:(Int.max 1 (size / 32)) in
+    bytes := !bytes + size;
+    let tgt = Epoch.push_alloc ops ~size ~heat ~life ~ref_fields:(Int.max 1 (size / 32)) in
     push_recent ds tgt;
-    if Rng.bernoulli ds.d_rng 0.25 then Vec.push ops (Op_write_ref { src = session; tgt });
-    g_mutate_debt t ds now ops size
+    if Rng.bernoulli ds.d_rng 0.25 then Epoch.push_write_ref ops ~src:session ~tgt;
+    write_debt := !write_debt +. (float_of_int size *. desc.Descriptor.write_alloc_ratio /. 8.0);
+    while !write_debt >= 1.0 do
+      g_do_write t ds now;
+      write_debt := !write_debt -. 1.0;
+      read_debt := !read_debt +. desc.Descriptor.read_write_ratio;
+      if !read_debt >= 1.0 then begin
+        let burst = Int.min 8 (int_of_float !read_debt) in
+        g_do_reads t ds now burst;
+        read_debt := !read_debt -. float_of_int burst
+      end
+    done
   done;
+  ds.d_write_debt <- !write_debt;
+  ds.d_read_debt <- !read_debt;
   (* single-server queue: service demand is the bytes we just decided
      to allocate; queueing delay falls out of busy_until *)
   let service = float_of_int !bytes in
@@ -438,68 +425,49 @@ let g_request t ds snap ops pending =
   ds.d_busy_until <- start +. service;
   ds.d_bytes <- ds.d_bytes +. service;
   let queue_ms = (ds.d_busy_until -. arrival) /. t.bytes_per_ms in
-  Vec.push ops (Op_req_end { queue_ms });
+  Epoch.push ops k_req_end 0 0 queue_ms;
   !bytes
 
 (* One epoch's op stream for domain [d]: requests until the epoch
    quantum is allocated. Touches only dstates.(d) and read-only
    state. *)
-let generate t d (snap_now, snap_free) =
+let generate t d (snap : Epoch.snapshot) =
   let ds = t.dstates.(d) in
-  let ops = Vec.create () in
-  let pending = ref 0 in
+  let nursery_free = float_of_int snap.nursery_free.(d) in
+  Epoch.reset ds.d_ops;
   let bytes = ref 0 in
   while !bytes < epoch_quantum do
-    bytes := !bytes + g_request t ds (snap_now, float_of_int snap_free.(d)) ops pending
-  done;
-  ops
+    bytes := !bytes + g_request t ds snap.now nursery_free
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Apply (coordinator only)                                            *)
 
-let apply_schedule t merged (epoch_allocs : O.t Vec.t array) =
-  let resolve d = function
-    | T_obj o -> o
-    | T_pending i -> Vec.get epoch_allocs.(d) i
-  in
-  Vec.iter
-    (fun (d, op) ->
-      match op with
-      | Op_alloc { size; heat; life; ref_fields } ->
-        let death = Rt.now t.rt +. life in
-        let o = Rt.alloc ~domain:d t.rt ~size ~heat ~death ~ref_fields in
-        Vec.push epoch_allocs.(d) o
-      | Op_write_ref { src; tgt } ->
-        Rt.write_ref ~domain:d t.rt ~src:(resolve d src) ~tgt:(resolve d tgt)
-      | Op_write_prim tgt -> Rt.write_prim ~domain:d t.rt (resolve d tgt)
-      | Op_read_burst { tgt; words } -> Rt.read_burst ~domain:d t.rt (resolve d tgt) words
-      | Op_req_begin -> t.d_pause_mark.(d) <- t.pause_acc
-      | Op_req_end { queue_ms } ->
-        Hdr_histogram.add t.latencies (queue_ms +. (t.pause_acc -. t.d_pause_mark.(d)));
-        t.requests <- t.requests + 1)
-    merged
+let apply_op t allocs d i =
+  let ops = t.dstates.(d).d_ops in
+  let k = Epoch.kind ops i in
+  if k = k_req_begin then t.d_pause_mark.(d) <- t.pause_acc
+  else if k = k_req_end then begin
+    Hdr_histogram.add t.latencies (Epoch.life ops i +. (t.pause_acc -. t.d_pause_mark.(d)));
+    t.requests <- t.requests + 1
+  end
+  else ignore (Epoch.apply_op t.rt allocs.(d) d ops i)
 
-(* Epoch barrier: resolve this epoch's pending markers in the recent
+(* Epoch barrier: resolve this epoch's pending targets in the recent
    rings, session tables and cache shards to the materialised
    objects. *)
-let resolve_slot epoch_allocs d = function
-  | Some (T_pending p) -> Some (T_obj (Vec.get epoch_allocs.(d) p))
-  | slot -> slot
+let resolve_pending allocs (slots : int array) =
+  for i = 0 to Array.length slots - 1 do
+    if slots.(i) < 0 then slots.(i) <- Epoch.resolve allocs slots.(i)
+  done
 
-let epoch_barrier t (epoch_allocs : O.t Vec.t array) =
+let epoch_barrier t (allocs : O.t Vec.t array) =
   Array.iteri
     (fun d ds ->
-      for i = 0 to recent_size - 1 do
-        ds.d_recent.(i) <- resolve_slot epoch_allocs d ds.d_recent.(i)
-      done;
-      for i = 0 to Array.length ds.d_sessions - 1 do
-        ds.d_sessions.(i) <- resolve_slot epoch_allocs d ds.d_sessions.(i)
-      done;
-      let resolve_tier tier =
-        Array.iter (fun e -> e.c_tgt <- resolve_slot epoch_allocs d e.c_tgt) tier
-      in
-      resolve_tier ds.d_tier1;
-      resolve_tier ds.d_tier2)
+      resolve_pending allocs.(d) ds.d_recent;
+      resolve_pending allocs.(d) ds.d_sessions;
+      resolve_pending allocs.(d) ds.d_tier1.tgt;
+      resolve_pending allocs.(d) ds.d_tier2.tgt)
     t.dstates
 
 (* ------------------------------------------------------------------ *)
@@ -519,25 +487,11 @@ let allocate_startup t =
     let size = draw_scratch_size t ds.d_rng in
     let heat = if Rng.bernoulli ds.d_rng 0.05 then O.Warm else O.Cold in
     let o = Rt.alloc_boot t.rt ~size ~heat ~ref_fields:(max 1 (size / 32)) in
-    push_recent ds (T_obj o)
+    push_recent ds o
   done
 
 let run t ~alloc_bytes =
-  let n = t.nthreads in
-  let target = Rt.now t.rt +. float_of_int alloc_bytes in
-  let streams : op Vec.t array = Array.init n (fun _ -> Vec.create ()) in
-  let snap = ref (0.0, [||]) in
-  let team = Epoch.spawn ~n ~oracle:(t.oracle || n = 1) (fun d -> streams.(d) <- generate t d !snap) in
-  (try
-     while Rt.now t.rt < target do
-       snap := (Rt.now t.rt, Array.init n (fun d -> Rt.nursery_free ~domain:d t.rt));
-       Epoch.round team;
-       let merged = Epoch.merge_schedule t.sched_rng streams in
-       let epoch_allocs = Array.init n (fun _ -> Vec.create ()) in
-       apply_schedule t merged epoch_allocs;
-       epoch_barrier t epoch_allocs
-     done
-   with e ->
-     Epoch.finish team;
-     raise e);
-  Epoch.finish team
+  Epoch.run ~rt:t.rt ~n:t.nthreads ~oracle:t.oracle ~sched_rng:t.sched_rng
+    ~bufs:(Array.map (fun ds -> ds.d_ops) t.dstates)
+    ~target:(Rt.now t.rt +. float_of_int alloc_bytes)
+    ~generate:(generate t) ~apply:(apply_op t) ~barrier:(epoch_barrier t)

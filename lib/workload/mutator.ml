@@ -32,24 +32,20 @@ type thread = {
    symbolic op stream in parallel as a pure function of its private
    state plus a read-only snapshot, and the coordinator *applies* the
    streams sequentially in a schedule-seeded deterministic merge. A
-   generated op names objects that do not exist yet with [T_pending]
-   indices into the issuing domain's epoch allocations. *)
-type target = T_obj of O.t | T_pending of int
+   generated op names an object that does not exist yet with a
+   negative pending target, [-(i+1)] for the issuing domain's i-th
+   allocation of the epoch.
 
-type op =
-  | Op_alloc of { size : int; heat : O.heat; life : float; ref_fields : int }
-  | Op_write_ref of { src : target; tgt : target }
-  | Op_write_prim of target
-  | Op_read_burst of { tgt : target; words : int }
-
-(* A mutator domain's private state: PRNG stream, recent-allocation
-   ring (holding pending markers until the epoch materialises them)
-   and mutation debts. Touched only by its own domain during
-   generation and by the coordinator between epochs. *)
+   A mutator domain's private state: PRNG stream, op buffer, recent-
+   allocation ring (holding pending targets until the epoch
+   materialises them; [O.null] marks an empty slot) and mutation
+   debts. Touched only by its own domain during generation and by the
+   coordinator between epochs. *)
 type dstate = {
   d_rng : Rng.t;
   d_hot_zipf : Rng.Zipf.t;
-  d_recent : target option array;
+  d_ops : Epoch.ops;
+  d_recent : int array;
   mutable d_recent_cursor : int;
   mutable d_write_debt : float;
   mutable d_read_debt : float;
@@ -120,7 +116,8 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) desc
     {
       d_rng = Rng.split root;
       d_hot_zipf = Rng.Zipf.create ~s:hot_skew;
-      d_recent = Array.make recent_size None;
+      d_ops = Epoch.ops_create ();
+      d_recent = Array.make recent_size O.null;
       d_recent_cursor = 0;
       d_write_debt = 0.0;
       d_read_debt = 0.0;
@@ -191,17 +188,23 @@ let assign_heat_rng t rng cls =
 
 let assign_heat t th cls = assign_heat_rng t th.rng cls
 
-let register t th (o : O.t) =
-  th.recent.(th.recent_cursor) <- o;
-  th.recent_cursor <- (th.recent_cursor + 1) mod recent_size;
+(* Count a new object and enter it in the shared target pool of its
+   heat; the cold pool is a reservoir sample whose draws come from
+   [rng]. *)
+let add_to_pools t rng (o : O.t) =
   t.allocated <- t.allocated + 1;
   match O.heat t.words o with
   | O.Hot -> Vec.push t.hot o
   | O.Warm -> Vec.push t.warm o
   | O.Cold ->
     if Vec.length t.cold < cold_cap then Vec.push t.cold o
-    else if Rng.bernoulli th.rng (float_of_int cold_cap /. float_of_int t.allocated) then
-      Vec.set t.cold (Rng.int th.rng cold_cap) o
+    else if Rng.bernoulli rng (float_of_int cold_cap /. float_of_int t.allocated) then
+      Vec.set t.cold (Rng.int rng cold_cap) o
+
+let register t th (o : O.t) =
+  th.recent.(th.recent_cursor) <- o;
+  th.recent_cursor <- (th.recent_cursor + 1) mod recent_size;
+  add_to_pools t th.rng o
 
 let allocate_one t th =
   let cls, life =
@@ -327,16 +330,9 @@ let mutate_for t th (o : O.t) =
    cold-reservoir draws use the domain's own stream here (startup runs
    sequentially, before any worker exists). *)
 let register_d t ds (o : O.t) =
-  ds.d_recent.(ds.d_recent_cursor) <- Some (T_obj o);
+  ds.d_recent.(ds.d_recent_cursor) <- o;
   ds.d_recent_cursor <- (ds.d_recent_cursor + 1) mod recent_size;
-  t.allocated <- t.allocated + 1;
-  match O.heat t.words o with
-  | O.Hot -> Vec.push t.hot o
-  | O.Warm -> Vec.push t.warm o
-  | O.Cold ->
-    if Vec.length t.cold < cold_cap then Vec.push t.cold o
-    else if Rng.bernoulli ds.d_rng (float_of_int cold_cap /. float_of_int t.allocated) then
-      Vec.set t.cold (Rng.int ds.d_rng cold_cap) o
+  add_to_pools t ds.d_rng o
 
 let allocate_startup t =
   (* Boot image: immortal objects placed directly in the mature space.
@@ -396,7 +392,7 @@ let run_sequential t ~alloc_bytes ~on_tick ~tick_bytes =
 (*    oracle checks.                                                   *)
 (* 2. The merge draws only from the schedule PRNG, interleaving        *)
 (*    domain streams in chunks while preserving each domain's own      *)
-(*    order — so a [T_pending i] reference always resolves to an       *)
+(*    order — so a pending target always resolves to an                *)
 (*    already-applied allocation of the same domain.                   *)
 (* 3. Apply runs on the coordinator alone, one op at a time, through   *)
 (*    the domain-tagged runtime interface; collections fire inside it  *)
@@ -404,44 +400,33 @@ let run_sequential t ~alloc_bytes ~on_tick ~tick_bytes =
 (*    ports stamp every record with the shared issue counter so sink   *)
 (*    order is schedule order.                                         *)
 
-type snapshot = { s_now : float; s_nursery_free : int array }
-
 (* Pure pick helpers: same skew as the sequential path but against the
    frozen snapshot — no pruning (pools are read-only during an epoch;
-   the coordinator compacts them at the barrier instead). *)
+   the coordinator compacts them at the barrier instead). Like the
+   sequential picks they return [O.null] for "nothing found"; a pick
+   from the recent ring may also return a pending target. *)
 
-let g_pick_live w rng now pool attempts =
-  let rec go a =
-    if a = 0 || Vec.length pool = 0 then None
-    else begin
-      let o = Vec.get pool (Rng.int rng (Vec.length pool)) in
-      if O.is_live w o now then Some (T_obj o) else go (a - 1)
-    end
-  in
-  go attempts
+let rec g_pick_live w rng now pool attempts =
+  if attempts = 0 || Vec.length pool = 0 then O.null
+  else begin
+    let o = Vec.get pool (Rng.int rng (Vec.length pool)) in
+    if O.is_live w o now then o else g_pick_live w rng now pool (attempts - 1)
+  end
 
-let g_pick_recent w ds now =
-  let rec go a =
-    if a = 0 then None
-    else begin
-      match ds.d_recent.(Rng.int ds.d_rng recent_size) with
-      | Some (T_obj o) when O.is_live w o now -> Some (T_obj o)
-      | Some (T_pending i) -> Some (T_pending i)
-      | _ -> go (a - 1)
-    end
-  in
-  go 4
+let rec g_pick_recent w ds now attempts =
+  if attempts = 0 then O.null
+  else begin
+    let x = ds.d_recent.(Rng.int ds.d_rng recent_size) in
+    if x < 0 || (x > 0 && O.is_live w x now) then x else g_pick_recent w ds now (attempts - 1)
+  end
 
-let g_pick_hot t ds now attempts =
+let rec g_pick_hot t ds now attempts =
   let pool = t.hot in
-  let rec go a =
-    if a = 0 || Vec.length pool = 0 then None
-    else begin
-      let o = Vec.get pool (Rng.Zipf.draw ds.d_hot_zipf ds.d_rng ~n:(Vec.length pool)) in
-      if O.is_live t.words o now then Some (T_obj o) else go (a - 1)
-    end
-  in
-  go attempts
+  if attempts = 0 || Vec.length pool = 0 then O.null
+  else begin
+    let o = Vec.get pool (Rng.Zipf.draw ds.d_hot_zipf ds.d_rng ~n:(Vec.length pool)) in
+    if O.is_live t.words o now then o else g_pick_hot t ds now (attempts - 1)
+  end
 
 let g_pick_mature t ds now =
   let d = t.desc in
@@ -453,177 +438,125 @@ let g_pick_mature t ds now =
     else if u < d.Descriptor.top10_frac then g_pick_live w rng now t.warm 8
     else g_pick_live w rng now t.cold 8
   in
-  match primary with
-  | Some _ as r -> r
-  | None -> (
-    match g_pick_live w rng now t.cold 8 with
-    | Some _ as r -> r
-    | None -> g_pick_recent w ds now)
+  if not (O.is_null primary) then primary
+  else begin
+    let o = g_pick_live w rng now t.cold 8 in
+    if not (O.is_null o) then o else g_pick_recent w ds now 4
+  end
+
+(* A recent object (or pending target), else a mature one. *)
+let g_pick_recent_first t ds now =
+  let o = g_pick_recent t.words ds now 4 in
+  if O.is_null o then g_pick_mature t ds now else o
 
 let g_pick_write_target t ds now =
-  if Rng.bernoulli ds.d_rng t.desc.Descriptor.nursery_write_frac then
-    match g_pick_recent t.words ds now with
-    | Some o -> Some o
-    | None -> g_pick_mature t ds now
-  else
-    match g_pick_mature t ds now with
-    | Some o -> Some o
-    | None -> g_pick_recent t.words ds now
+  if Rng.bernoulli ds.d_rng t.desc.Descriptor.nursery_write_frac then g_pick_recent_first t ds now
+  else begin
+    let o = g_pick_mature t ds now in
+    if O.is_null o then g_pick_recent t.words ds now 4 else o
+  end
 
-let g_do_write t ds now ops =
-  match g_pick_write_target t ds now with
-  | None -> ()
-  | Some src ->
+let g_do_write t ds now =
+  let src = g_pick_write_target t ds now in
+  if not (O.is_null src) then
     if Rng.bernoulli ds.d_rng t.desc.Descriptor.ref_write_frac then begin
       let tgt =
-        if Rng.bernoulli ds.d_rng 0.5 then
-          match g_pick_recent t.words ds now with
-          | Some o -> Some o
-          | None -> g_pick_mature t ds now
-        else g_pick_mature t ds now
+        if Rng.bernoulli ds.d_rng 0.5 then g_pick_recent_first t ds now else g_pick_mature t ds now
       in
-      match tgt with
-      | Some tgt -> Vec.push ops (Op_write_ref { src; tgt })
-      | None -> Vec.push ops (Op_write_prim src)
+      if O.is_null tgt then Epoch.push_write_prim ds.d_ops src
+      else Epoch.push_write_ref ds.d_ops ~src ~tgt
     end
-    else Vec.push ops (Op_write_prim src)
+    else Epoch.push_write_prim ds.d_ops src
 
-let g_do_reads t ds now ops n =
-  let target =
-    if Rng.bernoulli ds.d_rng 0.6 then g_pick_recent t.words ds now
-    else g_pick_mature t ds now
+let g_do_reads t ds now n =
+  let tgt =
+    if Rng.bernoulli ds.d_rng 0.6 then g_pick_recent t.words ds now 4 else g_pick_mature t ds now
   in
-  match target with
-  | Some tgt -> Vec.push ops (Op_read_burst { tgt; words = n })
-  | None -> ()
+  if not (O.is_null tgt) then Epoch.push_read_burst ds.d_ops tgt ~words:n
 
 (* Bytes of allocation each domain generates per epoch. Small enough
    that domains interleave at burst granularity, large enough that the
    per-epoch barrier cost is amortised. *)
 let epoch_quantum = 4 * 1024
 
-(* Generate one epoch's op stream for domain [d]: the parallel half of
-   the protocol. Touches only [t.dstates.(d)] and read-only state. *)
-let generate t d snap =
+(* Generate one epoch's op stream for domain [d] into its buffer: the
+   parallel half of the protocol. Touches only [t.dstates.(d)] and
+   read-only state; the debts live in locals, as in [mutate_for]. *)
+let generate t d (snap : Epoch.snapshot) =
   let ds = t.dstates.(d) in
-  let now = snap.s_now in
-  let ops = Vec.create () in
-  let pending = ref 0 in
+  let desc = t.desc in
+  let now = snap.now in
+  let nursery_remaining = float_of_int snap.nursery_free.(d) in
+  Epoch.reset ds.d_ops;
+  let write_debt = ref ds.d_write_debt in
+  let read_debt = ref ds.d_read_debt in
   let bytes = ref 0 in
   while !bytes < epoch_quantum do
-    let cls, life =
-      Lifetime.draw t.life ds.d_rng
-        ~nursery_remaining:(float_of_int snap.s_nursery_free.(d))
-    in
+    let cls, life = Lifetime.draw t.life ds.d_rng ~nursery_remaining in
     let large = Rng.bernoulli ds.d_rng t.p_large in
     let size = if large then draw_large_size_rng ds.d_rng else draw_small_size_rng t ds.d_rng in
     let heat = assign_heat_rng t ds.d_rng cls in
     let ref_fields = Int.max 1 (size / 32) in
-    Vec.push ops (Op_alloc { size; heat; life; ref_fields });
-    ds.d_recent.(ds.d_recent_cursor) <- Some (T_pending !pending);
+    ds.d_recent.(ds.d_recent_cursor) <- Epoch.push_alloc ds.d_ops ~size ~heat ~life ~ref_fields;
     ds.d_recent_cursor <- (ds.d_recent_cursor + 1) mod recent_size;
-    incr pending;
     bytes := !bytes + size;
-    ds.d_write_debt <-
-      ds.d_write_debt +. (float_of_int size *. t.desc.Descriptor.write_alloc_ratio /. 8.0);
-    while ds.d_write_debt >= 1.0 do
-      g_do_write t ds now ops;
-      ds.d_write_debt <- ds.d_write_debt -. 1.0;
-      ds.d_read_debt <- ds.d_read_debt +. t.desc.Descriptor.read_write_ratio;
-      if ds.d_read_debt >= 1.0 then begin
-        let burst = Int.min 8 (int_of_float ds.d_read_debt) in
-        g_do_reads t ds now ops burst;
-        ds.d_read_debt <- ds.d_read_debt -. float_of_int burst
+    write_debt := !write_debt +. (float_of_int size *. desc.Descriptor.write_alloc_ratio /. 8.0);
+    while !write_debt >= 1.0 do
+      g_do_write t ds now;
+      write_debt := !write_debt -. 1.0;
+      read_debt := !read_debt +. desc.Descriptor.read_write_ratio;
+      if !read_debt >= 1.0 then begin
+        let burst = Int.min 8 (int_of_float !read_debt) in
+        g_do_reads t ds now burst;
+        read_debt := !read_debt -. float_of_int burst
       end
     done
   done;
-  ops
+  ds.d_write_debt <- !write_debt;
+  ds.d_read_debt <- !read_debt
 
-(* The schedule merge itself is op-type agnostic and shared with the
-   Kg_serve request mutator — see Epoch.merge_schedule. *)
-let merge_schedule t (streams : op Vec.t array) = Epoch.merge_schedule t.sched_rng streams
-
-(* Apply one epoch's merged schedule through the domain-tagged runtime
+(* Apply op [i] of domain [d] through the domain-tagged runtime
    interface. Shared-pool registration happens here, on the
-   coordinator; reservoir decisions draw from the schedule PRNG so
+   coordinator, in schedule order; reservoir decisions draw from the
+   schedule PRNG (after the epoch's whole schedule is drawn) so
    generation streams stay untouched. *)
-let apply_schedule t merged (epoch_allocs : O.t Vec.t array) =
-  let resolve d = function
-    | T_obj o -> o
-    | T_pending i -> Vec.get epoch_allocs.(d) i
-  in
-  Vec.iter
-    (fun (d, op) ->
-      match op with
-      | Op_alloc { size; heat; life; ref_fields } ->
-        let death = Rt.now t.rt +. life in
-        let o = Rt.alloc ~domain:d t.rt ~size ~heat ~death ~ref_fields in
-        Vec.push epoch_allocs.(d) o;
-        t.allocated <- t.allocated + 1;
-        (match heat with
-        | O.Hot -> Vec.push t.hot o
-        | O.Warm -> Vec.push t.warm o
-        | O.Cold ->
-          if Vec.length t.cold < cold_cap then Vec.push t.cold o
-          else if
-            Rng.bernoulli t.sched_rng (float_of_int cold_cap /. float_of_int t.allocated)
-          then Vec.set t.cold (Rng.int t.sched_rng cold_cap) o)
-      | Op_write_ref { src; tgt } ->
-        Rt.write_ref ~domain:d t.rt ~src:(resolve d src) ~tgt:(resolve d tgt)
-      | Op_write_prim tgt -> Rt.write_prim ~domain:d t.rt (resolve d tgt)
-      | Op_read_burst { tgt; words } -> Rt.read_burst ~domain:d t.rt (resolve d tgt) words)
-    merged
+let apply_op t (allocs : O.t Vec.t array) d i =
+  let o = Epoch.apply_op t.rt allocs.(d) d t.dstates.(d).d_ops i in
+  if not (O.is_null o) then add_to_pools t t.sched_rng o
 
-(* Epoch barrier: resolve the recent rings' pending markers to the
+(* Epoch barrier: resolve the recent rings' pending targets to the
    objects the epoch materialised, and compact the shared pools
    (the sequential path prunes lazily inside its picks; the parallel
    path must not mutate pools mid-epoch, so it prunes here). *)
-let epoch_barrier t (epoch_allocs : O.t Vec.t array) =
+let epoch_barrier t (allocs : O.t Vec.t array) =
   let now = Rt.now t.rt in
   Array.iteri
     (fun d ds ->
-      Array.iteri
-        (fun i slot ->
-          match slot with
-          | Some (T_pending p) -> ds.d_recent.(i) <- Some (T_obj (Vec.get epoch_allocs.(d) p))
-          | _ -> ())
-        ds.d_recent)
+      let r = ds.d_recent in
+      for i = 0 to recent_size - 1 do
+        if r.(i) < 0 then r.(i) <- Epoch.resolve allocs.(d) r.(i)
+      done)
     t.dstates;
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.hot;
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.warm;
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.cold
 
-(* The worker team (real Domains above 0, coordinator generating
-   domain 0's stream while waiting) is the shared Epoch.team. *)
+(* The epoch loop, worker team, op buffers and chunk schedule are
+   Epoch's; the tick check rides on the barrier. *)
 let run_epochs t ~alloc_bytes ~on_tick ~tick_bytes =
-  let n = t.nthreads in
   let start = Rt.now t.rt in
   let next_tick = ref (start +. float_of_int tick_bytes) in
-  let target = start +. float_of_int alloc_bytes in
-  let streams : op Vec.t array = Array.init n (fun _ -> Vec.create ()) in
-  let snap = ref { s_now = 0.0; s_nursery_free = [||] } in
-  let team = Epoch.spawn ~n ~oracle:t.oracle (fun d -> streams.(d) <- generate t d !snap) in
-  (try
-     while Rt.now t.rt < target do
-       snap :=
-         {
-           s_now = Rt.now t.rt;
-           s_nursery_free = Array.init n (fun d -> Rt.nursery_free ~domain:d t.rt);
-         };
-       Epoch.round team;
-       let merged = merge_schedule t streams in
-       let epoch_allocs = Array.init n (fun _ -> Vec.create ()) in
-       apply_schedule t merged epoch_allocs;
-       epoch_barrier t epoch_allocs;
-       if Rt.now t.rt >= !next_tick then begin
-         on_tick (Rt.now t.rt);
-         next_tick := !next_tick +. float_of_int tick_bytes
-       end
-     done
-   with e ->
-     Epoch.finish team;
-     raise e);
-  Epoch.finish team
+  let barrier allocs =
+    epoch_barrier t allocs;
+    if Rt.now t.rt >= !next_tick then begin
+      on_tick (Rt.now t.rt);
+      next_tick := !next_tick +. float_of_int tick_bytes
+    end
+  in
+  Epoch.run ~rt:t.rt ~n:t.nthreads ~oracle:t.oracle ~sched_rng:t.sched_rng
+    ~bufs:(Array.map (fun ds -> ds.d_ops) t.dstates)
+    ~target:(start +. float_of_int alloc_bytes)
+    ~generate:(generate t) ~apply:(apply_op t) ~barrier
 
 let run t ~alloc_bytes ?(on_tick = fun _ -> ()) ?(tick_bytes = Units.mib) () =
   if t.nthreads = 1 then run_sequential t ~alloc_bytes ~on_tick ~tick_bytes

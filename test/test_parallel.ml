@@ -117,6 +117,25 @@ let test_round_reraises_worker_exception () =
       Kg_workload.Epoch.round team;
       Alcotest.(check int) "both domains generate next round" 3 (Atomic.get rounds))
 
+(* Host-allocation guard: an epoch allocates nothing per op, so the
+   2-domain protocol costs about the same minor-heap words per
+   simulated byte as the 1-domain loop. Oracle mode spawns no Domain,
+   so [Gc.minor_words] sees every word the run allocates. *)
+let minor_words_per_byte threads =
+  let bench = Kg_workload.Descriptor.find "xalan" in
+  let before = Gc.minor_words () in
+  let r =
+    Run.run ~seed:11 ~scale:1 ~heap_scale:8 ~cap_mb:12 ~threads ~oracle:true ~mode:Run.Count
+      Run.kg_w bench
+  in
+  (Gc.minor_words () -. before) /. float_of_int r.Run.alloc_bytes
+
+let test_epoch_allocation_guard () =
+  let one = minor_words_per_byte 1 and two = minor_words_per_byte 2 in
+  if two > 1.5 *. one then
+    Alcotest.failf "2 domains allocate %.3f minor words per byte, 1 domain %.3f (limit 1.5x)" two
+      one
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_parallel"
@@ -132,6 +151,8 @@ let () =
           Alcotest.test_case "repeat stress 1/2/4" `Quick test_repeat_determinism;
           Alcotest.test_case "schedule seed varies" `Quick test_schedule_seed_varies;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "2-domain epoch minor words" `Quick test_epoch_allocation_guard ] );
       ( "failure",
         [
           Alcotest.test_case "worker exception re-raised" `Quick

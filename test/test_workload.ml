@@ -401,6 +401,59 @@ let mutator_any_benchmark_qcheck =
       Mutator.run m ~alloc_bytes:(6 * mib) ();
       Rt.heap_used rt > 0 && Kg_gc.Gc_stats.nursery_survival (Rt.stats rt) <= 1.0)
 
+(* ------------------------------------------------------------------ *)
+(* Epoch chunk schedule                                                *)
+
+(* Differential against the boxed merge it replaced
+   (test/reference_epoch.ml): identically seeded generators, 1-4
+   streams of 0-40 ops (all-empty included), the same (domain, index)
+   sequence once the chunks are expanded, and the same generator state
+   after. The schedule is drawn twice into one reused value so that a
+   stale chunk or cursor would show. *)
+let schedule_matches_reference_qcheck =
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 1_000_000)
+        (frequency
+           [
+             (6, list_size (int_range 1 4) (int_range 0 40));
+             (1, map (fun n -> List.init n (fun _ -> 0)) (int_range 1 4));
+           ]))
+  in
+  QCheck.Test.make ~name:"chunk schedule equals the boxed merge" ~count:500
+    (QCheck.make gen ~print:(fun (seed, lens) ->
+         Printf.sprintf "seed %d, lengths [%s]" seed
+           (String.concat "; " (List.map string_of_int lens))))
+    (fun (seed, lens) ->
+      let lens = Array.of_list lens in
+      let streams = Array.map (fun len -> Kg_util.Vec.of_array (Array.init len Fun.id)) lens in
+      let bufs =
+        Array.map
+          (fun len ->
+            let ops = Epoch.ops_create () in
+            for i = 1 to len do
+              Epoch.push_write_prim ops i
+            done;
+            ops)
+          lens
+      in
+      let sched = Epoch.schedule_create () in
+      let expand () =
+        let out = ref [] in
+        Epoch.iter_schedule sched (fun d i -> out := (d, i) :: !out);
+        List.rev !out
+      in
+      let once rng = Epoch.draw_schedule sched rng bufs; expand () in
+      let r = Kg_util.Rng.of_seed seed and oracle = Kg_util.Rng.of_seed seed in
+      let reference () = Array.to_list (Kg_util.Vec.to_array (Reference_epoch.merge_schedule oracle streams)) in
+      let first = once r in
+      let first_ref = reference () in
+      let second = once r in
+      let second_ref = reference () in
+      first = first_ref && second = second_ref
+      && List.init 4 (fun _ -> Kg_util.Rng.bits64 r)
+         = List.init 4 (fun _ -> Kg_util.Rng.bits64 oracle))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_workload"
@@ -444,4 +497,5 @@ let () =
           Alcotest.test_case "scaled alloc bounds" `Quick test_scaled_alloc_bounds;
           q mutator_any_benchmark_qcheck;
         ] );
+      ("epoch", [ q schedule_matches_reference_qcheck ]);
     ]
