@@ -7,8 +7,9 @@ module GS = Kg_gc.Gc_stats
    domain interleavings (per-domain nurseries, ports, sharded mature
    allocation), so cached threaded results from v1 are stale.
    v3: serve-mode results carry request counters and pause/latency
-   histograms in a new [serve] field. *)
-let format_version = 3
+   histograms in a new [serve] field.
+   v4: [retired_mature_writes] is zero-run encoded (see [zero_runs_j]). *)
+let format_version = 4
 let default_dir = Filename.concat "results" ".cache"
 
 type t = { dir : string }
@@ -288,6 +289,40 @@ let spec_of_j j =
 (* ------------------------------------------------------------------ *)
 (* Gc_stats *)
 
+(* Write counts of retired mature objects, one per object. Most are
+   zero — a few objects take most of the writes (the paper's Figure
+   2) — so a maximal run of k zeros is stored as the single element
+   -k; every other count (never negative) stands for itself. *)
+let zero_runs_j v =
+  let out = ref [] and zeros = ref 0 in
+  let flush () =
+    if !zeros > 0 then begin
+      out := Int (- !zeros) :: !out;
+      zeros := 0
+    end
+  in
+  Vec.iter
+    (fun w ->
+      if w = 0 then incr zeros
+      else begin
+        flush ();
+        out := Int w :: !out
+      end)
+    v;
+  flush ();
+  Arr (List.rev !out)
+
+let push_zero_runs v j =
+  List.iter
+    (fun e ->
+      let w = to_int e in
+      if w >= 0 then Vec.push v w
+      else
+        for _ = 1 to -w do
+          Vec.push v 0
+        done)
+    (to_arr j)
+
 let stats_j (st : GS.t) =
   Obj
     [
@@ -324,9 +359,7 @@ let stats_j (st : GS.t) =
       ("mature_moves_to_dram", Int st.GS.mature_moves_to_dram);
       ("mature_moves_to_pcm", Int st.GS.mature_moves_to_pcm);
       ("los_moves_to_dram", Int st.GS.los_moves_to_dram);
-      ( "retired_mature_writes",
-        Arr (Array.to_list (Array.map (fun w -> Int w) (Vec.to_array st.GS.retired_mature_writes)))
-      );
+      ("retired_mature_writes", zero_runs_j st.GS.retired_mature_writes);
       ( "collection_log",
         Arr
           (Array.to_list
@@ -371,9 +404,7 @@ let stats_of_j j =
   st.GS.mature_moves_to_dram <- i "mature_moves_to_dram";
   st.GS.mature_moves_to_pcm <- i "mature_moves_to_pcm";
   st.GS.los_moves_to_dram <- i "los_moves_to_dram";
-  List.iter
-    (fun w -> Vec.push st.GS.retired_mature_writes (to_int w))
-    (to_arr (member "retired_mature_writes" j));
+  push_zero_runs st.GS.retired_mature_writes (member "retired_mature_writes" j);
   List.iter
     (fun e ->
       match to_arr e with
@@ -570,14 +601,23 @@ let header_j k =
   to_string
     (Obj [ ("store", Str "kingsguard-result"); ("v", Int format_version); ("key", Str k) ])
 
+(* The temp name is unique per write, not per process: two domains
+   storing the same key must not share (and rename away) one file. *)
 let store t k r =
   let file = path t k in
-  let tmp = Printf.sprintf "%s.tmp.%d" file (Unix.getpid ()) in
-  Out_channel.with_open_text tmp (fun oc ->
-      output_string oc (header_j k);
-      output_char oc '\n';
-      output_string oc (to_json r);
-      output_char oc '\n');
+  let tmp, oc =
+    Filename.open_temp_file ~perms:0o666 ~temp_dir:t.dir (Filename.basename file ^ ".tmp.") ""
+  in
+  (try
+     output_string oc (header_j k);
+     output_char oc '\n';
+     output_string oc (to_json r);
+     output_char oc '\n';
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   Sys.rename tmp file
 
 let find t k =

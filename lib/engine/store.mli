@@ -7,11 +7,14 @@
     human debuggability), and the complete {!Kg_sim.Run.result}
     serialisation. Floats are stored as OCaml [%h] hex literals so
     every counter round-trips bit-exactly — a warm-cache figure is
-    byte-identical to a cold one.
+    byte-identical to a cold one. The per-object retired write counts,
+    mostly zero, are zero-run encoded: a maximal run of k zeros is the
+    single element [-k].
 
-    Writes go through a temp file plus atomic rename, so concurrent
-    writers (pool workers, or two processes racing on the same matrix)
-    can only ever publish complete entries. Reads treat anything
+    Writes go through a temp file unique to the write plus an atomic
+    rename, so concurrent writers (domains of one process, or two
+    processes racing on the same matrix) can only ever publish
+    complete entries. Reads treat anything
     unexpected — unparseable JSON, a version bump, a foreign key in
     the header, an unknown benchmark — as a miss: the entry is deleted
     and the caller recomputes. A corrupted cache can cost time, never

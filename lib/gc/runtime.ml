@@ -192,12 +192,12 @@ let create ?(domains = 1) ?(parallel_gc = false) ~config:cfg ~mem ~map ~seed () 
     if has_observer then
       Some
         (Immix_space.create ~words ~id:sp_mature_dram ~name:"mature-dram" ~arena:dram_arena
-           ~on_new_region:on_dram_region ~shards:domains ())
+           ~on_new_region:on_dram_region ())
     else None
   in
   let mature_pcm =
     Immix_space.create ~words ~id:sp_mature_pcm ~name:"mature-pcm" ~arena:main_arena
-      ~on_new_region:on_pcm_region ~shards:domains ()
+      ~on_new_region:on_pcm_region ()
   in
   let los_dram =
     if has_observer then

@@ -3,33 +3,22 @@ type t = {
   base : int;
   limit : int;
   mutable cursor : int;
-  (* Spaces shared across mutator domains (the sharded Immix mature
-     space, the large object spaces) may grow from different domains;
-     the bump cursor is the only mutable word, so one lock suffices. *)
-  lock : Mutex.t;
 }
 
-let create ~kind ~base ~size =
-  { kind; base; limit = base + size; cursor = base; lock = Mutex.create () }
+let create ~kind ~base ~size = { kind; base; limit = base + size; cursor = base }
 
 let kind t = t.kind
 
 let reserve ?(who = "?") t bytes =
   let bytes = Layout.align_up bytes Layout.page in
-  Mutex.lock t.lock;
-  if t.cursor + bytes > t.limit then begin
-    let left = t.limit - t.cursor in
-    let reserved = t.cursor - t.base in
-    Mutex.unlock t.lock;
+  if t.cursor + bytes > t.limit then
     failwith
       (Printf.sprintf
          "Arena.reserve: %s arena exhausted (%s requested %d, %d left; %d reserved of %d limit)"
-         (Kg_mem.Device.kind_to_string t.kind) who bytes left reserved
-         (t.limit - t.base))
-  end;
+         (Kg_mem.Device.kind_to_string t.kind) who bytes (t.limit - t.cursor)
+         (t.cursor - t.base) (t.limit - t.base));
   let addr = t.cursor in
   t.cursor <- t.cursor + bytes;
-  Mutex.unlock t.lock;
   addr
 
 let reserved_bytes t = t.cursor - t.base

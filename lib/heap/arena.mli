@@ -18,7 +18,8 @@ val reserve : ?who:string -> t -> int -> int
     page-aligned range. [who] names the requesting space for
     diagnostics. Raises [Failure] when the arena is exhausted; the
     message reports the requester, the rounded request, the bytes
-    left, and the reserved-of-limit occupancy. *)
+    left, and the reserved-of-limit occupancy. Takes no lock: spaces
+    grow only in sequential phases. *)
 
 val reserved_bytes : t -> int
 val remaining : t -> int

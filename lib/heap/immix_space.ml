@@ -18,21 +18,6 @@ type sweep_stats = {
   marked_lines : int;
 }
 
-(* One bump cursor into the block currently owned by a shard. Each
-   mutator domain allocates through its own shard under the shard's
-   lock; shards contend only on the shared block registry (the avail
-   list, arena growth, the population vector) — the "sharded
-   allocation lock" design. A single shard is exactly the pre-shard
-   single-cursor space: the same blocks are taken in the same order,
-   so single-domain address streams are unchanged. *)
-type shard = {
-  mutable cur : block option;
-  mutable scan_line : int;  (* next line to consider in [cur] *)
-  mutable cursor : int;
-  mutable cursor_limit : int;
-  lock : Mutex.t;
-}
-
 type t = {
   id : int;
   name : string;
@@ -47,8 +32,13 @@ type t = {
      mirrors queue membership so audits stay O(blocks). *)
   avail : block Vec.t;
   mutable avail_head : int;
-  shards : shard array;
-  registry : Mutex.t;  (* guards avail, arena growth, objects, live_bytes *)
+  (* The one bump cursor, into the block currently being filled.
+     Allocation runs only in sequential phases, so nothing here is
+     locked. *)
+  mutable cur : block option;
+  mutable scan_line : int;  (* next line to consider in [cur] *)
+  mutable cursor : int;
+  mutable cursor_limit : int;
   objects : O.t Vec.t;
   mutable live_bytes : int;
   mutable allocs_since_sweep : int;
@@ -56,11 +46,7 @@ type t = {
 
 let blocks_per_region = Layout.mature_region / Layout.block
 
-let fresh_shard () =
-  { cur = None; scan_line = 0; cursor = 0; cursor_limit = 0; lock = Mutex.create () }
-
-let create ~words ~id ~name ~arena ?(on_new_region = fun ~base:_ -> ()) ?(shards = 1) () =
-  if shards <= 0 then invalid_arg "Immix_space.create: shards must be positive";
+let create ~words ~id ~name ~arena ?(on_new_region = fun ~base:_ -> ()) () =
   {
     id;
     name;
@@ -71,8 +57,10 @@ let create ~words ~id ~name ~arena ?(on_new_region = fun ~base:_ -> ()) ?(shards
     region_bases = [||];
     avail = Vec.create ();
     avail_head = 0;
-    shards = Array.init shards (fun _ -> fresh_shard ());
-    registry = Mutex.create ();
+    cur = None;
+    scan_line = 0;
+    cursor = 0;
+    cursor_limit = 0;
     objects = Vec.create ();
     live_bytes = 0;
     allocs_since_sweep = 0;
@@ -117,8 +105,8 @@ let next_free_run b from =
     let rec find_end i = if i >= n || Bytes.get b.line_marks i <> '\000' then i else find_end (i + 1) in
     Some (start, find_end start)
 
-(* Take the next block off the shared registry, growing the arena by a
-   region if the queue is dry. Caller holds [t.registry]. *)
+(* Take the next block off the allocation queue, growing the arena by
+   a region if the queue is dry. *)
 let rec take_avail t =
   if t.avail_head < Vec.length t.avail then begin
     let b = Vec.get t.avail t.avail_head in
@@ -132,60 +120,47 @@ let rec take_avail t =
   end
   else None
 
-let rec refill t sh =
-  match sh.cur with
+let rec refill t =
+  match t.cur with
   | Some b -> begin
-    match next_free_run b sh.scan_line with
+    match next_free_run b t.scan_line with
     | Some (start, stop) ->
-      sh.cursor <- b.b_base + (start * Layout.line);
-      sh.cursor_limit <- b.b_base + (stop * Layout.line);
-      sh.scan_line <- stop + 1;
+      t.cursor <- b.b_base + (start * Layout.line);
+      t.cursor_limit <- b.b_base + (stop * Layout.line);
+      t.scan_line <- stop + 1;
       true
     | None ->
-      sh.cur <- None;
-      refill t sh
+      t.cur <- None;
+      refill t
   end
   | None -> begin
-    Mutex.lock t.registry;
-    let b = take_avail t in
-    Mutex.unlock t.registry;
-    match b with
+    match take_avail t with
     | Some b ->
-      sh.cur <- Some b;
-      sh.scan_line <- 0;
-      sh.cursor <- 0;
-      sh.cursor_limit <- 0;
-      refill t sh
+      t.cur <- Some b;
+      t.scan_line <- 0;
+      t.cursor <- 0;
+      t.cursor_limit <- 0;
+      refill t
     | None -> false
   end
 
-let rec alloc_in t sh o =
-  let w = t.words in
-  let osize = O.size w o in
-  if sh.cursor + osize <= sh.cursor_limit then begin
-    O.set_addr w o sh.cursor;
-    O.set_space w o t.id;
-    sh.cursor <- sh.cursor + osize;
-    Mutex.lock t.registry;
+let rec alloc_in t o osize =
+  if t.cursor + osize <= t.cursor_limit then begin
+    O.set_addr t.words o t.cursor;
+    O.set_space t.words o t.id;
+    t.cursor <- t.cursor + osize;
     t.live_bytes <- t.live_bytes + osize;
     t.allocs_since_sweep <- t.allocs_since_sweep + 1;
     Vec.push t.objects o;
-    Mutex.unlock t.registry;
     true
   end
-  else if refill t sh then alloc_in t sh o
+  else if refill t then alloc_in t o osize
   else false
 
-let alloc ?(shard = 0) t o =
-  if O.size t.words o > Layout.max_small_object then
-    invalid_arg "Immix_space.alloc: large object";
-  let sh = t.shards.(shard) in
-  Mutex.lock sh.lock;
-  let ok = alloc_in t sh o in
-  Mutex.unlock sh.lock;
-  ok
-
-let shard_count t = Array.length t.shards
+let alloc t o =
+  let osize = O.size t.words o in
+  if osize > Layout.max_small_object then invalid_arg "Immix_space.alloc: large object";
+  alloc_in t o osize
 
 let region_index_of_addr t addr =
   (* Binary search the region containing [addr]. *)
@@ -356,13 +331,13 @@ let audit t =
 (* Sweep, in the collector's "plan in parallel, apply in merged order"
    protocol. Phase A (parallel over population ranges) classifies each
    contiguous range into kept / dead lists and computes every kept
-   object's line span, bucketed by the owning block's region shard.
+   object's line span, bucketed by the owning block's region group.
    Phase B (sequential) replays the per-range buffers in range order —
    exactly the order the pre-protocol sequential sweep visited the
    population, so the rebuilt vector, the [on_dead] retirement stream
    and the byte accounting are bit-identical at any width. Phase C
-   (parallel over region shards) clears and re-applies the line maps:
-   shard [j] owns blocks with [region mod width = j], so writes are
+   (parallel over region groups) clears and re-applies the line maps:
+   group [j] owns blocks with [region mod width = j], so writes are
    disjoint, and the final marks are a set union — independent of the
    order spans land. Phase D (sequential) walks blocks in index order
    to rebuild the allocation queue and emit [write_meta] records,
@@ -378,7 +353,7 @@ let sweep t ~now ?(write_meta = fun ~block_index:_ ~lines:_ -> ()) ?(on_dead = f
   let dead = Array.init width (fun _ -> Vec.create ()) in
   let kept_bytes = Array.make width 0 and dead_bytes = Array.make width 0 in
   (* [spans.(i).(j)]: packed [(block lsl 14) lor (first lsl 7) lor last]
-     line spans planned by range [i] for region shard [j] — written
+     line spans planned by range [i] for region group [j] — written
      only by slice [i], read only by slice [j] of the next step. *)
   let spans = Array.init width (fun _ -> Array.init width (fun _ -> Vec.create ())) in
   Parfor.run par (fun i ->
@@ -395,8 +370,8 @@ let sweep t ~now ?(write_meta = fun ~block_index:_ ~lines:_ -> ()) ?(on_dead = f
             let last =
               min ((oaddr + osize - 1 - b.b_base) / Layout.line) (Layout.lines_per_block - 1)
             in
-            let shard = b.b_index / blocks_per_region mod width in
-            Vec.push spans.(i).(shard) ((b.b_index lsl 14) lor (first lsl 7) lor last)
+            let group = b.b_index / blocks_per_region mod width in
+            Vec.push spans.(i).(group) ((b.b_index lsl 14) lor (first lsl 7) lor last)
           end
           else begin
             Vec.push dead.(i) o;
@@ -460,13 +435,10 @@ let sweep t ~now ?(write_meta = fun ~block_index:_ ~lines:_ -> ()) ?(on_dead = f
     t.blocks;
   (* Allocation prefers partially filled blocks, then empty ones (§3). *)
   List.iter (fun b -> Vec.push t.avail b) (List.rev !free);
-  Array.iter
-    (fun sh ->
-      sh.cur <- None;
-      sh.cursor <- 0;
-      sh.cursor_limit <- 0;
-      sh.scan_line <- 0)
-    t.shards;
+  t.cur <- None;
+  t.cursor <- 0;
+  t.cursor_limit <- 0;
+  t.scan_line <- 0;
   t.allocs_since_sweep <- 0;
   {
     swept_objects = !swept_objects;

@@ -11,12 +11,9 @@
     (the MDO region granularity of §4.2.5); [on_new_region] lets the
     runtime allocate the matching DRAM mark table.
 
-    Allocation is sharded: each mutator domain bump-allocates through
-    its own shard (a private cursor into a block it owns) under the
-    shard's lock, and shards contend only on the shared block registry
-    when they need a fresh block. One shard (the default) is exactly
-    the pre-shard single-cursor space — same blocks in the same order,
-    so single-domain address streams are unchanged. *)
+    Allocation bump-allocates through one cursor and takes no lock: it
+    runs only in sequential phases (boot, the epoch's schedule apply,
+    the apply step of a collection), never inside a parallel plan. *)
 
 type t
 
@@ -35,23 +32,17 @@ val create :
   name:string ->
   arena:Arena.t ->
   ?on_new_region:(base:int -> unit) ->
-  ?shards:int ->
   unit ->
   t
-(** [shards] (default 1) is the number of independent allocation
-    cursors — one per mutator domain. *)
 
 val id : t -> int
 val name : t -> string
 val kind : t -> Kg_mem.Device.kind
 
-val alloc : ?shard:int -> t -> Object_model.t -> bool
-(** Allocate into free lines through [shard]'s cursor (default 0),
-    preferring recyclable blocks, then free blocks, then fresh arena
-    regions. Returns [false] only when the arena is exhausted. Safe to
-    call concurrently from different domains on different shards. *)
-
-val shard_count : t -> int
+val alloc : t -> Object_model.t -> bool
+(** Allocate into free lines, preferring recyclable blocks, then free
+    blocks, then fresh arena regions. Returns [false] only when the
+    arena is exhausted. Not safe to call from two domains at once. *)
 
 val objects : t -> Object_model.t Kg_util.Vec.t
 (** Resident objects (live and not-yet-swept dead). *)
@@ -90,7 +81,7 @@ val sweep :
 
     [par] (default [Parfor.inline_ 1]) executes the sweep's plan steps:
     population ranges are classified in parallel and the line maps are
-    rebuilt per 4 MB region shard, while the [on_dead] stream, the
+    rebuilt per group of 4 MB regions, while the [on_dead] stream, the
     rebuilt population order and the [write_meta] record stream are
     replayed sequentially in range / block order — observably identical
     to the width-1 sweep for any runner and width. *)

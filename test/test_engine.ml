@@ -303,6 +303,142 @@ let test_exec_recompute_on_corruption () =
   check_bool "store healed" true (Store.find s (Store.key ~opts:o j) <> None);
   Exec.shutdown ex
 
+(* The lusearch KG-W Count run at the figure set's scale: most of its
+   retired write counts are zero, and some zero runs are long. *)
+let figset_opts = { E.scale = 512; heap_scale = 8; cap_mb = 1; seed = 11 }
+let lusearch_job = E.job R.Count R.kg_w (D.find "lusearch")
+let lusearch_result = lazy (E.run_job figset_opts lusearch_job)
+
+let index_of s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then raise Not_found else if String.sub s i m = sub then i else go (i + 1)
+  in
+  go 0
+
+(* The encoded retired-writes array of a payload line, as text. *)
+let retired_field = "\"retired_mature_writes\":["
+
+let retired_array json =
+  let start = index_of json retired_field + String.length retired_field in
+  String.sub json start (String.index_from json start ']' - start)
+
+let with_retired (r : R.result) writes =
+  let st = GS.create () in
+  List.iter (Kg_util.Vec.push st.GS.retired_mature_writes) writes;
+  { r with R.stats = st }
+
+(* A maximal run of k zeros is the one element -k; every other count
+   is itself. *)
+let test_store_zero_run_cases () =
+  List.iter
+    (fun (writes, encoded) ->
+      let r = with_retired (Lazy.force lusearch_result) writes in
+      let json = Store.to_json r in
+      check_str "encoded array" encoded (retired_array json);
+      check_bool "decodes to the same stats" true
+        (GS.equal r.R.stats (Store.of_json json).R.stats))
+    [
+      ([], "");
+      ([ 0 ], "-1");
+      ([ 3 ], "3");
+      (List.init 5000 (fun _ -> 0), "-5000");
+      ([ 0; 0; 0; 5; 0; 7; 7; 0; 0 ], "-3,5,-1,7,7,-2");
+      ([ 1; 2; 3 ], "1,2,3");
+    ]
+
+let retired_gen =
+  let open QCheck.Gen in
+  let zeros k = List.init k (fun _ -> 0) in
+  let mixed =
+    list_size (int_range 0 40)
+      (oneof
+         [
+           map zeros (int_range 0 1000);
+           list_size (int_range 0 200) (int_range 0 Kg_heap.Object_model.max_writes);
+         ])
+    >|= fun segs -> List.filteri (fun i _ -> i < 5000) (List.concat segs)
+  in
+  frequency
+    [
+      (4, mixed);
+      (1, list_size (int_range 0 5000) (int_range 1 Kg_heap.Object_model.max_writes));
+      (1, map zeros (int_range 0 5000));
+    ]
+
+let store_zero_run_qcheck =
+  QCheck.Test.make ~name:"store: retired writes round-trip zero-run encoded" ~count:200
+    (QCheck.make ~print:QCheck.Print.(list int) retired_gen)
+    (fun writes ->
+      let r = with_retired (Lazy.force lusearch_result) writes in
+      let json = Store.to_json r in
+      let r' = Store.of_json json in
+      let arr = retired_array json in
+      let elements = if arr = "" then 0 else List.length (String.split_on_char ',' arr) in
+      let nonzero = List.length (List.filter (fun w -> w <> 0) writes) in
+      GS.equal r.R.stats r'.R.stats
+      && Kg_util.Vec.to_array r'.R.stats.GS.retired_mature_writes = Array.of_list writes
+      && elements <= (2 * nonzero) + 1)
+
+let test_store_truncated_zero_run () =
+  (* a writer that died mid-payload: the line ends inside a -k run *)
+  let s = Store.create ~dir:(temp_dir ()) () in
+  let k = Store.key ~opts:figset_opts lusearch_job in
+  let r = Lazy.force lusearch_result in
+  Store.store s k r;
+  let header, payload =
+    In_channel.with_open_text (Store.path s k) (fun ic ->
+        let h = Option.get (In_channel.input_line ic) in
+        (h, Option.get (In_channel.input_line ic)))
+  in
+  (* cut after the first digit of the first run of ten or more zeros *)
+  let digit i = payload.[i] >= '0' && payload.[i] <= '9' in
+  let rec run i =
+    if payload.[i] = ']' then Alcotest.fail "no zero run of ten or more"
+    else if payload.[i] = '-' && digit (i + 1) && digit (i + 2) then i
+    else run (i + 1)
+  in
+  let cut = run (index_of payload retired_field) + 2 in
+  Out_channel.with_open_text (Store.path s k) (fun oc ->
+      output_string oc header;
+      output_char oc '\n';
+      output_string oc (String.sub payload 0 cut));
+  check_bool "truncated entry reads as a miss" true (Store.find s k = None);
+  check_bool "truncated entry is removed" false (Sys.file_exists (Store.path s k))
+
+let test_store_entry_size () =
+  let s = Store.create ~dir:(temp_dir ()) () in
+  let k = Store.key ~opts:figset_opts lusearch_job in
+  Store.store s k (Lazy.force lusearch_result);
+  let bytes = (Unix.stat (Store.path s k)).Unix.st_size in
+  check_bool (Printf.sprintf "lusearch KG-W entry is %d B, under 32 KB" bytes) true
+    (bytes < 32 * 1024)
+
+let test_store_two_domains () =
+  (* two domains publishing one key at once: each write has its own
+     temp file, so neither rename can find its file already moved *)
+  let dir = temp_dir () in
+  let s = Store.create ~dir () in
+  let k = Store.key ~opts:figset_opts lusearch_job in
+  let r = Lazy.force lusearch_result in
+  let writer () =
+    let failed = ref 0 in
+    for _ = 1 to 30 do
+      try Store.store s k r with _ -> incr failed
+    done;
+    !failed
+  in
+  let other = Domain.spawn writer in
+  let mine = writer () in
+  let failed = mine + Domain.join other in
+  check_int "no store call raised" 0 failed;
+  (match Store.find s k with
+  | None -> Alcotest.fail "raced entry not found"
+  | Some r' -> compare_results "raced entry" r r');
+  Alcotest.(check (list string))
+    "only the entry remains, no temp file" [ Filename.basename (Store.path s k) ]
+    (Array.to_list (Sys.readdir dir))
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: parallel + store == sequential, cold and warm          *)
 
@@ -406,6 +542,12 @@ let () =
           Alcotest.test_case "corruption and version invalidation" `Quick test_store_corruption;
           Alcotest.test_case "engine recomputes through corruption" `Quick
             test_exec_recompute_on_corruption;
+          Alcotest.test_case "zero-run encoding cases" `Quick test_store_zero_run_cases;
+          QCheck_alcotest.to_alcotest store_zero_run_qcheck;
+          Alcotest.test_case "truncated zero run is a miss" `Quick
+            test_store_truncated_zero_run;
+          Alcotest.test_case "figset lusearch entry under 32 KB" `Quick test_store_entry_size;
+          Alcotest.test_case "two domains store one key" `Quick test_store_two_domains;
         ] );
       ( "determinism",
         [

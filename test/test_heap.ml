@@ -470,53 +470,6 @@ let test_immix_defrag_candidates () =
 
 (* No two live objects may overlap, across arbitrary alloc/sweep
    interleavings: the load-bearing allocator invariant. *)
-(* Sharded allocation: real domains bump-allocating through their own
-   shards concurrently must produce a consistent population — every
-   object registered once, no address overlap, live bytes summing.
-   Indices are minted sequentially up front: the flat-word tables only
-   grow in sequential phases, so the workers race on the space's
-   shards, never on the store. *)
-let test_immix_parallel_shards () =
-  let shards = 4 and per_domain = 2000 in
-  let w = fresh_words () in
-  let sp =
-    Immix_space.create ~words:w ~id:3 ~name:"mature" ~arena:(fresh_arena ()) ~shards ()
-  in
-  check_int "shard count" shards (Immix_space.shard_count sp);
-  let objs =
-    Array.init shards (fun _ ->
-        Array.init per_domain (fun i -> obj w ~size:(64 + (16 * (i mod 8))) ()))
-  in
-  let worker shard () =
-    Array.iter
-      (fun o -> if not (Immix_space.alloc ~shard sp o) then failwith "arena exhausted")
-      objs.(shard)
-  in
-  let doms = Array.init (shards - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  worker 0 ();
-  Array.iter Domain.join doms;
-  check_int "all objects registered" (shards * per_domain)
-    (Kg_util.Vec.length (Immix_space.objects sp));
-  let sum = Kg_util.Vec.fold (fun a o -> a + O.size w o) 0 (Immix_space.objects sp) in
-  check_int "live bytes sum" sum (Immix_space.live_bytes sp);
-  Alcotest.(check (list string)) "audit clean" [] (Immix_space.audit sp)
-
-let test_immix_one_shard_matches_default () =
-  (* shards:1 must be exactly the pre-shard space: same addresses for
-     the same allocation sequence. *)
-  let w = fresh_words () in
-  let run sp =
-    List.init 200 (fun i ->
-        let o = obj w ~size:(64 + (8 * (i mod 16))) () in
-        ignore (Immix_space.alloc sp o);
-        O.addr w o)
-  in
-  let a = run (mk_immix w ()) in
-  let b =
-    run (Immix_space.create ~words:w ~id:3 ~name:"mature" ~arena:(fresh_arena ()) ~shards:1 ())
-  in
-  check_bool "identical address streams" true (a = b)
-
 let immix_no_overlap_qcheck =
   QCheck.Test.make ~name:"immix: live objects never overlap" ~count:30
     QCheck.(pair (small_list (int_range 16 4096)) (small_list (int_range 16 4096)))
@@ -828,9 +781,6 @@ let () =
           Alcotest.test_case "remove foreign" `Quick test_immix_remove_foreign;
           Alcotest.test_case "fragmentation" `Quick test_immix_fragmentation;
           Alcotest.test_case "defrag candidates" `Quick test_immix_defrag_candidates;
-          Alcotest.test_case "parallel shards" `Quick test_immix_parallel_shards;
-          Alcotest.test_case "one shard matches default" `Quick
-            test_immix_one_shard_matches_default;
           q immix_no_overlap_qcheck;
         ] );
       ( "los",

@@ -273,42 +273,6 @@ let vec_model_qcheck =
       Vec.to_array v = Array.of_list !model)
 
 (* ------------------------------------------------------------------ *)
-(* Histogram                                                           *)
-
-let test_hist_linear () =
-  let h = Histogram.create ~hi:10.0 ~bins:10 () in
-  Histogram.add h 0.5;
-  Histogram.add h 9.5;
-  Histogram.add h 42.0;
-  (* clamped to last bin *)
-  check_int "bin0" 1 (Histogram.bin_count h 0);
-  check_int "bin9" 2 (Histogram.bin_count h 9);
-  check_int "count" 3 (Histogram.count h)
-
-let test_hist_log2 () =
-  let h = Histogram.create_log2 ~bins:8 in
-  Histogram.add h 1.0;
-  Histogram.add h 3.0;
-  Histogram.add h 1000.0;
-  check_int "bin0 [1,2)" 1 (Histogram.bin_count h 0);
-  check_int "bin1 [2,4)" 1 (Histogram.bin_count h 1);
-  check_int "clamped top" 1 (Histogram.bin_count h 7)
-
-let test_hist_bounds_fraction () =
-  let h = Histogram.create ~hi:100.0 ~bins:10 () in
-  let lo, hi = Histogram.bin_bounds h 3 in
-  check_float "lo" 30.0 lo;
-  check_float "hi" 40.0 hi;
-  Histogram.addn h 5.0 3;
-  Histogram.addn h 95.0 1;
-  check_bool "fraction above 90" true (Float.abs (Histogram.fraction_above h 90.0 -. 0.25) < 1e-9)
-
-let test_hist_cov_uniform () =
-  let h = Histogram.create ~hi:4.0 ~bins:4 () in
-  List.iter (fun x -> Histogram.add h x) [ 0.5; 1.5; 2.5; 3.5 ];
-  check_float "uniform CoV" 0.0 (Histogram.coefficient_of_variation h)
-
-(* ------------------------------------------------------------------ *)
 (* Hdr_histogram                                                       *)
 
 module H = Hdr_histogram
@@ -488,13 +452,6 @@ let () =
           Alcotest.test_case "filter_in_place" `Quick test_vec_filter_in_place;
           Alcotest.test_case "fold/exists/iteri" `Quick test_vec_fold_exists_iteri;
           q vec_model_qcheck;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "linear" `Quick test_hist_linear;
-          Alcotest.test_case "log2" `Quick test_hist_log2;
-          Alcotest.test_case "bounds/fraction" `Quick test_hist_bounds_fraction;
-          Alcotest.test_case "uniform CoV" `Quick test_hist_cov_uniform;
         ] );
       ( "hdr_histogram",
         [
