@@ -76,7 +76,10 @@ let create ?queue_capacity ?(seed = 0) ~jobs () =
       workers = [];
     }
   in
-  if njobs > 1 then t.workers <- List.init njobs (fun _ -> Domain.spawn (worker t));
+  if njobs > 1 then begin
+    Kg_util.Domain_budget.claim njobs;
+    t.workers <- List.init njobs (fun _ -> Domain.spawn (worker t))
+  end;
   t
 
 let jobs t = t.njobs
@@ -209,4 +212,5 @@ let shutdown t =
   let workers = t.workers in
   t.workers <- [];
   Mutex.unlock t.m;
-  List.iter Domain.join workers
+  List.iter Domain.join workers;
+  if workers <> [] then Kg_util.Domain_budget.release (List.length workers)

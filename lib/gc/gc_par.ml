@@ -80,6 +80,7 @@ let worker t i () =
 let ensure_spawned t =
   if not t.spawned then begin
     t.spawned <- true;
+    Domain_budget.claim (t.width - 1);
     t.workers <- Array.init (t.width - 1) (fun i -> Domain.spawn (worker t (i + 1)))
   end
 
@@ -123,6 +124,7 @@ let shutdown t =
     Condition.broadcast t.tcv;
     Mutex.unlock t.tm;
     Array.iter Domain.join t.workers;
+    Domain_budget.release (t.width - 1);
     t.workers <- [||];
     t.spawned <- false
   end

@@ -88,6 +88,11 @@ let float_field line key =
   | None -> parse_error line "field %S is not a float (%S)" key raw
 
 let of_json line =
+  (* A line cut short would otherwise parse: [field] stops at the end
+     of the text, so a truncated last value reads as a shorter one. *)
+  let trimmed = String.trim line in
+  if trimmed = "" || trimmed.[String.length trimmed - 1] <> '}' then
+    parse_error line "truncated line (no closing brace)";
   match unquote line (field line "ev") with
   | "alloc" ->
     Alloc
@@ -126,12 +131,16 @@ let save file evs =
 let load file =
   In_channel.with_open_text file (fun ic ->
       let out = Vec.create () in
-      let rec go () =
+      let rec go n =
         match In_channel.input_line ic with
         | None -> ()
         | Some line ->
-          if String.trim line <> "" then Vec.push out (of_json line);
-          go ()
+          (if String.trim line <> "" then
+             match of_json line with
+             | e -> Vec.push out e
+             | exception Failure m ->
+               failwith (Printf.sprintf "Trace.load: %s, line %d: %s" file n m));
+          go (n + 1)
       in
-      go ();
+      go 1;
       Vec.to_array out)

@@ -49,11 +49,13 @@ val events : recorder -> event array
 
 val to_json : event -> string
 val of_json : string -> event
-(** Raises [Failure] on a malformed line. *)
+(** Raises [Failure] on a malformed line, including one cut short (a
+    line must end in [}]). *)
 
 val save : string -> event array -> unit
 (** Write a JSONL trace file, one event per line. *)
 
 val load : string -> event array
-(** Read a JSONL trace file (blank lines ignored). Raises [Failure] on
-    malformed input and [Sys_error] on I/O errors. *)
+(** Read a JSONL trace file (blank lines ignored). Raises [Failure]
+    naming the file and the 1-based line number on malformed input, and
+    [Sys_error] on I/O errors. *)

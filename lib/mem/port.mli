@@ -25,6 +25,9 @@ type batch = {
           standalone port *)
 }
 
+val make_batch : int -> batch
+(** An empty batch with room for the given number of records. *)
+
 val meta : write:bool -> tag:int -> int
 (** Pack a write flag and phase tag into a record meta word. *)
 

@@ -17,6 +17,11 @@ type page = {
   mutable dram_frame : int;  (* -1 while resident in PCM *)
 }
 
+(* The page tables. [pages] and [dram_rev] are the policy's record:
+   the promotion pass iterates [pages], so their insertion history
+   decides which page gets which DRAM frame. [by_vpage] and [by_frame]
+   mirror them as flat arrays, grown on demand, for the per-record
+   lookups ([absent] marks no entry). *)
 type t = {
   cfg : config;
   hier : Hierarchy.t;
@@ -24,8 +29,12 @@ type t = {
   pcm_base : int;
   dram_base : int;
   dram_frames : int;
+  pcm_pages : int;
   pages : (int, page) Hashtbl.t;
   dram_rev : (int, page) Hashtbl.t;  (* dram frame index -> page *)
+  mutable by_vpage : page array;
+  mutable by_frame : page array;
+  mutable scratch : Kg_mem.Port.batch;  (* a batch's records, translated *)
   mutable dram_cursor : int;  (* next-never-used frame *)
   mutable free_frames : int list;
   mutable accesses : int;
@@ -40,6 +49,16 @@ type t = {
 
 let page_size = Kg_heap.Layout.page
 let migration_tag = Kg_gc.Phase.to_tag Kg_gc.Phase.Migration
+(* The empty slot of the flat tables; shared, so never written. *)
+let absent = { vpage = -1; writes = 0; rank = 0; dram_frame = -1 }
+
+let[@inline] lookup (a : page array) i =
+  if i >= 0 && i < Array.length a then Array.unsafe_get a i else absent
+
+let grown (a : page array) i =
+  let b = Array.make (Int.max (i + 1) (2 * Array.length a)) absent in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let create ?(config = default_config) ~hier ~virt_size () =
   let ctrl = Hierarchy.controller hier in
@@ -52,8 +71,12 @@ let create ?(config = default_config) ~hier ~virt_size () =
       pcm_base = Kg_mem.Address_map.pcm_base map;
       dram_base = Kg_mem.Address_map.dram_base map;
       dram_frames = Kg_mem.Address_map.dram_size map / page_size;
+      pcm_pages = Kg_mem.Address_map.pcm_size map / page_size;
       pages = Hashtbl.create 4096;
       dram_rev = Hashtbl.create 4096;
+      by_vpage = [||];
+      by_frame = [||];
+      scratch = Kg_mem.Port.make_batch Kg_mem.Port.default_capacity;
       dram_cursor = 0;
       free_frames = [];
       accesses = 0;
@@ -71,28 +94,32 @@ let create ?(config = default_config) ~hier ~virt_size () =
   Controller.set_on_write ctrl (fun paddr ->
       (* Count writebacks per page, in whichever device the page lives.
          A migration's own copy traffic must not re-heat the page it is
-         demoting, or pages bounce between the partitions forever. *)
-      if t.migrating then ()
-      else
-      let page =
-        if paddr >= t.pcm_base then begin
-          let vpage = (paddr - t.pcm_base) / page_size in
-          match Hashtbl.find_opt t.pages vpage with
-          | Some p -> Some p
-          | None ->
-            let p = { vpage; writes = 0; rank = 0; dram_frame = -1 } in
-            Hashtbl.replace t.pages vpage p;
-            Some p
+         demoting, or pages bounce between the partitions forever. An
+         unmapped address is not tracked: the controller rejects it
+         right after this hook. *)
+      if not t.migrating then begin
+        let p =
+          if paddr >= t.pcm_base then begin
+            let vpage = (paddr - t.pcm_base) / page_size in
+            let p = lookup t.by_vpage vpage in
+            if p != absent || vpage >= t.pcm_pages then p
+            else begin
+              let p = { vpage; writes = 0; rank = 0; dram_frame = -1 } in
+              Hashtbl.replace t.pages vpage p;
+              if vpage >= Array.length t.by_vpage then t.by_vpage <- grown t.by_vpage vpage;
+              t.by_vpage.(vpage) <- p;
+              p
+            end
+          end
+          else lookup t.by_frame ((paddr - t.dram_base) / page_size)
+        in
+        if p != absent then begin
+          p.writes <- p.writes + 1;
+          (* Queue n holds pages with 2^n writes. *)
+          let rank = int_of_float (Float.log2 (float_of_int (Int.max 1 p.writes))) in
+          p.rank <- Int.min (t.cfg.queues - 1) rank
         end
-        else Hashtbl.find_opt t.dram_rev ((paddr - t.dram_base) / page_size)
-      in
-      match page with
-      | None -> ()
-      | Some p ->
-        p.writes <- p.writes + 1;
-        (* Queue n holds pages with 2^n writes. *)
-        let rank = int_of_float (Float.log2 (float_of_int (Int.max 1 p.writes))) in
-        p.rank <- Int.min (t.cfg.queues - 1) rank);
+      end);
   t
 
 let alloc_frame t =
@@ -126,6 +153,8 @@ let migrate_to_dram t p =
     copy_page t ~src:(t.pcm_base + (p.vpage * page_size)) ~dst:(t.dram_base + (f * page_size));
     p.dram_frame <- f;
     Hashtbl.replace t.dram_rev f p;
+    if f >= Array.length t.by_frame then t.by_frame <- grown t.by_frame f;
+    t.by_frame.(f) <- p;
     t.dram_resident <- t.dram_resident + 1;
     if t.dram_resident > t.peak_dram then t.peak_dram <- t.dram_resident;
     t.to_dram <- t.to_dram + 1
@@ -136,6 +165,7 @@ let migrate_to_pcm t p =
   t.migration_pcm_lines <- t.migration_pcm_lines + (page_size / Controller.line_size t.ctrl);
   p.dram_frame <- -1;
   Hashtbl.remove t.dram_rev f;
+  t.by_frame.(f) <- absent;
   t.free_frames <- f :: t.free_frames;
   t.dram_resident <- t.dram_resident - 1;
   t.to_pcm <- t.to_pcm + 1
@@ -159,11 +189,10 @@ let run_quantum t =
     List.iter (migrate_to_pcm t) !falling
   end
 
-let translate t vaddr =
-  let vpage = vaddr / page_size in
-  match Hashtbl.find_opt t.pages vpage with
-  | Some p when p.dram_frame >= 0 -> t.dram_base + (p.dram_frame * page_size) + (vaddr mod page_size)
-  | _ -> t.pcm_base + vaddr
+let[@inline] translate t vaddr =
+  let p = lookup t.by_vpage (vaddr / page_size) in
+  if p.dram_frame >= 0 then t.dram_base + (p.dram_frame * page_size) + (vaddr mod page_size)
+  else t.pcm_base + vaddr
 
 let tick t =
   t.accesses <- t.accesses + 1;
@@ -172,36 +201,65 @@ let tick t =
     run_quantum t
   end
 
-let chunked t vaddr size f =
-  (* Translate per page so an access spanning a migration boundary
-     hits each page's current frame. *)
-  let rec go vaddr size =
-    if size > 0 then begin
-      let in_page = page_size - (vaddr mod page_size) in
-      let n = Int.min size in_page in
-      f (translate t vaddr) n;
-      go (vaddr + n) (size - n)
-    end
-  in
-  go vaddr size
+(* Room in the scratch batch for [n] more records. *)
+let reserve t n =
+  let s = t.scratch in
+  if s.len + n > Array.length s.addrs then begin
+    let g = Kg_mem.Port.make_batch (Int.max (2 * Array.length s.addrs) (s.len + n)) in
+    Array.blit s.addrs 0 g.addrs 0 s.len;
+    Array.blit s.sizes 0 g.sizes 0 s.len;
+    Array.blit s.metas 0 g.metas 0 s.len;
+    g.len <- s.len;
+    t.scratch <- g
+  end
 
-(* The write-partition sink: each record ticks the access quantum (so
-   promotion/demotion passes fire at the same access positions as with
-   a per-access interface), translates through the page tables, and
-   lands on the cache hierarchy under the phase tag it was issued
-   with. *)
+(* Records [i, stop) of [b] into the scratch batch, translated, each
+   record split at page boundaries so every piece lands on its page's
+   current frame. No frame moves between quanta, so translating a
+   segment before accessing it maps every piece as the per-record
+   order would. *)
+let translate_segment t (b : Kg_mem.Port.batch) i stop =
+  t.scratch.len <- 0;
+  for j = i to stop - 1 do
+    let size = Array.unsafe_get b.sizes j in
+    reserve t ((size / page_size) + 2);
+    let s = t.scratch in
+    let m = Array.unsafe_get b.metas j in
+    let vaddr = ref (Array.unsafe_get b.addrs j) and left = ref size in
+    while !left > 0 do
+      let n = Int.min !left (page_size - (!vaddr mod page_size)) in
+      let k = s.len in
+      Array.unsafe_set s.addrs k (translate t !vaddr);
+      Array.unsafe_set s.sizes k n;
+      Array.unsafe_set s.metas k m;
+      s.len <- k + 1;
+      vaddr := !vaddr + n;
+      left := !left - n
+    done
+  done
+
+(* The write-partition sink, on the batch kernel. Each record ticks the
+   access quantum once, so promotion/demotion passes fire at the same
+   record positions as with a per-access interface; the batch is cut
+   into segments at those positions. A segment is translated, then
+   handed to Hierarchy.access_run in one call, which also delivers its
+   writebacks to the controller (and so to the page ranking) before
+   the next pass reads the ranks. Records keep the write flag and phase
+   tag they were issued with. *)
 let port t =
   let module Port = Kg_mem.Port in
   let run (b : Port.batch) =
-    for i = 0 to b.len - 1 do
+    let i = ref 0 in
+    while !i < b.len do
+      (* The segment's first record may fire the quantum; the records
+         after it, up to the next firing, tick without one. *)
       tick t;
-      let m = Array.unsafe_get b.metas i in
-      Hierarchy.set_phase t.hier (Port.tag_of m);
-      let write = Port.is_write m in
-      chunked t
-        (Array.unsafe_get b.addrs i)
-        (Array.unsafe_get b.sizes i)
-        (fun p n -> Hierarchy.access_range t.hier ~addr:p ~size:n ~write)
+      let more = Int.max 0 (Int.min (b.len - !i - 1) (t.cfg.quantum_accesses - t.accesses - 1)) in
+      t.accesses <- t.accesses + more;
+      let stop = !i + 1 + more in
+      translate_segment t b !i stop;
+      if t.scratch.len > 0 then Hierarchy.access_run t.hier t.scratch;
+      i := stop
     done
   in
   let drv_stats () = Kg_gc.Mem_iface.stats_of_controller t.ctrl in

@@ -164,6 +164,15 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
       counting_counters := Some c;
       (None, None, map, iface)
   in
+  (* With a spare core, the cache-sim sink runs on its own domain,
+     pipelined behind the mutator (Kg_mem.Sink_pipe); outputs are the
+     same either way. It is wrapped before the runtime exists, so the
+     per-domain mutator ports share it. A run with a mutator team
+     leaves the spare cores to the team. *)
+  let pipe = if threads = 1 || oracle then Kg_mem.Sink_pipe.attach mem else None in
+  Fun.protect ~finally:(fun () ->
+      Option.iter (fun p -> try Kg_mem.Sink_pipe.close p with _ -> ()) pipe)
+  @@ fun () ->
   let rt = Runtime.create ~domains:threads ~parallel_gc ~config:cfg ~mem ~map:runtime_map ~seed () in
   Fun.protect ~finally:(fun () -> Runtime.shutdown rt) @@ fun () ->
   Option.iter (fun r -> Runtime.set_event_hook rt (Trace.record r)) recorder;
@@ -236,6 +245,7 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
      3,880 B of DRAM reads and 80 B of PCM reads). Single-domain runs
      lose nothing. [Runtime.flush_mem rt] is the fix. *)
   Mem_iface.flush mem;
+  Option.iter Kg_mem.Sink_pipe.close pipe;
   Option.iter Machine.drain machine;
   let traffic = Mem_iface.stats mem in
   let stats = Runtime.stats rt in

@@ -239,8 +239,10 @@ let spawn ~n ~oracle gen =
       end
     done
   in
-  if not (oracle || n <= 1) then
-    team.workers <- Array.init (n - 1) (fun i -> Domain.spawn (worker (i + 1)));
+  if not (oracle || n <= 1) then begin
+    Domain_budget.claim (n - 1);
+    team.workers <- Array.init (n - 1) (fun i -> Domain.spawn (worker (i + 1)))
+  end;
   team
 
 let round team =
@@ -278,7 +280,8 @@ let finish team =
     team.t_stop <- true;
     Condition.broadcast team.tcv;
     Mutex.unlock team.tm;
-    Array.iter Domain.join team.workers
+    Array.iter Domain.join team.workers;
+    Domain_budget.release (Array.length team.workers)
   end
 
 (* ------------------------------------------------------------------ *)

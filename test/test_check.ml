@@ -70,6 +70,40 @@ let test_trace_malformed () =
   bad {|{"ev":"alloc","id":1}|};
   bad {|{"ev":"alloc","id":"x","size":64,"heat":0,"death":"inf","rf":2}|}
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
+(* A trace cut anywhere inside its last line: a cut that leaves part of
+   an object fails naming that line (the cut field used to read as a
+   shorter value: "tgt":42 as 4); a cut at or after the closing brace
+   loads every event unchanged. *)
+let test_trace_truncated_last_line () =
+  let evs = Array.of_list (sample_events @ [ Trace.Write_ref { src = 1; tgt = 42 } ]) in
+  let last_no = Array.length evs in
+  let f = Filename.temp_file "kg_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove f)
+    (fun () ->
+      Trace.save f evs;
+      let full = In_channel.with_open_bin f In_channel.input_all in
+      let last = Trace.to_json evs.(last_no - 1) in
+      let start = String.length full - String.length last - 1 in
+      for cut = start + 1 to String.length full do
+        Out_channel.with_open_bin f (fun oc -> output_string oc (String.sub full 0 cut));
+        if cut < start + String.length last then
+          match Trace.load f with
+          | _ -> Alcotest.failf "a cut at byte %d loaded" cut
+          | exception Failure m ->
+            check_bool
+              (Printf.sprintf "cut at byte %d names line %d: %s" cut last_no m)
+              true
+              (contains m (Printf.sprintf "line %d:" last_no))
+        else
+          check_bool (Printf.sprintf "cut at byte %d loads every event" cut) true (Trace.load f = evs)
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Model-based testing: random mutator programs under every collector,
    auditing after every collection, with a shadow model of the write
@@ -382,6 +416,7 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_trace_json_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_trace_file_roundtrip;
           Alcotest.test_case "malformed rejected" `Quick test_trace_malformed;
+          Alcotest.test_case "truncated final line" `Quick test_trace_truncated_last_line;
         ] );
       ("model", [ q model_qcheck ]);
       ( "differential",

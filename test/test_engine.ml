@@ -108,14 +108,18 @@ let test_pool_cancel () =
   check_int "rest cancelled" 5 tot.Pool.cancelled;
   Pool.shutdown p;
   (* parallel pool: whatever the interleaving, run_all re-raises the
-     real error, never Cancelled *)
+     real error, never Cancelled; its workers hold the domain budget
+     until shutdown *)
+  let before = Kg_util.Domain_budget.claimed () in
   let p = Pool.create ~jobs:4 () in
+  check_int "workers claimed" (before + 4) (Kg_util.Domain_budget.claimed ());
   let fs = List.init 12 (fun i ~seed:_ -> if i = 3 then failwith "boom" else i) in
   (try
      ignore (Pool.run_all p fs);
      Alcotest.fail "run_all should re-raise"
    with Failure m -> check_str "real error surfaces from parallel pool" "boom" m);
-  Pool.shutdown p
+  Pool.shutdown p;
+  check_int "claims released on shutdown" before (Kg_util.Domain_budget.claimed ())
 
 let test_pool_shutdown () =
   let p = Pool.create ~jobs:2 () in
@@ -455,6 +459,10 @@ let test_determinism () =
   check_int "cold pass: everything computed" 0 (Exec.hits ex4);
   check_bool "cold pass: something computed" true (Exec.misses ex4 > 0);
   let tables4 = render_all (Exec.env ex4) in
+  (* Release the pool's domains: the sequential engine then finds a
+     spare core (on a host with two or more) and pipelines its
+     Simulate runs' cache-sim sinks, which the pool's jobs did not. *)
+  Exec.shutdown ex4;
   (* cold, sequential, no store at all *)
   let ex1 = Exec.create ~jobs:1 ~cache:false o in
   let tables1 = render_all (Exec.env ex1) in
@@ -475,7 +483,6 @@ let test_determinism () =
         (Exec.fetch ex1 j) (Exec.fetch ex4 j))
     planned;
   Exec.shutdown ex1;
-  Exec.shutdown ex4;
   (* warm store, fresh engine: zero recomputation, identical bytes *)
   let ex4w = Exec.create ~jobs:4 ~cache_dir:dir o in
   Exec.prefetch_experiments ex4w all_ids;

@@ -284,6 +284,123 @@ let wear_uniformity_qcheck =
       (* no physical line absorbs more than half of all writes *)
       Wear.max_line_writes w * 2 < Wear.total_writes w)
 
+(* ------------------------------------------------------------------ *)
+(* Sink pipe                                                           *)
+
+module Budget = Kg_util.Domain_budget
+
+(* A driver that logs the addresses of every record it runs, in order. *)
+let logging_driver () =
+  let log = Kg_util.Vec.create () in
+  let run (b : Port.batch) =
+    for i = 0 to b.Port.len - 1 do
+      Kg_util.Vec.push log b.Port.addrs.(i)
+    done
+  in
+  (log, { Port.run; drv_stats = (fun () -> Port.zero_stats ~phases:8) })
+
+let batch_of_range lo n =
+  let b = Port.make_batch (max 1 n) in
+  for i = 0 to n - 1 do
+    b.Port.addrs.(i) <- lo + i;
+    b.Port.sizes.(i) <- 1
+  done;
+  b.Port.len <- n;
+  b
+
+(* Any stream of batches — empty ones, ones larger than a slot — comes
+   out of the consumer whole and in order, including across the syncs
+   a stats read forces. *)
+let pipe_order_qcheck =
+  QCheck.Test.make ~name:"pipe delivers every record in order" ~count:40
+    QCheck.(small_list (pair (int_range 0 (3 * Sink_pipe.slot_records)) bool))
+    (fun batches ->
+      let log, inner = logging_driver () in
+      let p = Sink_pipe.create inner in
+      let d = Sink_pipe.driver p in
+      let next = ref 0 and synced = ref true in
+      List.iter
+        (fun (n, sync) ->
+          d.Port.run (batch_of_range !next n);
+          next := !next + n;
+          if sync then begin
+            ignore (d.Port.drv_stats ());
+            synced := !synced && Kg_util.Vec.length log = !next
+          end)
+        batches;
+      Sink_pipe.close p;
+      !synced && Kg_util.Vec.to_array log = Array.init !next Fun.id)
+
+exception Slot_failed of int
+
+(* A driver that raises on its [n]th slot, on the consumer domain. *)
+let failing_driver n =
+  let seen = ref 0 in
+  let run (_ : Port.batch) =
+    incr seen;
+    if !seen = n then raise (Slot_failed __LINE__)
+  in
+  { Port.run; drv_stats = (fun () -> Port.zero_stats ~phases:8) }
+
+let fill_slots d k =
+  for _ = 1 to k do
+    d.Port.run (batch_of_range 0 Sink_pipe.slot_records)
+  done
+
+let test_pipe_consumer_failure () =
+  let was = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace was) @@ fun () ->
+  let before = Budget.claimed () in
+  let p = Sink_pipe.create (failing_driver 3) in
+  let d = Sink_pipe.driver p in
+  (* The producer may run ahead by a ring's worth before it notices. *)
+  (match fill_slots d (3 + Sink_pipe.slots + 2) with
+  | () -> Alcotest.fail "the producer never saw the consumer's exception"
+  | exception Slot_failed line -> (
+    let bt = Printexc.get_raw_backtrace () in
+    match Printexc.backtrace_slots bt with
+    | None -> Alcotest.fail "no backtrace"
+    | Some slots -> (
+      match Printexc.Slot.location slots.(0) with
+      | None -> Alcotest.fail "no location for the raise"
+      | Some loc ->
+        check_int "backtrace starts at the consumer's raise" line loc.Printexc.line_number)));
+  (* Reported once: closing joins the consumer and raises nothing more. *)
+  Sink_pipe.close p;
+  check_int "budget back to its earlier value" before (Budget.claimed ());
+  (* A failure still unreported when the pipe closes surfaces there. *)
+  let p = Sink_pipe.create (failing_driver 1) in
+  fill_slots (Sink_pipe.driver p) 1;
+  (match Sink_pipe.close p with
+  | () -> Alcotest.fail "close did not re-raise the consumer's exception"
+  | exception Slot_failed _ -> ());
+  check_int "budget back after close" before (Budget.claimed ());
+  Alcotest.check_raises "delivery after close"
+    (Invalid_argument "Sink_pipe: delivery to a closed pipe") (fun () ->
+      (Sink_pipe.driver p).Port.run (batch_of_range 0 1))
+
+(* Create/close cycles, some ending in a consumer failure: no claim and
+   no domain leaks (OCaml 5.1 refuses a 129th live domain). *)
+let test_pipe_cycles () =
+  let before = Budget.claimed () in
+  for i = 1 to 200 do
+    let failing = i mod 3 = 0 in
+    let p = Sink_pipe.create (if failing then failing_driver 1 else snd (logging_driver ())) in
+    let d = Sink_pipe.driver p in
+    match
+      fill_slots d (if failing then 1 else i mod 2);
+      d.Port.run (batch_of_range 0 (i mod 5));
+      Sink_pipe.close p
+    with
+    | () -> check_bool "only failing drivers raise" false failing
+    | exception Slot_failed _ ->
+      check_bool "only failing drivers raise" true failing;
+      Sink_pipe.close p
+  done;
+  check_int "claims back to their earlier value" before (Budget.claimed ());
+  check_int "a new domain still spawns" 42 (Domain.join (Domain.spawn (fun () -> 42)))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_mem"
@@ -320,6 +437,12 @@ let () =
           Alcotest.test_case "sequenced group delivery" `Quick
             test_port_sequenced_group_delivery;
           q port_group_merge_qcheck;
+        ] );
+      ( "sink pipe",
+        [
+          q pipe_order_qcheck;
+          Alcotest.test_case "consumer failure re-raised" `Quick test_pipe_consumer_failure;
+          Alcotest.test_case "200 create/close cycles" `Quick test_pipe_cycles;
         ] );
       ( "lifetime",
         [

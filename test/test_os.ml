@@ -138,7 +138,138 @@ let test_wp_virt_size_validation () =
     (Invalid_argument "Write_partition.create: virtual range exceeds PCM capacity") (fun () ->
       ignore (WP.create ~hier ~virt_size:(4 * mib) ()))
 
+(* ------------------------------------------------------------------ *)
+(* The batch kernel and the sink pipe, differentially                 *)
+
+module Port = Kg_mem.Port
+module Ctrl = Kg_cache.Controller
+
+(* Everything a run reads off a memory system after its final flush. *)
+let observe (hier, wp) =
+  let ctrl = H.controller hier in
+  let dev k = (Ctrl.reads ctrl k, Ctrl.writes ctrl k, Ctrl.writes_by_tag ctrl k) in
+  let bits = Int64.bits_of_float in
+  ( (dev Kg_mem.Device.Dram, dev Kg_mem.Device.Pcm),
+    (bits (Ctrl.access_time_ns ctrl), bits (Ctrl.access_energy_j ctrl), bits (H.hit_time_ns hier)),
+    (H.level_stats hier, H.accesses hier),
+    Option.map
+      (fun w ->
+        ( WP.migrations_to_dram w,
+          WP.migrations_to_pcm w,
+          WP.migration_pcm_line_writes w,
+          WP.peak_dram_pages w,
+          WP.dram_pages w ))
+      wp )
+
+(* A hybrid machine and a driver over it: the plain hierarchy, or WP
+   with a quantum short enough to fire many times per stream. The
+   caches are tiny, so short streams already write back, heat pages
+   and migrate them. *)
+let machine ~wp =
+  let map = Kg_mem.Address_map.hybrid ~dram_size:mib ~pcm_size:(16 * mib) () in
+  let ctrl = Ctrl.create ~map ~line_size:64 () in
+  let level size ways latency_ns = { H.size; ways; latency_ns } in
+  let hier =
+    H.create ~l1:(level 1024 2 1.0) ~l2:(level 4096 4 2.0) ~l3:(level 16384 4 7.5) ~controller:ctrl
+      ()
+  in
+  if wp then begin
+    let cfg = { WP.default_config with WP.quantum_accesses = 3000 } in
+    let w = WP.create ~config:cfg ~hier ~virt_size:(8 * mib) () in
+    match Port.sink (WP.port w) with
+    | Port.Cache_sim d -> ((hier, Some w), d)
+    | _ -> assert false
+  end
+  else ((hier, None), Mem.hierarchy_driver hier)
+
+(* Random records over a few hot pages and a wider cold range, sizes
+   from one byte to past a page, so lines coalesce, pages cross and
+   pages heat up. *)
+let random_batch rng n =
+  let b = Port.make_batch (max 1 n) in
+  for i = 0 to n - 1 do
+    let hot = Random.State.int rng 4 > 0 in
+    let addr =
+      if hot then Random.State.int rng 8 * page + Random.State.int rng page
+      else Random.State.int rng (7 * mib)
+    in
+    let size =
+      match Random.State.int rng 8 with
+      | 0 -> 1 + Random.State.int rng (2 * page)
+      | 1 -> 0
+      | _ -> 8 * (1 + Random.State.int rng 8)
+    in
+    b.Port.addrs.(i) <- addr;
+    b.Port.sizes.(i) <- size;
+    b.Port.metas.(i) <- Port.meta ~write:(Random.State.bool rng) ~tag:(Random.State.int rng 8)
+  done;
+  b.Port.len <- n;
+  b
+
+(* The same stream of batches (lengths 0 to 3 slots, random sync
+   points) through a pipe and straight into the driver: identical
+   counters, bit-equal time and energy, identical cache and WP state,
+   at every sync point and after the final drain. *)
+let pipe_matches_inline_qcheck =
+  QCheck.Test.make ~name:"pipe == inline driver (hierarchy and WP)" ~count:12
+    QCheck.(triple bool small_nat (int_range 1 6))
+    (fun (wp, seed, nbatches) ->
+      let rng = Random.State.make [| seed |] in
+      let batches =
+        List.init nbatches (fun _ ->
+            let n = Random.State.int rng (3 * Kg_mem.Sink_pipe.slot_records + 1) in
+            (random_batch rng n, Random.State.int rng 3 = 0))
+      in
+      let direct, d = machine ~wp in
+      let piped, inner = machine ~wp in
+      let p = Kg_mem.Sink_pipe.create inner in
+      let pd = Kg_mem.Sink_pipe.driver p in
+      let same () = pd.Port.drv_stats () = d.Port.drv_stats () && observe piped = observe direct in
+      let ok = ref true in
+      List.iter
+        (fun (b, sync) ->
+          d.Port.run b;
+          pd.Port.run b;
+          if sync then ok := !ok && same ())
+        batches;
+      Kg_mem.Sink_pipe.close p;
+      let ok = !ok && same () in
+      H.drain (fst direct);
+      H.drain (fst piped);
+      ok && observe piped = observe direct)
+
+(* WP cuts a batch at quantum firings: one batch, or the same records
+   one per batch, give the same machine. *)
+let wp_batch_split_qcheck =
+  QCheck.Test.make ~name:"WP: batch boundaries do not matter" ~count:20
+    QCheck.(pair small_nat (int_range 1 20_000))
+    (fun (seed, n) ->
+      let b = random_batch (Random.State.make [| seed |]) n in
+      let whole, d1 = machine ~wp:true in
+      let single, d2 = machine ~wp:true in
+      d1.Port.run b;
+      let one = Port.make_batch 1 in
+      for i = 0 to n - 1 do
+        one.Port.addrs.(0) <- b.Port.addrs.(i);
+        one.Port.sizes.(0) <- b.Port.sizes.(i);
+        one.Port.metas.(0) <- b.Port.metas.(i);
+        one.Port.len <- 1;
+        d2.Port.run one
+      done;
+      H.drain (fst whole);
+      H.drain (fst single);
+      observe whole = observe single)
+
+(* The random streams above exercise the policy, not just the caches. *)
+let test_wp_random_stream_migrates () =
+  let (_, w), d = machine ~wp:true in
+  d.Port.run (random_batch (Random.State.make [| 1 |]) 20_000);
+  let w = Option.get w in
+  check_bool "pages promoted" true (WP.migrations_to_dram w > 0);
+  check_bool "pages demoted" true (WP.migrations_to_pcm w > 0)
+
 let () =
+  let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_os"
     [
       ( "write_partition",
@@ -153,5 +284,8 @@ let () =
           Alcotest.test_case "dram writes keep page hot" `Quick test_wp_dram_writes_keep_page_hot;
           Alcotest.test_case "default config" `Quick test_wp_default_config;
           Alcotest.test_case "virt size validation" `Quick test_wp_virt_size_validation;
+          Alcotest.test_case "random stream migrates" `Quick test_wp_random_stream_migrates;
+          q wp_batch_split_qcheck;
         ] );
+      ("sink pipe", [ q pipe_matches_inline_qcheck ]);
     ]

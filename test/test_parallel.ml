@@ -103,6 +103,7 @@ exception Generator_failed of int
 
 let test_round_reraises_worker_exception () =
   let failing = Atomic.make true and rounds = Atomic.make 0 in
+  let before = Kg_util.Domain_budget.claimed () in
   let team =
     Kg_workload.Epoch.spawn ~n:2 ~oracle:false (fun d ->
         if d = 1 && Atomic.get failing then raise (Generator_failed d);
@@ -115,7 +116,9 @@ let test_round_reraises_worker_exception () =
       Alcotest.(check int) "domain 0 still generated" 1 (Atomic.get rounds);
       Atomic.set failing false;
       Kg_workload.Epoch.round team;
-      Alcotest.(check int) "both domains generate next round" 3 (Atomic.get rounds))
+      Alcotest.(check int) "both domains generate next round" 3 (Atomic.get rounds));
+  Alcotest.(check int) "finish released the worker's claim" before
+    (Kg_util.Domain_budget.claimed ())
 
 (* Host-allocation guard: an epoch allocates nothing per op, so the
    2-domain protocol costs about the same minor-heap words per

@@ -181,6 +181,29 @@ let test_edge_defrag () =
   check_bool "majors ran" true (sp.GS.major_gcs >= 2);
   check_bool "defrag moved objects" true (sp.GS.copied_bytes_major > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Failure                                                             *)
+
+exception Slice_failed of int
+
+(* A slice that raises on a worker: the coordinator re-raises it after
+   every slice has finished, the team stays usable, and shutdown joins
+   the worker and returns its domain to the budget. *)
+let test_team_reraises_worker_exception () =
+  let before = Kg_util.Domain_budget.claimed () in
+  let team = Gc_par.create ~domains:2 ~parallel:true in
+  let r = Gc_par.runner team in
+  let ran = Array.make 2 0 in
+  (match Kg_util.Parfor.run r (fun i -> if i = 1 then raise (Slice_failed i) else ran.(i) <- 1) with
+  | () -> Alcotest.fail "run returned normally"
+  | exception Slice_failed i -> Alcotest.(check int) "raised by slice 1" 1 i);
+  Alcotest.(check int) "slice 0 still ran" 1 ran.(0);
+  Alcotest.(check int) "the worker holds a claim" (before + 1) (Kg_util.Domain_budget.claimed ());
+  Kg_util.Parfor.run r (fun i -> ran.(i) <- 2);
+  Alcotest.(check (array int)) "both slices run next time" [| 2; 2 |] ran;
+  Gc_par.shutdown team;
+  Alcotest.(check int) "shutdown released the claim" before (Kg_util.Domain_budget.claimed ())
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_parallel_gc"
@@ -202,5 +225,10 @@ let () =
           Alcotest.test_case "domains > live objects" `Quick
             test_edge_domains_exceed_live;
           Alcotest.test_case "defrag-triggering heap" `Quick test_edge_defrag;
+        ] );
+      ( "failure",
+        [
+          Alcotest.test_case "worker exception re-raised" `Quick
+            test_team_reraises_worker_exception;
         ] );
     ]

@@ -150,6 +150,58 @@ let test_write_rate_scaling () =
     (Float.abs (r32 -. (r4 *. 52.0)) < 1e-9)
 
 (* ------------------------------------------------------------------ *)
+(* Pipelined sink                                                      *)
+
+module Budget = Kg_util.Domain_budget
+
+(* [f ()] with every spare core claimed, so Run.run keeps its cache-sim
+   sink inline. *)
+let inline f =
+  let n = Budget.capacity () in
+  Budget.claim n;
+  Fun.protect ~finally:(fun () -> Budget.release n) f
+
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* On a host with a spare core the first run below pipelines its sink
+   onto a second domain; on a one-core host both runs are inline. Every
+   output must be bit-identical either way. *)
+let test_pipelined_run_matches_inline () =
+  List.iter
+    (fun (what, spec, threads) ->
+      let go () =
+        R.run ~seed:5 ~scale:512 ~heap_scale:8 ~cap_mb:8 ~threads ~oracle:(threads > 1)
+          ~mode:R.Simulate spec (D.find "lusearch")
+      in
+      let before = Budget.claimed () in
+      let p = go () in
+      check_int (what ^ ": the pipe released its claim") before (Budget.claimed ());
+      let i = inline go in
+      let same name ok = check_bool (what ^ ": " ^ name) true ok in
+      same "gc stats" (Kg_gc.Gc_stats.equal p.R.stats i.R.stats);
+      same "pcm writes" (same_float p.R.mem_pcm_write_bytes i.R.mem_pcm_write_bytes);
+      same "dram writes" (same_float p.R.mem_dram_write_bytes i.R.mem_dram_write_bytes);
+      same "pcm reads" (same_float p.R.mem_pcm_read_bytes i.R.mem_pcm_read_bytes);
+      same "dram reads" (same_float p.R.mem_dram_read_bytes i.R.mem_dram_read_bytes);
+      same "pcm writes by phase"
+        (Array.for_all2 same_float p.R.pcm_writes_by_phase i.R.pcm_writes_by_phase);
+      same "wear cov" (same_float p.R.wear_cov i.R.wear_cov);
+      same "migration bytes" (same_float p.R.migration_pcm_bytes i.R.migration_pcm_bytes);
+      same "wp dram" (same_float p.R.wp_dram_mb i.R.wp_dram_mb);
+      same "time parts" (compare p.R.time_parts i.R.time_parts = 0);
+      same "time" (same_float p.R.time_s i.R.time_s);
+      same "energy" (compare p.R.energy i.R.energy = 0);
+      same "edp" (same_float p.R.edp i.R.edp))
+    [
+      ("pcm-only", R.pcm_only, 1);
+      ("dram-only", R.dram_only, 1);
+      ("kg-n", R.kg_n, 1);
+      ("kg-w", R.kg_w, 1);
+      ("wp", R.wp, 1);
+      ("kg-w, 2-thread oracle", R.kg_w, 2);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Experiments                                                         *)
 
 let tiny_env () =
@@ -259,6 +311,7 @@ let () =
           Alcotest.test_case "wp mode" `Slow test_run_wp_mode;
           Alcotest.test_case "phase attribution" `Slow test_run_phase_attribution;
           Alcotest.test_case "write-rate scaling" `Slow test_write_rate_scaling;
+          Alcotest.test_case "pipelined == inline" `Slow test_pipelined_run_matches_inline;
         ] );
       ( "experiments",
         [

@@ -411,6 +411,27 @@ let test_svg_line_chart () =
   check_bool "has path" true
     (String.split_on_char '\n' svg |> List.exists (fun l -> String.length l > 5 && String.sub l 0 5 = "<path"))
 
+(* The domain budget: unconditional claims may overrun the capacity;
+   a conditional claim only fits into it. *)
+let test_domain_budget () =
+  let module B = Domain_budget in
+  check_int "capacity leaves the main domain" (Domain.recommended_domain_count () - 1)
+    (B.capacity ());
+  let base = B.claimed () in
+  let cap = B.capacity () in
+  B.claim (cap + 1);
+  check_int "claim always succeeds" (base + cap + 1) (B.claimed ());
+  check_bool "no room left" false (B.try_claim 1);
+  check_int "a failed try claims nothing" (base + cap + 1) (B.claimed ());
+  B.release (cap + 1);
+  check_int "released" base (B.claimed ());
+  if base = 0 then begin
+    check_bool "the whole capacity fits" true (B.try_claim cap);
+    check_bool "one more does not" false (B.try_claim 1);
+    B.release cap
+  end;
+  check_int "back to the start" base (B.claimed ())
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_util"
@@ -468,6 +489,7 @@ let () =
           Alcotest.test_case "series mismatch" `Quick test_svg_bar_chart_mismatch;
           Alcotest.test_case "line chart" `Quick test_svg_line_chart;
         ] );
+      ("domain_budget", [ Alcotest.test_case "claim and try_claim" `Quick test_domain_budget ]);
       ( "table+units",
         [
           Alcotest.test_case "render" `Quick test_table_render;
