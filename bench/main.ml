@@ -34,15 +34,7 @@
    moves little. Pass --cache-kernel to run only this part;
    BENCH_cache_kernel.json is a checked-in trajectory point.
 
-   Part 6 benchmarks the epoch-parallel multicore mutators: one
-   Count-mode run per domain count in {1, 2, 4}, timing the wall clock
-   of the Domain-parallel path against the inline interleaved oracle
-   (same op streams, no parallel generation) and reporting the
-   simulated execution-time scaling. Pass --parallel-mutators to run
-   only this part, and --parallel-json FILE for the JSON trajectory
-   point (BENCH_parallel_mutators.json in the repo).
-
-   Part 7 benchmarks the flat-word heap: the packed Bigarray object
+   Part 6 benchmarks the flat-word heap: the packed Bigarray object
    tables against the record-per-object store they replaced, on three
    kernels shaped like the simulator's hot loops (store build,
    mark/sweep metadata sweeps, and a liveness-filtered walk feeding
@@ -52,29 +44,14 @@
    exit nonzero if the counting-port kernel falls below 1.1x the
    record baseline.
 
-   Part 8 benchmarks the domain-parallel collection phases: one
-   Count-mode KG-W run at 4 domains with the collector planning its
-   phases on the worker-domain team, against the identical run with
-   the inline collector. The pair doubles as a differential check
-   (every Gc_stats counter must match bit-for-bit; divergence exits
-   nonzero) and reports the modeled GC-phase time reduction. Pass
-   --parallel-gc to run only this part, --parallel-gc-json FILE for
-   the JSON trajectory point (BENCH_parallel_gc.json in the repo), and
-   --assert-gc-speedup to exit nonzero if the modeled speedup falls
-   below 1.5x.
-
-   Part 9 benchmarks the server-scale serve mutator: a KG-W run of the
+   Part 7 benchmarks the server-scale serve mutator: a KG-W run of the
    request/response workload at an offered-rate sweep, reporting wall
    clock, request throughput and the two SLO histograms
-   (per-collection GC pauses and per-request latency). The sweep is
-   followed by an oracle differential at 2 domains with the team
-   collector on — every Gc_stats counter, request counter and
-   histogram bucket must match the inline oracle bit-for-bit;
-   divergence exits nonzero. Pass --serve to run only this part,
-   --serve-json FILE for the JSON trajectory point (BENCH_serve.json
-   in the repo), and --assert-serve-histogram to exit nonzero if any
-   rate's pause profile is degenerate (max pause > P50 > 0 must
-   hold). *)
+   (per-collection GC pauses and per-request latency). Pass --serve
+   to run only this part, --serve-json FILE for the JSON trajectory
+   point (BENCH_serve.json in the repo), and --assert-serve-histogram
+   to exit nonzero if any rate's pause profile is degenerate (max
+   pause > P50 > 0 must hold). *)
 
 open Bechamel
 open Toolkit
@@ -417,57 +394,7 @@ let run_cache_kernel ?(json_out = None) () =
     json_out
 
 (* ------------------------------------------------------------------ *)
-(* Part 6: epoch-parallel multicore mutators                           *)
-
-let run_parallel_mutators ?(json_out = None) () =
-  Printf.printf "\n== parallel mutators: domain scaling, parallel vs oracle ==\n%!";
-  let bench = Kg_workload.Descriptor.find "xalan" in
-  let go ~threads ~oracle =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Kg_sim.Run.run ~seed:11 ~scale:512 ~heap_scale:8 ~cap_mb:32 ~threads ~oracle
-        ~mode:Kg_sim.Run.Count Kg_sim.Run.pcm_only bench
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let r1, wall1 = go ~threads:1 ~oracle:false in
-  Printf.printf "  %-24s wall %6.2fs  sim %.3fs\n%!" "domains=1" wall1 r1.Kg_sim.Run.time_s;
-  let rows =
-    List.map
-      (fun threads ->
-        let rp, wallp = go ~threads ~oracle:false in
-        let ro, wallo = go ~threads ~oracle:true in
-        if Kg_gc.Gc_stats.(rp.Kg_sim.Run.stats.ref_writes <> ro.Kg_sim.Run.stats.ref_writes)
-        then begin
-          Printf.eprintf "FAIL: parallel and oracle diverged at %d domains\n%!" threads;
-          exit 1
-        end;
-        let sim_speedup = r1.Kg_sim.Run.time_s /. rp.Kg_sim.Run.time_s in
-        Printf.printf
-          "  domains=%-2d               wall %6.2fs  (oracle %5.2fs)  sim %.3fs  %.2fx vs 1\n%!"
-          threads wallp wallo rp.Kg_sim.Run.time_s sim_speedup;
-        (threads, wallp, wallo, rp.Kg_sim.Run.time_s, sim_speedup))
-      [ 2; 4 ]
-  in
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n  \"bench\": \"parallel_mutators\",\n  \"benchmark\": \"xalan\",\n  \"cap_mb\": 32,\n  \"baseline\": { \"domains\": 1, \"wall_s\": %.3f, \"sim\": { \"modeled\": true, \"s\": %.4f } },\n  \"domains\": [\n%s\n  ]\n}\n"
-        wall1 r1.Kg_sim.Run.time_s
-        (String.concat ",\n"
-           (List.map
-              (fun (threads, wallp, wallo, sim_s, speedup) ->
-                Printf.sprintf
-                  "    { \"domains\": %d, \"wall_s\": %.3f, \"oracle_wall_s\": %.3f, \"sim\": { \"modeled\": true, \"s\": %.4f, \"speedup\": %.3f } }"
-                  threads wallp wallo sim_s speedup)
-              rows));
-      close_out oc;
-      Printf.printf "  wrote %s\n%!" path)
-    json_out
-
-(* ------------------------------------------------------------------ *)
-(* Part 7: flat-word heap vs record object store                       *)
+(* Part 6: flat-word heap vs record object store                       *)
 
 module O = Kg_heap.Object_model
 
@@ -703,93 +630,22 @@ let run_heap_words ?(json_out = None) () =
   speedup "words/counting" "record/counting"
 
 (* ------------------------------------------------------------------ *)
-(* Part 8: domain-parallel collection phases                           *)
+(* Part 7: server-scale serve mutator with SLO histograms              *)
 
-(* The plan/apply collector is measurement-neutral by construction:
-   every counter of the team run must equal the inline run at the same
-   domain count, so this pair is both a benchmark and a differential
-   check. The reported speedup is the modeled GC-phase time
-   (Time_model.gc_ns). Host wall time is printed too, but the
-   simulator's collection phases are a small slice of a run dominated
-   by workload generation, so wall clock is informational only; the
-   modeled figure is what the time model feeds into every table. *)
-let run_parallel_gc ?(json_out = None) () =
-  Printf.printf "\n== parallel GC: worker-domain team vs inline collector ==\n%!";
-  (* xalan under KG-W at this cap runs a nursery-heavy schedule plus
-     major collections, so every parallel phase (scavenge, mark,
-     movement, sweep) is exercised. *)
-  let bench = Kg_workload.Descriptor.find "xalan" in
-  let domains = 4 in
-  let go ~parallel_gc =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Kg_sim.Run.run ~seed:11 ~scale:512 ~heap_scale:8 ~cap_mb:64 ~threads:domains
-        ~parallel_gc ~mode:Kg_sim.Run.Count Kg_sim.Run.kg_w bench
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let rs, wall_s = go ~parallel_gc:false in
-  let rp, wall_p = go ~parallel_gc:true in
-  if not (Kg_gc.Gc_stats.equal rs.Kg_sim.Run.stats rp.Kg_sim.Run.stats) then begin
-    Printf.eprintf "FAIL: team and inline collector stats diverged at %d domains\n%!"
-      domains;
-    List.iter
-      (Printf.eprintf "  %s\n%!")
-      (Kg_gc.Gc_stats.diff rs.Kg_sim.Run.stats rp.Kg_sim.Run.stats);
-    exit 1
-  end;
-  let gc_seq = rs.Kg_sim.Run.time_parts.Kg_sim.Time_model.gc_ns in
-  let gc_par = rp.Kg_sim.Run.time_parts.Kg_sim.Time_model.gc_ns in
-  let speedup = gc_seq /. Float.max 1e-9 gc_par in
-  Printf.printf "  %-16s wall %5.2fs  modeled GC %11.0f ns\n%!"
-    (Printf.sprintf "inline @%d" domains)
-    wall_s gc_seq;
-  Printf.printf "  %-16s wall %5.2fs  modeled GC %11.0f ns  %.2fx GC-phase speedup\n%!"
-    (Printf.sprintf "team @%d" domains)
-    wall_p gc_par speedup;
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"bench\": \"parallel_gc\",\n\
-        \  \"benchmark\": \"xalan\",\n\
-        \  \"collector\": \"kg-w\",\n\
-        \  \"cap_mb\": 64,\n\
-        \  \"domains\": %d,\n\
-        \  \"inline\": { \"wall_s\": %.3f, \"modeled_gc_ns\": %.0f },\n\
-        \  \"team\": { \"wall_s\": %.3f, \"modeled_gc_ns\": %.0f },\n\
-        \  \"modeled_gc_speedup\": %.3f,\n\
-        \  \"stats_equal\": true\n\
-         }\n"
-        domains wall_s gc_seq wall_p gc_par speedup;
-      close_out oc;
-      Printf.printf "  wrote %s\n%!" path)
-    json_out;
-  speedup
-
-(* ------------------------------------------------------------------ *)
-(* Part 9: server-scale serve mutator with SLO histograms              *)
-
-(* The serve mutator rides the same epoch protocol as the batch
-   mutators, so the oracle differential is the same promise part 6
-   makes — extended to the request counters and both SLO histograms,
-   which is where a nondeterministic pause attribution would show up
-   first. The histogram gate is structural, not a timing threshold:
-   the modeled pause profile is a pure function of the run, so a
-   degenerate shape (zero P50, or max below P50) means the recorder
-   is wired wrong, not wind. *)
+(* The histogram gate is structural, not a timing threshold: the
+   modeled pause profile is a pure function of the run, so a
+   degenerate shape (zero P50, or max below P50) means the recorder is
+   wired wrong, not wind. *)
 let run_serve ?(json_out = None) () =
   let module R = Kg_sim.Run in
   let module S = Kg_serve.Server in
   let module H = Kg_util.Hdr_histogram in
-  let module GS = Kg_gc.Gc_stats in
-  Printf.printf "\n== serve: offered-rate sweep + 2-domain oracle differential ==\n%!";
+  Printf.printf "\n== serve: offered-rate sweep ==\n%!";
   let bench = Kg_workload.Descriptor.find "pjbb" in
-  let go ?(threads = 1) ?(parallel_gc = false) ?(oracle = false) rate =
+  let go rate =
     let t0 = Unix.gettimeofday () in
     let r =
-      R.run ~seed:11 ~scale:512 ~heap_scale:8 ~cap_mb:8 ~threads ~oracle ~parallel_gc
+      R.run ~seed:11 ~scale:512 ~heap_scale:8 ~cap_mb:8
         ~serve:{ S.default_config with S.rate = float_of_int rate }
         ~mode:R.Count R.kg_w bench
     in
@@ -816,28 +672,6 @@ let run_serve ?(json_out = None) () =
         (rate, wall, s))
       [ 256; 1024; 1792 ]
   in
-  (* Differential: team-collector parallel serve vs the inline oracle
-     at the middle rate. Agreement must be total. *)
-  let rp, wall_p = go ~threads:2 ~parallel_gc:true 1024 in
-  let ro, wall_o = go ~threads:2 ~parallel_gc:true ~oracle:true 1024 in
-  let sp = metrics rp and so = metrics ro in
-  let identical =
-    GS.equal rp.R.stats ro.R.stats
-    && sp.R.requests = so.R.requests
-    && sp.R.t1_hits = so.R.t1_hits
-    && sp.R.t2_hits = so.R.t2_hits
-    && sp.R.backend_fills = so.R.backend_fills
-    && sp.R.sessions_churned = so.R.sessions_churned
-    && H.equal sp.R.pause_hist so.R.pause_hist
-    && H.equal sp.R.latency_hist so.R.latency_hist
-  in
-  if not identical then begin
-    Printf.eprintf "FAIL: parallel serve and oracle diverged at 2 domains\n%!";
-    List.iter (Printf.eprintf "  %s\n%!") (GS.diff rp.R.stats ro.R.stats);
-    exit 1
-  end;
-  Printf.printf "  differential: 2-domain team run matches oracle (wall %.2fs vs %.2fs)\n%!"
-    wall_p wall_o;
   let degenerate =
     List.filter
       (fun (_, _, (s : R.serve_metrics)) ->
@@ -859,9 +693,7 @@ let run_serve ?(json_out = None) () =
         \  \"cap_mb\": 8,\n\
         \  \"rates\": [\n\
          %s\n\
-        \  ],\n\
-        \  \"differential\": { \"domains\": 2, \"parallel_gc\": true, \"rate\": 1024, \
-         \"identical\": true }\n\
+        \  ]\n\
          }\n"
         (String.concat ",\n"
            (List.map
@@ -903,9 +735,7 @@ let () =
   in
   let json_out = flag_arg "--ports-json" in
   let ck_json_out = flag_arg "--cache-kernel-json" in
-  let pm_json_out = flag_arg "--parallel-json" in
   let hw_json_out = flag_arg "--heap-words-json" in
-  let pg_json_out = flag_arg "--parallel-gc-json" in
   let srv_json_out = flag_arg "--serve-json" in
   (* Exit nonzero if the batched port's cache-sim stack is slower than
      the per-access closure baseline. The threshold is 0.95x, not 1.0x:
@@ -935,18 +765,6 @@ let () =
       exit 1
     end
   in
-  (* Modeled figure, so no wind: the team collector divides the
-     per-collection work term by the domain count and adds a fixed
-     sync cost per collection. Falling below 1.5x at 4 domains on a
-     major-heavy run means the collector stopped planning phases on
-     the team (or sync costs swamped the work term), not noise. *)
-  let check_gc_speedup su =
-    if Array.exists (( = ) "--assert-gc-speedup") Sys.argv && su < 1.5 then begin
-      Printf.eprintf
-        "FAIL: modeled GC-phase speedup is %.3fx at 4 domains (threshold 1.50x)\n%!" su;
-      exit 1
-    end
-  in
   (* Structural gate, not a timing one: the pause histogram is a pure
      function of the modeled run, so a degenerate profile means the
      recorder broke, not that the machine was loaded. *)
@@ -959,16 +777,12 @@ let () =
   in
   let ports_only = Array.exists (( = ) "--ports") Sys.argv in
   let ck_only = Array.exists (( = ) "--cache-kernel") Sys.argv in
-  let pm_only = Array.exists (( = ) "--parallel-mutators") Sys.argv in
   let hw_only = Array.exists (( = ) "--heap-words") Sys.argv in
-  let pg_only = Array.exists (( = ) "--parallel-gc") Sys.argv in
   let srv_only = Array.exists (( = ) "--serve") Sys.argv in
-  if ports_only || ck_only || pm_only || hw_only || pg_only || srv_only then begin
+  if ports_only || ck_only || hw_only || srv_only then begin
     if ports_only then check_port_speedup (run_ports ~json_out ());
     if ck_only then run_cache_kernel ~json_out:ck_json_out ();
-    if pm_only then run_parallel_mutators ~json_out:pm_json_out ();
     if hw_only then check_heap_speedup (run_heap_words ~json_out:hw_json_out ());
-    if pg_only then check_gc_speedup (run_parallel_gc ~json_out:pg_json_out ());
     if srv_only then check_serve_histogram (run_serve ~json_out:srv_json_out ())
   end
   else begin
@@ -976,9 +790,7 @@ let () =
     run_experiments full;
     check_port_speedup (run_ports ~json_out ());
     run_cache_kernel ~json_out:ck_json_out ();
-    run_parallel_mutators ~json_out:pm_json_out ();
     check_heap_speedup (run_heap_words ~json_out:hw_json_out ());
-    check_gc_speedup (run_parallel_gc ~json_out:pg_json_out ());
     check_serve_histogram (run_serve ~json_out:srv_json_out ());
     run_engine jobs
   end

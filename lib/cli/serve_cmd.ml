@@ -1,11 +1,6 @@
 (* kingsguard serve: run the request/response mutator under one
    collector and print the SLO view of the run — request counters,
-   cache behaviour, and the pause/latency histograms.
-
-   --oracle-check runs the same configuration twice, once on real
-   domains and once through the inline oracle protocol, and diffs the
-   collector statistics, the per-collection pause profile and both
-   histograms; any divergence is a determinism bug and exits 1. *)
+   cache behaviour, and the pause/latency histograms. *)
 
 open Cmdliner
 module R = Kg_sim.Run
@@ -54,7 +49,7 @@ let print_serve (r : R.result) (s : R.serve_metrics) =
   Printf.printf "req latency ms   %s\n" (H.summary s.R.latency_hist)
 
 let serve_cmd bench collector rate simulate scale heap_scale cap_mb seed domains
-    schedule_seed parallel_gc oracle_check =
+    schedule_seed parallel_gc =
   match spec_of_string collector with
   | Error (`Msg m) ->
     prerr_endline m;
@@ -67,41 +62,15 @@ let serve_cmd bench collector rate simulate scale heap_scale cap_mb seed domains
     | d ->
       let mode = if simulate then R.Simulate else R.Count in
       let serve = { S.default_config with S.rate = float_of_int rate } in
-      let run ~oracle =
-        R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~schedule_seed ~oracle
-          ~parallel_gc ~serve ~mode spec d
+      let r =
+        R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~schedule_seed ~parallel_gc ~serve
+          ~mode spec d
       in
-      let r = run ~oracle:false in
-      (match r.R.serve with
+      match r.R.serve with
       | None -> prerr_endline "internal error: serve run produced no serve metrics"; 1
       | Some s ->
         print_serve r s;
-        if not oracle_check then 0
-        else begin
-          let ro = run ~oracle:true in
-          let so = Option.get ro.R.serve in
-          let pause_ms = R.pause_model ~domains ~parallel_gc () in
-          let diffs =
-            GS.diff r.R.stats ro.R.stats
-            @ GS.diff_pauses r.R.stats ro.R.stats ~pause_ms
-            @ (if H.equal s.R.pause_hist so.R.pause_hist then []
-               else [ "pause histogram: parallel <> oracle" ])
-            @ (if H.equal s.R.latency_hist so.R.latency_hist then []
-               else [ "latency histogram: parallel <> oracle" ])
-            @
-            if s.R.requests = so.R.requests then []
-            else Printf.sprintf "requests: %d <> %d" s.R.requests so.R.requests :: []
-          in
-          match diffs with
-          | [] ->
-            Printf.printf
-              "oracle check     identical: statistics, pause profile and histograms match\n";
-            0
-          | diffs ->
-            Printf.printf "oracle check     DIVERGED in %d place(s):\n" (List.length diffs);
-            List.iter (fun m -> Printf.printf "       %s\n" m) diffs;
-            1
-        end))
+        0)
 
 let bench_arg =
   let doc = "Benchmark supplying demographics (see `kingsguard list')." in
@@ -136,7 +105,7 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
 
 let domains_arg =
-  let doc = "Worker domains serving the request stream (the epoch protocol)." in
+  let doc = "Simulated worker domains serving the request stream (the epoch protocol)." in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 let schedule_seed_arg =
@@ -144,18 +113,10 @@ let schedule_seed_arg =
   Arg.(value & opt int 0 & info [ "schedule-seed" ] ~doc)
 
 let parallel_gc_arg =
-  let doc = "Run collection phases on a worker-domain team." in
+  let doc = "Model collection phases spread over the $(b,--domains) cores (pause model only)." in
   Arg.(value & flag & info [ "parallel-gc" ] ~doc)
-
-let oracle_check_arg =
-  let doc =
-    "Also run the inline oracle protocol at the same seeds and fail unless statistics, \
-     pause profile and histograms are identical."
-  in
-  Arg.(value & flag & info [ "oracle-check" ] ~doc)
 
 let term =
   Term.(
     const serve_cmd $ bench_arg $ collector_arg $ rate_arg $ simulate_arg $ scale_arg
-    $ heap_scale_arg $ cap_arg $ seed_arg $ domains_arg $ schedule_seed_arg $ parallel_gc_arg
-    $ oracle_check_arg)
+    $ heap_scale_arg $ cap_arg $ seed_arg $ domains_arg $ schedule_seed_arg $ parallel_gc_arg)

@@ -1,8 +1,6 @@
 (** The [serve] subcommand: run the {!Kg_serve.Server} request/response
     mutator under one collector and print request counters, cache
-    behaviour and the pause/latency SLO histograms. [--oracle-check]
-    re-runs the configuration through the inline oracle protocol and
-    fails on any divergence. *)
+    behaviour and the pause/latency SLO histograms. *)
 
 val term : int Cmdliner.Term.t
 val doc : string

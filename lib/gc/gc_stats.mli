@@ -85,23 +85,6 @@ val log_collection : t -> Phase.t -> copied:int -> scanned:int -> unit
 (** Append a collection record (called by the runtime at the end of
     each collection with that collection's own work). *)
 
-val pause_log :
-  t -> pause_ms:(Phase.t -> copied:int -> scanned:int -> float) -> (Phase.t * float) array
-(** Per-collection STW pause durations, in collection order. Gc_stats
-    holds only the work terms, so the caller supplies the pause-time
-    model (Run passes [Time_model.pause_ms]). *)
-
-val pause_histogram :
-  t -> pause_ms:(Phase.t -> copied:int -> scanned:int -> float) -> Kg_util.Hdr_histogram.t
-(** The same durations accumulated into a log-bucketed histogram. *)
-
-val diff_pauses :
-  t -> t -> pause_ms:(Phase.t -> copied:int -> scanned:int -> float) -> string list
-(** {!val:diff}-compatible comparison of two runs' pause profiles, one
-    line per differing collection — [kingsguard check] prints these
-    when a team run's pauses diverge from the inline oracle. Empty
-    when identical. *)
-
 val top_fraction_writes : t -> float -> float
 (** [top_fraction_writes t 0.02] is the share of mature-object writes
     captured by the most-written 2 % of mature objects — the Figure 2

@@ -32,12 +32,6 @@ type t = {
      first. *)
   mut_mems : Mem_iface.t array;
   domains : int;
-  (* The collector's worker team. Every phase runs the same
-     "plan in parallel, apply in merged order" protocol at width
-     [domains]; the team only decides whether the plan slices execute
-     on real domains ([parallel_gc:true]) or inline on the coordinator
-     (the oracle). *)
-  par : Gc_par.t;
   map : Kg_mem.Address_map.t;
   stats : Gc_stats.t;
   rng : Rng.t;
@@ -70,8 +64,7 @@ let config t = t.cfg
 let stats t = t.stats
 let now t = t.now
 let domains t = t.domains
-let parallel_gc t = Gc_par.parallel t.par
-let shutdown t = Gc_par.shutdown t.par
+let shutdown _ = ()
 let words t = t.words
 let is_young t o = O.space t.words o <= sp_observer
 let in_nursery t o = O.space t.words o = sp_nursery
@@ -124,7 +117,7 @@ let obs_remset t = t.obs_remset
 
 let line_mark_chunk_bytes = Immix_space.meta_bytes_per_block * (Layout.mature_region / Layout.block)
 
-let create ?(domains = 1) ?(parallel_gc = false) ~config:cfg ~mem ~map ~seed () =
+let create ?(domains = 1) ?parallel_gc:_ ~config:cfg ~mem ~map ~seed () =
   if domains <= 0 then invalid_arg "Runtime.create: domains must be positive";
   let open Kg_mem in
   let words = Heap_words.create () in
@@ -228,7 +221,6 @@ let create ?(domains = 1) ?(parallel_gc = false) ~config:cfg ~mem ~map ~seed () 
     mem;
     mut_mems;
     domains;
-    par = Gc_par.create ~domains ~parallel:parallel_gc;
     map;
     stats = Gc_stats.create ();
     rng = Rng.of_seed seed;
@@ -349,48 +341,6 @@ let process_remset t rs =
   Remset.clear rs
 
 (* ------------------------------------------------------------------ *)
-(* Plan/apply parallel-phase machinery                                 *)
-
-(* Every collection phase follows one protocol: a *plan* step
-   classifies a contiguous slice of the work per team member, writing
-   only slice-private buffers (liveness and header predicates are
-   stable during the stop-the-world section — [t.now] does not advance
-   and no mutator runs), and a sequential *apply* step replays the
-   buffers in slice order. [Parfor.slice] ranges concatenate back to
-   the original index order, so the apply visits exactly the objects
-   the sequential loop visited, in the same order — stats, retirement
-   streams, RNG draws, allocation addresses and port records (batch
-   boundaries included) are bit-identical at any width, parallel or
-   inline. That is why [parallel_gc:false] at the same domain count
-   *is* the oracle: the protocol never forks, only the execution of
-   the plan slices does. *)
-let plan_filter par vec pred =
-  let width = Parfor.width par in
-  let n = Vec.length vec in
-  let picked = Array.init width (fun _ -> Vec.create ()) in
-  Parfor.run par (fun i ->
-      let lo, hi = Parfor.slice ~len:n ~width i in
-      for k = lo to hi do
-        let o = Vec.get vec k in
-        if pred o then Vec.push picked.(i) o
-      done);
-  picked
-
-(* In-place header updates (fresh-epoch reset, unmark) run fully
-   parallel: a space's population vector holds each object at most
-   once between sweeps (movement pushes into the *destination* vector
-   and leaves only a stale source entry, which the following sweep
-   drops), so the slices write disjoint header words. *)
-let parallel_each par vec f =
-  let width = Parfor.width par in
-  let n = Vec.length vec in
-  Parfor.run par (fun i ->
-      let lo, hi = Parfor.slice ~len:n ~width i in
-      for k = lo to hi do
-        f (Vec.get vec k)
-      done)
-
-(* ------------------------------------------------------------------ *)
 (* Collections                                                         *)
 
 let los_for_large t =
@@ -434,30 +384,24 @@ let collect_nursery t =
   let w = t.words in
   let st = t.stats in
   st.Gc_stats.nursery_gcs <- st.Gc_stats.nursery_gcs + 1;
-  (* A minor collection is stop-the-world across every domain. Plan:
-     team member [d] scavenges its own domain's private nursery,
-     classifying the survivors. Apply: promote in domain order — the
-     sequential evacuation order — before the shared remset is
-     consumed. *)
+  (* A minor collection is stop-the-world across every domain: promote
+     each domain's survivors in domain order before the shared remset
+     is consumed. *)
   let survived = ref 0 in
   let used =
     Int.max 1 (Array.fold_left (fun a n -> a + Bump_space.used_bytes n) 0 t.nurseries)
   in
-  let par = Gc_par.runner t.par in
-  let live = Array.init t.domains (fun _ -> Vec.create ()) in
-  Parfor.run par (fun d ->
-      Vec.iter
-        (fun o -> if O.is_live w o t.now then Vec.push live.(d) o)
-        (Bump_space.objects t.nurseries.(d)));
-  Array.iteri
-    (fun d nursery ->
+  Array.iter
+    (fun nursery ->
       Vec.iter
         (fun o ->
-          promote_nursery_object t o;
-          let osize = O.size w o in
-          survived := !survived + osize;
-          st.Gc_stats.copied_bytes_nursery <- st.Gc_stats.copied_bytes_nursery + osize)
-        live.(d);
+          if O.is_live w o t.now then begin
+            promote_nursery_object t o;
+            let osize = O.size w o in
+            survived := !survived + osize;
+            st.Gc_stats.copied_bytes_nursery <- st.Gc_stats.copied_bytes_nursery + osize
+          end)
+        (Bump_space.objects nursery);
       Bump_space.reset nursery)
     t.nurseries;
   st.Gc_stats.nursery_survived_bytes <- st.Gc_stats.nursery_survived_bytes + !survived;
@@ -484,30 +428,10 @@ let evacuate_observer t obs =
   let w = t.words in
   let st = t.stats in
   let mature_dram = Option.get t.mature_dram in
-  (* Plan: classify each slice of the observer population into dead /
-     surviving. Apply per slice: retirements first, then evacuations.
-     Relative to the sequential interleaved loop this reorders a
-     slice's copies after its retirements, which is observationally
-     invisible: retirements touch only the stats accumulators (no port
-     traffic), evacuations touch allocation and the port — and within
-     each kind the original order is preserved, so the retired-writes
-     log and the access stream are both bit-identical. *)
-  let par = Gc_par.runner t.par in
-  let width = Parfor.width par in
-  let objs = Bump_space.objects obs in
-  let n = Vec.length objs in
-  let dead = Array.init width (fun _ -> Vec.create ()) in
-  let live = Array.init width (fun _ -> Vec.create ()) in
-  Parfor.run par (fun i ->
-      let lo, hi = Parfor.slice ~len:n ~width i in
-      for k = lo to hi do
-        let o = Vec.get objs k in
-        if O.is_live w o t.now then Vec.push live.(i) o else Vec.push dead.(i) o
-      done);
-  for i = 0 to width - 1 do
-    Vec.iter (fun o -> Gc_stats.retire st w o) dead.(i);
-    Vec.iter
-      (fun o ->
+  Vec.iter
+    (fun o ->
+      if not (O.is_live w o t.now) then Gc_stats.retire st w o
+      else begin
         let osize = O.size w o in
         st.Gc_stats.observer_survived_bytes <- st.Gc_stats.observer_survived_bytes + osize;
         st.Gc_stats.copied_bytes_observer <- st.Gc_stats.copied_bytes_observer + osize;
@@ -525,9 +449,9 @@ let evacuate_observer t obs =
           copy_traffic t ~old_addr o;
           st.Gc_stats.observer_to_pcm_bytes <- st.Gc_stats.observer_to_pcm_bytes + osize
         end;
-        O.set_age w o (Int.min (O.age w o + 1) O.max_age))
-      live.(i)
-  done;
+        O.set_age w o (Int.min (O.age w o + 1) O.max_age)
+      end)
+    (Bump_space.objects obs);
   Bump_space.reset obs
 
 (* Work performed between [snapshot] and now, for the pause log. *)
@@ -588,7 +512,7 @@ let sweep_immix t space meta_chunks =
   ignore
     (Immix_space.sweep space ~now:t.now ~write_meta
        ~on_dead:(fun o -> Gc_stats.retire t.stats t.words o)
-       ~par:(Gc_par.runner t.par) ())
+       ())
 
 (* Treadmill collection: snapping a live node rewrites two link words
    in its header, in whatever memory holds the object. *)
@@ -623,61 +547,50 @@ let major_gc_inner t =
     | Gc_config.Kg_writers { mdo; _ } -> mdo
     | _ -> false
   in
-  let par = Gc_par.runner t.par in
-  (* Mark phase over the mature Immix spaces: plan the live slices in
-     parallel, apply [mark_object] (which issues the trace-read and
-     mark-write port traffic) in slice order. *)
+  (* Mark phase over the mature Immix spaces. *)
   let mark_space space ~in_pcm =
-    let live = plan_filter par (Immix_space.objects space) (fun o -> O.is_live w o t.now) in
-    Array.iter (Vec.iter (fun o -> mark_object t ~mdo ~in_pcm o)) live
+    Vec.iter
+      (fun o -> if O.is_live w o t.now then mark_object t ~mdo ~in_pcm o)
+      (Immix_space.objects space)
   in
   mark_space t.mature_pcm ~in_pcm:true;
   (match t.mature_dram with Some s -> mark_space s ~in_pcm:false | None -> ());
-  (* KG-W movement between mature spaces (§4.2.3). Each pass plans its
-     candidates (the movement predicate of an object depends only on
-     its own liveness and write words, which no other candidate's move
-     touches — moves rewrite the mover's addr/space/age and charge
-     referrer traffic against stats/mem/rng only) and applies the moves
-     in slice order. The PCM pass is planned only after the DRAM pass
-     has applied: its moves append to the PCM population, and those
-     appended objects — unwritten by construction, so never moved back
-     — must still be part of the pass-2 partition, exactly as the
-     sequential loop saw them. *)
+  (* KG-W movement between mature spaces (§4.2.3): unwritten DRAM
+     objects out to PCM, then written PCM objects back to DRAM. A move
+     appends to the destination's population only, so each pass walks
+     a population that does not grow under it; the PCM pass also walks
+     the objects the DRAM pass just moved, which are unwritten and
+     stay put. *)
+  let move_to dst o =
+    let old_addr = O.addr w o in
+    alloc_into_immix t dst o;
+    copy_traffic t ~old_addr o;
+    st.Gc_stats.copied_bytes_major <- st.Gc_stats.copied_bytes_major + O.size w o;
+    referrer_update_writes t o
+  in
   (match t.mature_dram with
   | Some mature_dram ->
-    let to_pcm =
-      plan_filter par (Immix_space.objects mature_dram) (fun o ->
-          O.is_live w o t.now && not (O.written w o))
-    in
-    Array.iter
-      (Vec.iter (fun o ->
-           let old_addr = O.addr w o in
-           alloc_into_immix t t.mature_pcm o;
-           copy_traffic t ~old_addr o;
-           st.Gc_stats.mature_moves_to_pcm <- st.Gc_stats.mature_moves_to_pcm + 1;
-           st.Gc_stats.copied_bytes_major <- st.Gc_stats.copied_bytes_major + O.size w o;
-           referrer_update_writes t o))
-      to_pcm;
-    let to_dram =
-      plan_filter par (Immix_space.objects t.mature_pcm) (fun o ->
-          O.is_live w o t.now && O.written w o && O.space w o = sp_mature_pcm)
-    in
-    Array.iter
-      (Vec.iter (fun o ->
-           let old_addr = O.addr w o in
-           alloc_into_immix t mature_dram o;
-           copy_traffic t ~old_addr o;
-           st.Gc_stats.mature_moves_to_dram <- st.Gc_stats.mature_moves_to_dram + 1;
-           st.Gc_stats.copied_bytes_major <- st.Gc_stats.copied_bytes_major + O.size w o;
-           referrer_update_writes t o))
-      to_dram;
+    Vec.iter
+      (fun o ->
+        if O.is_live w o t.now && not (O.written w o) then begin
+          move_to t.mature_pcm o;
+          st.Gc_stats.mature_moves_to_pcm <- st.Gc_stats.mature_moves_to_pcm + 1
+        end)
+      (Immix_space.objects mature_dram);
+    Vec.iter
+      (fun o ->
+        if O.is_live w o t.now && O.written w o && O.space w o = sp_mature_pcm then begin
+          move_to mature_dram o;
+          st.Gc_stats.mature_moves_to_dram <- st.Gc_stats.mature_moves_to_dram + 1
+        end)
+      (Immix_space.objects t.mature_pcm);
     (* Start a fresh monitoring epoch for the next major cycle. *)
     let fresh o =
       O.set_written w o false;
       O.set_epoch_writes w o 0
     in
-    parallel_each par (Immix_space.objects mature_dram) fresh;
-    parallel_each par (Immix_space.objects t.mature_pcm) fresh
+    Vec.iter fresh (Immix_space.objects mature_dram);
+    Vec.iter fresh (Immix_space.objects t.mature_pcm)
   | None -> ());
   (* Sweep phase. *)
   sweep_immix t t.mature_pcm t.mature_pcm_meta;
@@ -696,10 +609,9 @@ let major_gc_inner t =
       evicted;
     ignore (collect_los t los_dram ~keep:(fun _ -> true))
   | None -> ignore (collect_los t t.los_pcm ~keep:(fun _ -> true)));
-  parallel_each par (Immix_space.objects t.mature_pcm) (fun o -> O.set_marked w o false);
-  (match t.mature_dram with
-  | Some s -> parallel_each par (Immix_space.objects s) (fun o -> O.set_marked w o false)
-  | None -> ());
+  let unmark o = O.set_marked w o false in
+  Vec.iter unmark (Immix_space.objects t.mature_pcm);
+  (match t.mature_dram with Some s -> Vec.iter unmark (Immix_space.objects s) | None -> ());
   (* Optional Immix defragmentation (§6.3): evacuate the sparsest
      blocks when fragmentation strands too much partial-block memory.
      The copies go through the normal traffic accounting, making the
@@ -722,7 +634,7 @@ let major_gc_inner t =
           st.Gc_stats.copied_bytes_major <- st.Gc_stats.copied_bytes_major + O.size w o
         end)
       victims;
-    ignore (Immix_space.sweep t.mature_pcm ~now:t.now ~par:(Gc_par.runner t.par) ())
+    ignore (Immix_space.sweep t.mature_pcm ~now:t.now ())
   | _ -> ());
   log_pause t Phase.Major_gc work0;
   Mem_iface.flush t.mem;

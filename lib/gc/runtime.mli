@@ -53,27 +53,18 @@ val create :
     {!Mem_iface.domain_group}; collections are stop-the-world across
     all domains and begin with a port flush + remembered-set handshake
     (see {!Remset}). With one domain the runtime is byte-identical to
-    the pre-domain implementation.
+    the pre-domain implementation. Every collection phase runs inline
+    on the calling domain.
 
-    [parallel_gc] (default [false]) executes every collection phase's
-    plan steps on a team of [domains] worker domains instead of inline
-    on the collecting domain. The phases follow a "plan in parallel,
-    apply in merged order" protocol whose partition width is always
-    [domains], so the two settings are observationally identical —
-    stats, traces, fixtures and port streams are bit-identical; only
-    the modeled (and host) collection time changes. [parallel_gc:false]
-    is therefore the oracle for the parallel collector. Runtimes that
-    went parallel hold worker domains until {!shutdown}. *)
+    [parallel_gc] is ignored: a parallel collector is only modeled
+    ({!Kg_sim.Time_model}), never run. It stays until the benchmark
+    of record ([bench/e2e]) stops passing it, in the next change to
+    that benchmark. *)
 
 val shutdown : t -> unit
-(** Join any collector worker domains spawned by a [parallel_gc]
-    runtime. Idempotent, and a no-op when no worker was ever spawned;
-    required before the process can create unboundedly many runtimes
-    (OCaml caps the number of domains ever spawned). *)
-
-val parallel_gc : t -> bool
-(** Whether collections run their plan steps on a worker team
-    ([parallel_gc] was set and [domains > 1]). *)
+(** A no-op: a runtime holds no domains. Kept, like [?parallel_gc]
+    above, until the next change to the benchmark of record
+    ([bench/e2e]) stops calling it. *)
 
 val config : t -> Gc_config.t
 val stats : t -> Gc_stats.t

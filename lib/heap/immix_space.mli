@@ -71,20 +71,14 @@ val sweep :
   now:float ->
   ?write_meta:(block_index:int -> lines:int -> unit) ->
   ?on_dead:(Object_model.t -> unit) ->
-  ?par:Kg_util.Parfor.t ->
   unit ->
   sweep_stats
 (** Drop objects that died ([now]) or moved to another space, rebuild
-    line occupancy and the free/recyclable lists. [write_meta] is
-    called once per block that keeps marked lines, so the caller can
-    account the line-mark metadata write traffic.
-
-    [par] (default [Parfor.inline_ 1]) executes the sweep's plan steps:
-    population ranges are classified in parallel and the line maps are
-    rebuilt per group of 4 MB regions, while the [on_dead] stream, the
-    rebuilt population order and the [write_meta] record stream are
-    replayed sequentially in range / block order — observably identical
-    to the width-1 sweep for any runner and width. *)
+    line occupancy and the free/recyclable lists. [on_dead] sees the
+    dead objects in population order; survivors keep their order.
+    [write_meta] is called once per block that keeps marked lines, in
+    block order, so the caller can account the line-mark metadata
+    write traffic. *)
 
 val remove_foreign : t -> unit
 (** Drop objects whose [space] no longer equals this space (moved away

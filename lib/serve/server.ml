@@ -6,11 +6,10 @@
    of the domain's private state (PRNG, arrival clock, session table,
    cache shard, recent ring, debts) plus the epoch-start snapshot;
    the op buffers are interleaved by the schedule PRNG
-   (Epoch.draw_schedule) and applied sequentially on the coordinator
-   through the domain-tagged runtime calls. The whole run is therefore
-   a pure function of (seed, schedule_seed, domains, config) exactly
-   like the batch mutator, and the ~oracle mode runs the identical
-   protocol inline for the differential harness.
+   (Epoch.draw_schedule) and applied sequentially through the
+   domain-tagged runtime calls. The whole run is therefore a pure
+   function of (seed, schedule_seed, domains, config) exactly like the
+   batch mutator.
 
    Workload shape, per request:
    - an arrival drawn from a per-domain Poisson process (the n domain
@@ -32,7 +31,7 @@
    queue simulation — service demand is the request's allocated
    bytes, so queueing delay = busy_until - arrival (converted to ms
    at the configured per-domain allocation speed). On top of that the
-   coordinator attributes STW pauses: every collection's modeled
+   apply attributes STW pauses: every collection's modeled
    pause (Time_model, supplied by the driver) accumulates into a
    running total, and a request's end-to-end latency adds the pause
    time accumulated while its ops were being applied. *)
@@ -120,7 +119,6 @@ type t = {
   life : Lifetime.t;
   live_mb : int;
   nthreads : int;
-  oracle : bool;
   sched_rng : Rng.t;
   dstates : dstate array;
   (* derived clock constants *)
@@ -129,7 +127,7 @@ type t = {
   session_life : float;  (* global allocation-clock bytes *)
   tier1_life : float;
   tier2_life : float;
-  (* coordinator-side instrumentation *)
+  (* apply-side instrumentation *)
   latencies : Hdr_histogram.t;
   pauses : Hdr_histogram.t;
   mutable pause_acc : float;  (* total pause ms so far *)
@@ -152,7 +150,7 @@ let tier2_hits t = sum_by (fun ds -> ds.d_t2_hits) t
 let backend_fills t = sum_by (fun ds -> ds.d_backend_fills) t
 let sessions_churned t = sum_by (fun ds -> ds.d_sessions_churned) t
 
-let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) ?(config = default_config)
+let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(config = default_config)
     desc ~rt ~seed =
   let threads = max 1 threads in
   if threads > 1 && Rt.domains rt <> threads then
@@ -199,7 +197,6 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) ?(conf
     life;
     live_mb;
     nthreads = threads;
-    oracle;
     sched_rng = Rng.of_seed schedule_seed;
     dstates = Array.init threads mk_dstate;
     bytes_per_ms;
@@ -441,7 +438,7 @@ let generate t d (snap : Epoch.snapshot) =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Apply (coordinator only)                                            *)
+(* Apply                                                               *)
 
 let apply_op t allocs d i =
   let ops = t.dstates.(d).d_ops in
@@ -491,7 +488,7 @@ let allocate_startup t =
   done
 
 let run t ~alloc_bytes =
-  Epoch.run ~rt:t.rt ~n:t.nthreads ~oracle:t.oracle ~sched_rng:t.sched_rng
+  Epoch.run ~rt:t.rt ~n:t.nthreads ~sched_rng:t.sched_rng
     ~bufs:(Array.map (fun ds -> ds.d_ops) t.dstates)
     ~target:(Rt.now t.rt +. float_of_int alloc_bytes)
     ~generate:(generate t) ~apply:(apply_op t) ~barrier:(epoch_barrier t)

@@ -34,7 +34,7 @@ type job = {
   bench : Kg_workload.Descriptor.t;
   trace : bool;  (** sample heap composition (Figure 13) *)
   threads : int;  (** logical mutator threads (Table 3 extension) *)
-  parallel_gc : bool;  (** collection phases on the worker-domain team *)
+  parallel_gc : bool;  (** a parallel collector modeled in the GC time *)
   cap_mb : int option;  (** per-job override of [opts.cap_mb] *)
   serve : int option;
       (** request rate (req/s): run the {!Kg_serve.Server} mutator at

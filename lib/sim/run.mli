@@ -82,8 +82,8 @@ type result = {
 val pause_model :
   ?domains:int -> ?parallel_gc:bool -> unit ->
   Kg_gc.Phase.t -> copied:int -> scanned:int -> float
-(** {!Time_model.pause_ms} in the shape
-    {!Kg_gc.Gc_stats.pause_log} and the serve pause recorder expect. *)
+(** {!Time_model.pause_ms} in the shape the serve pause recorder
+    ({!Kg_serve.Server.attach_pause_recorder}) expects. *)
 
 val pcm_write_rate_4core_gbs : result -> float
 (** Simulated PCM write rate: writeback bytes / reconstructed time. *)
@@ -116,20 +116,23 @@ val run :
     so that observer and major collections still fire in shortened
     runs; [cap_mb] bounds the run length (default 256 MB).
 
-    [threads] (default 1) runs that many mutator domains over a
-    runtime created with matching [~domains] — real [Domain]s
-    generating op streams merged deterministically by [schedule_seed]
-    (default 0); [oracle] (default false) runs the same protocol
-    inline on one domain (see {!Kg_workload.Mutator.create}). The
-    result is a pure function of the seeds, not of OS scheduling.
+    [threads] (default 1) simulates that many mutator domains over a
+    runtime created with matching [~domains]: per-domain op streams
+    merged deterministically by [schedule_seed] (default 0), all
+    generated and applied on the calling domain (see
+    {!Kg_workload.Mutator.create}). The result is a pure function of
+    the seeds.
 
-    [parallel_gc] (default false) additionally runs the collection
-    phases on a team of [threads] worker domains (see
-    {!Kg_gc.Runtime.create}). Every counter, trace and traffic figure
-    stays bit-identical to the inline collector at the same [threads];
-    only the modeled collection time ([time_parts.gc_ns], and so
-    [time_s]) shrinks. Forced off by [oracle], which runs every
-    parallel component inline.
+    [parallel_gc] (default false) models a collector whose phases
+    spread over [threads] cores: only the modeled collection time
+    ([time_parts.gc_ns], and so [time_s]) and the serve pause profile
+    shrink ({!Time_model.cpu_parts}, {!Time_model.pause_ms}); every
+    counter, trace and traffic figure is that of the one inline
+    collector.
+
+    [oracle] is ignored. It stays until the benchmark of record
+    ([bench/e2e]) stops passing it, in the next change to that
+    benchmark.
 
     [check] (default false) attaches the {!Kg_gc.Verify} heap auditor
     to every collection phase plus a final end-of-run audit, reporting

@@ -1,13 +1,12 @@
 (** The process-wide budget of domains beyond the main one.
 
-    Every component that spawns domains accounts for them here: the
-    engine's job pool, the mutator epoch team and the parallel
-    collector {!claim} their workers unconditionally (they cannot run
-    without them), while an optional helper — the pipelined cache-sim
-    sink — starts only when {!try_claim} finds a spare core. Nested
-    users (a pool job running a multi-domain simulation) therefore see
-    each other's claims, and the optional helper stays off instead of
-    oversubscribing the host. *)
+    The two components that spawn domains account for them here: the
+    engine's job pool ([Kg_engine.Pool]) {!claim}s its workers
+    unconditionally (it cannot run without them), while the pipelined
+    cache-sim sink ([Kg_mem.Sink_pipe]), an optional helper, starts
+    only when {!try_claim} finds a spare core. A pool job running a
+    Simulate-mode run therefore sees the pool's claims, and the sink
+    stays inline instead of oversubscribing the host. *)
 
 val capacity : unit -> int
 (** [Domain.recommended_domain_count () - 1]: the cores left once the

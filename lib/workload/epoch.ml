@@ -1,13 +1,11 @@
 (* The generic half of the generate-then-merge epoch protocol, shared
    by Kg_workload.Mutator and Kg_serve: the flat per-domain op buffer,
    the schedule-PRNG chunk schedule, the apply of the shared op kinds,
-   and the worker-domain team. The determinism argument (pure
-   per-domain generation, PRNG-driven merge preserving per-domain
-   order, coordinator-only apply) lives with the callers; this module
-   only guarantees that [draw_schedule] is a pure function of the PRNG
-   state and the stream lengths, and that [round] runs the same
-   per-domain generators whether on real Domains or inline in domain
-   order.
+   and the epoch loop. The determinism argument (per-domain generation
+   from private state, PRNG-driven merge preserving per-domain order)
+   lives with the callers; this module only guarantees that
+   [draw_schedule] is a pure function of the PRNG state and the stream
+   lengths, and that [run] generates the domains in domain order.
 
    Nothing here allocates per op. A buffer is four parallel columns
    that grow on demand and are reset, not recreated, every epoch; a
@@ -173,139 +171,25 @@ let iter_schedule s f =
   done
 
 (* ------------------------------------------------------------------ *)
-(* The worker team                                                     *)
-
-(* One real Domain per mutator domain above 0 (the coordinator runs
-   domain 0's generator itself while waiting), parked on a condition
-   variable between epochs. In oracle mode no Domains are spawned and
-   [round] runs every generator inline in domain order — producing, by
-   purity of the generators, the identical streams. A generator that
-   raises on a worker still counts the worker as done; [round]
-   re-raises the first exception, with its backtrace, on the
-   coordinator once every generator has returned, as Gc_par does. *)
-type team = {
-  n : int;
-  oracle : bool;
-  gen : int -> unit;
-  tm : Mutex.t;
-  tcv : Condition.t;
-  mutable t_epoch : int;
-  mutable t_done : int;
-  mutable t_stop : bool;
-  mutable t_exn : (exn * Printexc.raw_backtrace) option;
-  mutable workers : unit Domain.t array;
-}
-
-let spawn ~n ~oracle gen =
-  let team =
-    {
-      n;
-      oracle;
-      gen;
-      tm = Mutex.create ();
-      tcv = Condition.create ();
-      t_epoch = 0;
-      t_done = 0;
-      t_stop = false;
-      t_exn = None;
-      workers = [||];
-    }
-  in
-  let worker d () =
-    let seen = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock team.tm;
-      while team.t_epoch = !seen && not team.t_stop do
-        Condition.wait team.tcv team.tm
-      done;
-      if team.t_stop then begin
-        running := false;
-        Mutex.unlock team.tm
-      end
-      else begin
-        seen := team.t_epoch;
-        Mutex.unlock team.tm;
-        (try gen d
-         with e ->
-           let bt = Printexc.get_raw_backtrace () in
-           Mutex.lock team.tm;
-           if team.t_exn = None then team.t_exn <- Some (e, bt);
-           Mutex.unlock team.tm);
-        Mutex.lock team.tm;
-        team.t_done <- team.t_done + 1;
-        Condition.broadcast team.tcv;
-        Mutex.unlock team.tm
-      end
-    done
-  in
-  if not (oracle || n <= 1) then begin
-    Domain_budget.claim (n - 1);
-    team.workers <- Array.init (n - 1) (fun i -> Domain.spawn (worker (i + 1)))
-  end;
-  team
-
-let round team =
-  if Array.length team.workers = 0 then
-    for d = 0 to team.n - 1 do
-      team.gen d
-    done
-  else begin
-    Mutex.lock team.tm;
-    team.t_done <- 0;
-    team.t_exn <- None;
-    team.t_epoch <- team.t_epoch + 1;
-    Condition.broadcast team.tcv;
-    Mutex.unlock team.tm;
-    let local_exn =
-      try
-        team.gen 0;
-        None
-      with e -> Some (e, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock team.tm;
-    while team.t_done < team.n - 1 do
-      Condition.wait team.tcv team.tm
-    done;
-    let worker_exn = team.t_exn in
-    Mutex.unlock team.tm;
-    match (local_exn, worker_exn) with
-    | Some (e, bt), _ | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None, None -> ()
-  end
-
-let finish team =
-  if not team.t_stop then begin
-    Mutex.lock team.tm;
-    team.t_stop <- true;
-    Condition.broadcast team.tcv;
-    Mutex.unlock team.tm;
-    Array.iter Domain.join team.workers;
-    Domain_budget.release (Array.length team.workers)
-  end
-
-(* ------------------------------------------------------------------ *)
 (* The epoch loop                                                      *)
 
 type snapshot = { mutable now : float; nursery_free : int array }
 
-let run ~rt ~n ~oracle ~sched_rng ~bufs ~target ~generate ~apply ~barrier =
+let run ~rt ~n ~sched_rng ~bufs ~target ~generate ~apply ~barrier =
   let allocs = Array.init n (fun _ -> Vec.create ()) in
   let sched = schedule_create () in
   let snap = { now = 0.0; nursery_free = Array.make n 0 } in
   let apply_allocs d i = apply allocs d i in
-  let team = spawn ~n ~oracle (fun d -> generate d snap) in
-  Fun.protect
-    ~finally:(fun () -> finish team)
-    (fun () ->
-      while Rt.now rt < target do
-        snap.now <- Rt.now rt;
-        for d = 0 to n - 1 do
-          snap.nursery_free.(d) <- Rt.nursery_free ~domain:d rt
-        done;
-        round team;
-        draw_schedule sched sched_rng bufs;
-        Array.iter Vec.clear allocs;
-        iter_schedule sched apply_allocs;
-        barrier allocs
-      done)
+  while Rt.now rt < target do
+    snap.now <- Rt.now rt;
+    for d = 0 to n - 1 do
+      snap.nursery_free.(d) <- Rt.nursery_free ~domain:d rt
+    done;
+    for d = 0 to n - 1 do
+      generate d snap
+    done;
+    draw_schedule sched sched_rng bufs;
+    Array.iter Vec.clear allocs;
+    iter_schedule sched apply_allocs;
+    barrier allocs
+  done

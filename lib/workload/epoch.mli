@@ -1,9 +1,9 @@
 (** The generic half of the generate-then-merge epoch protocol shared
     by {!Mutator} and the [Kg_serve] request mutator: the flat
     per-domain op buffer, the schedule-PRNG chunk schedule, the apply
-    of the op kinds both mutators issue, and the worker-domain team.
-    The determinism argument (pure per-domain generation,
-    coordinator-only apply) stays with the callers.
+    of the op kinds both mutators issue, and the epoch loop. The
+    determinism argument (per-domain generation from private state)
+    stays with the callers.
 
     An epoch allocates nothing per op. Buffers and the schedule grow on
     demand and are reset, not recreated, each epoch; targets are ints:
@@ -15,7 +15,7 @@
 type ops
 (** One domain's op stream for one epoch: parallel [kind], [a], [b]
     int columns and a [life] float column. Written only by the owning
-    domain's generator; read by the coordinator's apply. *)
+    domain's generator; read by the apply. *)
 
 val ops_create : unit -> ops
 (** An empty buffer; it allocates its columns on the first push. *)
@@ -78,30 +78,6 @@ val iter_schedule : schedule -> (int -> int -> unit) -> unit
 (** [iter_schedule s f] calls [f d i] for op [i] of domain [d], in
     schedule order. *)
 
-(** {1 The worker team} *)
-
-type team
-
-val spawn : n:int -> oracle:bool -> (int -> unit) -> team
-(** [spawn ~n ~oracle gen]: a team running [gen d] once per round for
-    every domain [d]. With [oracle] false and [n > 1], domains
-    [1 .. n-1] get real worker Domains parked on a condition variable;
-    domain 0 always runs on the coordinator. With [oracle] true (or
-    [n = 1]) no Domains are spawned and rounds run inline. *)
-
-val round : team -> unit
-(** Run one epoch's generation: workers run [gen d] concurrently while
-    the coordinator runs [gen 0], returning once all are done — or, in
-    oracle mode, run [gen 0 .. gen (n-1)] inline in domain order. If a
-    generator raises, [round] still waits for every other generator,
-    then re-raises the exception with its backtrace (the coordinator's
-    own first, else the first a worker caught); the workers stay parked
-    and {!finish} joins them. *)
-
-val finish : team -> unit
-(** Stop and join the workers. Idempotent. Callers must invoke this on
-    both the normal and the exceptional exit path. *)
-
 (** {1 The epoch loop} *)
 
 type snapshot = { mutable now : float; nursery_free : int array }
@@ -111,7 +87,6 @@ type snapshot = { mutable now : float; nursery_free : int array }
 val run :
   rt:Kg_gc.Runtime.t ->
   n:int ->
-  oracle:bool ->
   sched_rng:Kg_util.Rng.t ->
   bufs:ops array ->
   target:float ->
@@ -120,10 +95,9 @@ val run :
   barrier:(Kg_heap.Object_model.t Kg_util.Vec.t array -> unit) ->
   unit
 (** Run epochs until the allocation clock reaches [target]. Each epoch
-    refreshes the snapshot, runs [generate d snap] for every domain on
-    a {!spawn}ed team (each filling [bufs.(d)]), draws the schedule
-    from [sched_rng], calls [apply allocs d i] for every op in
-    schedule order, then [barrier allocs]. [allocs.(d)] holds domain
-    [d]'s applied allocations of the epoch, for {!resolve}; the vectors
-    and the schedule are reused across epochs. The team is finished on
-    every exit path. *)
+    refreshes the snapshot, runs [generate d snap] for every domain in
+    domain order (each filling [bufs.(d)]), draws the schedule from
+    [sched_rng], calls [apply allocs d i] for every op in schedule
+    order, then [barrier allocs]. [allocs.(d)] holds domain [d]'s
+    applied allocations of the epoch, for {!resolve}; the vectors and
+    the schedule are reused across epochs. *)

@@ -27,20 +27,19 @@ type thread = {
 }
 
 (* Multicore mutator state. With [threads > 1] the round-robin logical
-   threads are replaced by real mutator domains running an epoch
+   threads are replaced by simulated mutator domains running an epoch
    protocol (see [run_epochs] below): each domain *generates* a
-   symbolic op stream in parallel as a pure function of its private
-   state plus a read-only snapshot, and the coordinator *applies* the
-   streams sequentially in a schedule-seeded deterministic merge. A
-   generated op names an object that does not exist yet with a
-   negative pending target, [-(i+1)] for the issuing domain's i-th
-   allocation of the epoch.
+   symbolic op stream as a pure function of its private state plus a
+   read-only snapshot, and the streams are then *applied* in a
+   schedule-seeded deterministic merge. A generated op names an object
+   that does not exist yet with a negative pending target, [-(i+1)]
+   for the issuing domain's i-th allocation of the epoch.
 
    A mutator domain's private state: PRNG stream, op buffer, recent-
    allocation ring (holding pending targets until the epoch
    materialises them; [O.null] marks an empty slot) and mutation
-   debts. Touched only by its own domain during generation and by the
-   coordinator between epochs. *)
+   debts. Touched only by its own generator and by the epoch
+   barrier. *)
 type dstate = {
   d_rng : Rng.t;
   d_hot_zipf : Rng.Zipf.t;
@@ -67,7 +66,6 @@ type t = {
   live_mb : int;
   (* Multicore: *)
   nthreads : int;
-  oracle : bool;  (* interleaved oracle: generate inline, no Domains *)
   sched_rng : Rng.t;  (* merge schedule; seeded independently *)
   dstates : dstate array;  (* empty when nthreads = 1 *)
   boot_allocs_by_thread : int array;
@@ -78,8 +76,7 @@ let runtime t = t.rt
 let thread_count t = t.nthreads
 let boot_allocs_by_thread t = Array.copy t.boot_allocs_by_thread
 
-let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) desc
-    ~rt ~seed =
+let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc ~rt ~seed =
   (* Calibrated against the default sizes regardless of the collector
      under test: lifetimes are a workload property. *)
   let live_mb = Option.value live_mb ~default:(Descriptor.live_mb desc) in
@@ -138,7 +135,6 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(oracle = false) desc
     large_mean;
     live_mb;
     nthreads = threads;
-    oracle;
     sched_rng = Rng.of_seed schedule_seed;
     dstates = (if threads = 1 then [||] else Array.init threads mk_dstate);
     boot_allocs_by_thread = Array.make threads 0;
@@ -386,15 +382,13 @@ let run_sequential t ~alloc_bytes ~on_tick ~tick_bytes =
 (* 1. Generation is a pure function of the domain's private state      *)
 (*    (PRNG, recent ring, debts) and an epoch-start snapshot           *)
 (*    (allocation clock, nursery headroom, frozen target pools). No    *)
-(*    shared structure is written during generation, so running the N  *)
-(*    generators on real Domains or inline in domain order produces    *)
-(*    identical op streams — that is exactly what the interleaved      *)
-(*    oracle checks.                                                   *)
+(*    shared structure is written during generation, so the order in   *)
+(*    which the N generators run does not change their op streams.     *)
 (* 2. The merge draws only from the schedule PRNG, interleaving        *)
 (*    domain streams in chunks while preserving each domain's own      *)
 (*    order — so a pending target always resolves to an                *)
 (*    already-applied allocation of the same domain.                   *)
-(* 3. Apply runs on the coordinator alone, one op at a time, through   *)
+(* 3. Apply runs one op at a time, through                             *)
 (*    the domain-tagged runtime interface; collections fire inside it  *)
 (*    exactly where the op stream forces them, and the per-domain      *)
 (*    ports stamp every record with the shared issue counter so sink   *)
@@ -402,7 +396,7 @@ let run_sequential t ~alloc_bytes ~on_tick ~tick_bytes =
 
 (* Pure pick helpers: same skew as the sequential path but against the
    frozen snapshot — no pruning (pools are read-only during an epoch;
-   the coordinator compacts them at the barrier instead). Like the
+   the barrier compacts them instead). Like the
    sequential picks they return [O.null] for "nothing found"; a pick
    from the recent ring may also return a pending target. *)
 
@@ -516,8 +510,8 @@ let generate t d (snap : Epoch.snapshot) =
   ds.d_read_debt <- !read_debt
 
 (* Apply op [i] of domain [d] through the domain-tagged runtime
-   interface. Shared-pool registration happens here, on the
-   coordinator, in schedule order; reservoir decisions draw from the
+   interface. Shared-pool registration happens here, in schedule
+   order; reservoir decisions draw from the
    schedule PRNG (after the epoch's whole schedule is drawn) so
    generation streams stay untouched. *)
 let apply_op t (allocs : O.t Vec.t array) d i =
@@ -541,8 +535,8 @@ let epoch_barrier t (allocs : O.t Vec.t array) =
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.warm;
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.cold
 
-(* The epoch loop, worker team, op buffers and chunk schedule are
-   Epoch's; the tick check rides on the barrier. *)
+(* The epoch loop, op buffers and chunk schedule are Epoch's; the tick
+   check rides on the barrier. *)
 let run_epochs t ~alloc_bytes ~on_tick ~tick_bytes =
   let start = Rt.now t.rt in
   let next_tick = ref (start +. float_of_int tick_bytes) in
@@ -553,7 +547,7 @@ let run_epochs t ~alloc_bytes ~on_tick ~tick_bytes =
       next_tick := !next_tick +. float_of_int tick_bytes
     end
   in
-  Epoch.run ~rt:t.rt ~n:t.nthreads ~oracle:t.oracle ~sched_rng:t.sched_rng
+  Epoch.run ~rt:t.rt ~n:t.nthreads ~sched_rng:t.sched_rng
     ~bufs:(Array.map (fun ds -> ds.d_ops) t.dstates)
     ~target:(start +. float_of_int alloc_bytes)
     ~generate:(generate t) ~apply:(apply_op t) ~barrier

@@ -15,7 +15,6 @@ val create :
   ?live_mb:int ->
   ?threads:int ->
   ?schedule_seed:int ->
-  ?oracle:bool ->
   Descriptor.t ->
   rt:Kg_gc.Runtime.t ->
   seed:int ->
@@ -28,17 +27,12 @@ val create :
     debts. With one thread the mutator runs the classic sequential
     loop. With more, [rt] must have been created with
     [~domains:threads], and {!run} executes the epoch protocol: each
-    domain {e generates} a symbolic op stream in parallel on a real
-    [Domain] as a pure function of its private state plus an
-    epoch-start snapshot, and the coordinator {e applies} the streams
-    sequentially in a deterministic merge drawn from [schedule_seed]
-    (default 0). The result is a bit-reproducible function of
-    [(seed, schedule_seed, threads)], independent of OS scheduling.
-
-    [oracle] (default false) runs the identical protocol but generates
-    every stream inline on the calling domain, in domain order, with
-    no [Domain.spawn] — the single-domain interleaved oracle the
-    differential tests compare the parallel path against. *)
+    simulated domain {e generates} a symbolic op stream as a pure
+    function of its private state plus an epoch-start snapshot, and
+    the streams are {e applied} in a deterministic merge drawn from
+    [schedule_seed] (default 0). Everything runs on the calling
+    domain; the result is a bit-reproducible function of
+    [(seed, schedule_seed, threads)]. *)
 
 val descriptor : t -> Descriptor.t
 val runtime : t -> Kg_gc.Runtime.t

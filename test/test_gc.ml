@@ -648,6 +648,71 @@ let runtime_storm_qcheck =
       && Gc_stats.nursery_survival (Rt.stats rt) <= 1.0
       && Rt.check_invariants rt = Ok ())
 
+(* ------------------------------------------------------------------ *)
+(* Multi-domain heaps and collection edge cases                        *)
+
+(* The auditor stays green over a full 4-domain KG-W run with the
+   parallel collector modeled. *)
+let test_auditor_green_multi_domain () =
+  let r =
+    Kg_sim.Run.run ~seed:11 ~scale:512 ~heap_scale:8 ~cap_mb:8 ~threads:4 ~parallel_gc:true
+      ~check:true ~mode:Kg_sim.Run.Count Kg_sim.Run.kg_w
+      (Kg_workload.Descriptor.find "xalan")
+  in
+  Alcotest.(check (list string)) "no violations" [] r.Kg_sim.Run.check_violations
+
+(* Drive one scripted heap population on a bare 4-domain runtime,
+   force a final major collection, and require a clean audit of the
+   final heap. Returns the statistics. *)
+let edge_case ?defrag_threshold name script =
+  let cfg = Gc_config.make ~nursery_mb:1 ?defrag_threshold ~heap_mb:8 Gc_config.kg_w_default in
+  let map = Kg_mem.Address_map.hybrid () in
+  let mem, counters = Mem_iface.counting ~map in
+  let rt = Rt.create ~domains:4 ~config:cfg ~mem ~map ~seed:1 () in
+  script rt;
+  Rt.major_gc rt;
+  Mem_iface.flush mem;
+  Alcotest.(check (list string))
+    (name ^ ": auditor green") []
+    (List.map Verify.to_string (Verify.audit ~counters rt));
+  let st = Rt.stats rt in
+  check_bool (name ^ ": collected") true (st.Gc_stats.major_gcs >= 1);
+  st
+
+let test_edge_empty_mature () = ignore (edge_case "empty mature space" (fun _ -> ()))
+
+let test_edge_single_live () =
+  ignore (edge_case "single live object" (fun rt -> ignore (alloc ~size:128 rt)))
+
+(* More domains than live objects: most nurseries are empty. *)
+let test_edge_domains_exceed_live () =
+  ignore
+    (edge_case "domains > live objects" (fun rt ->
+         ignore (alloc ~size:128 rt);
+         ignore (alloc ~size:128 rt)))
+
+(* A fragmented mature heap under an always-on defragmentation
+   threshold: most promoted objects die mid-run, so the majors leave
+   sparse blocks and the defragmenting evacuation runs. *)
+let test_edge_defrag () =
+  let populate rt =
+    (* 6 MiB of 128-byte objects; 1 in 16 immortal, the rest dying at
+       the 5 MiB mark — late enough to reach the mature space alive
+       (observer evacuations land around the 3 MiB mark), early enough
+       to be swept by the final major, which strands the immortals on
+       ~12%-marked blocks: exactly the §6.3 evacuation case. (1 in 8
+       would mark exactly lines_per_block/4 lines per block — one line
+       per four — and sit right on the candidate cutoff.) *)
+    for i = 1 to 6 * mib / 128 do
+      let death = if i land 15 = 0 then infinity else float_of_int (5 * mib) in
+      ignore (alloc ~size:128 ~death rt)
+    done;
+    Rt.major_gc rt
+  in
+  let st = edge_case ~defrag_threshold:0.1 "defrag-triggering heap" populate in
+  check_bool "majors ran" true (st.Gc_stats.major_gcs >= 2);
+  check_bool "defrag moved objects" true (st.Gc_stats.copied_bytes_major > 0)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_gc"
@@ -693,6 +758,7 @@ let () =
           Alcotest.test_case "heap trigger" `Quick test_heap_trigger_fires_major;
           Alcotest.test_case "KG-N nursery GC writes PCM" `Quick test_kgn_nursery_gc_writes_pcm_slots;
           Alcotest.test_case "LOO enables dynamically" `Quick test_loo_enables_dynamically;
+          Alcotest.test_case "auditor green, 4-domain run" `Quick test_auditor_green_multi_domain;
         ] );
       ( "large objects",
         [
@@ -726,5 +792,12 @@ let () =
           Alcotest.test_case "invariants after collections" `Quick test_invariants_after_collections;
           Alcotest.test_case "gc hook" `Quick test_gc_hook_fires;
           q runtime_storm_qcheck;
+        ] );
+      ( "edge cases",
+        [
+          Alcotest.test_case "empty mature space" `Quick test_edge_empty_mature;
+          Alcotest.test_case "single live object" `Quick test_edge_single_live;
+          Alcotest.test_case "domains > live objects" `Quick test_edge_domains_exceed_live;
+          Alcotest.test_case "defrag-triggering heap" `Quick test_edge_defrag;
         ] );
     ]

@@ -1,13 +1,11 @@
-(* Differential and SLO tests for the Kg_serve request/response
+(* Determinism and SLO tests for the Kg_serve request/response
    mutator.
 
    Serve runs ride the same epoch protocol as the batch mutator, so
    they inherit its promise: a run is a pure function of
-   (seed, schedule_seed, domains, config). The headline check is the
-   inline oracle differential — statistics, request counters and both
-   SLO histograms must match the Domain-parallel path exactly — plus
-   non-degeneracy of the histograms themselves (a pause profile with
-   max <= P50 or a zero P50 means the recorder is wired wrong). *)
+   (seed, schedule_seed, domains, config). On top, the histograms must
+   be non-degenerate (a pause profile with max <= P50 or a zero P50
+   means the recorder is wired wrong). *)
 
 open Kg_sim
 module GS = Kg_gc.Gc_stats
@@ -17,47 +15,15 @@ module S = Kg_serve.Server
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let serve_run ?(seed = 11) ?(schedule_seed = 0) ?(oracle = false) ?(rate = 1024.0)
-    ?(spec = Run.kg_w) ?(mode = Run.Count) ?(parallel_gc = false) threads =
-  Run.run ~seed ~scale:512 ~heap_scale:8 ~cap_mb:8 ~threads ~schedule_seed ~oracle
-    ~parallel_gc ~serve:{ S.default_config with S.rate } ~mode spec
+let serve_run ?(rate = 1024.0) threads =
+  Run.run ~seed:11 ~scale:512 ~heap_scale:8 ~cap_mb:8 ~threads
+    ~serve:{ S.default_config with S.rate } ~mode:Run.Count Run.kg_w
     (Kg_workload.Descriptor.find "pjbb")
 
 let metrics (r : Run.result) =
   match r.Run.serve with
   | Some s -> s
   | None -> Alcotest.fail "serve run carries no serve metrics"
-
-(* Everything a serve run exposes that could diverge between the
-   parallel path and the oracle. *)
-let agree (a : Run.result) (b : Run.result) =
-  let sa = metrics a and sb = metrics b in
-  GS.equal a.Run.stats b.Run.stats
-  && sa.Run.requests = sb.Run.requests
-  && sa.Run.t1_hits = sb.Run.t1_hits
-  && sa.Run.t2_hits = sb.Run.t2_hits
-  && sa.Run.backend_fills = sb.Run.backend_fills
-  && sa.Run.sessions_churned = sb.Run.sessions_churned
-  && H.equal sa.Run.pause_hist sb.Run.pause_hist
-  && H.equal sa.Run.latency_hist sb.Run.latency_hist
-
-(* The headline differential: for any domain count, seed and schedule
-   seed, the Domain-parallel serve path and the inline oracle agree on
-   every statistic, counter and histogram bucket. *)
-let serve_matches_oracle_qcheck =
-  QCheck.Test.make ~name:"serve parallel path is bit-identical to the interleaved oracle"
-    ~count:6
-    QCheck.(triple (int_range 2 4) (int_bound 1000) (int_bound 1000))
-    (fun (threads, seed, schedule_seed) ->
-      agree
-        (serve_run ~seed ~schedule_seed ~oracle:false threads)
-        (serve_run ~seed ~schedule_seed ~oracle:true threads))
-
-let test_serve_oracle_parallel_gc () =
-  check_bool "parallel-gc serve matches oracle" true
-    (agree
-       (serve_run ~parallel_gc:true ~oracle:false 2)
-       (serve_run ~parallel_gc:true ~oracle:true 2))
 
 let test_serve_repeat_determinism () =
   List.iter
@@ -122,13 +88,10 @@ let test_serve_attach_twice () =
   with Invalid_argument _ -> ()
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_serve"
     [
       ( "differential",
         [
-          q serve_matches_oracle_qcheck;
-          Alcotest.test_case "parallel-gc composes" `Quick test_serve_oracle_parallel_gc;
           Alcotest.test_case "repeat determinism" `Quick test_serve_repeat_determinism;
         ] );
       ( "slo",

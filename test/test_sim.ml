@@ -59,6 +59,35 @@ let test_time_cpu_parts_from_stats () =
   check_bool "monitor" true (p.Time_model.monitor_ns = 50.0 *. Costs.t_monitor_ns);
   check_bool "no memory part" true (p.Time_model.mem_base_ns = 0.0)
 
+(* The parallel collector is a modeled parameter: a quick 4-domain
+   KG-W run that collects. *)
+let antlr_4_domains ?(mode = R.Count) ~parallel_gc () =
+  R.run ~seed:11 ~scale:512 ~heap_scale:8 ~cap_mb:8 ~threads:4 ~parallel_gc ~mode R.kg_w
+    (D.find "antlr")
+
+(* Spreading each pause's copy/scan work over 4 cores must cut the
+   modeled collection time by at least 1.5x on real collection work. *)
+let test_time_parallel_gc_speedup () =
+  let r = antlr_4_domains ~parallel_gc:false () in
+  check_bool "the run collected" true (r.R.stats.Kg_gc.Gc_stats.nursery_gcs > 0);
+  let gc_ns parallel_gc =
+    (Time_model.cpu_parts ~domains:4 ~parallel_gc r.R.stats ~alloc_bytes:r.R.alloc_bytes)
+      .Time_model.gc_ns
+  in
+  let speedup = gc_ns false /. gc_ns true in
+  if speedup < 1.5 then
+    Alcotest.failf "modeled gc speedup at 4 domains is %.3fx (floor 1.5x)" speedup
+
+(* Only the modeled collection time may differ between the two
+   settings — and it must shrink. *)
+let test_time_parallel_gc_only_gc_time () =
+  let rp = antlr_4_domains ~mode:R.Simulate ~parallel_gc:true () in
+  let ri = antlr_4_domains ~mode:R.Simulate ~parallel_gc:false () in
+  check_bool "stats equal" true (Kg_gc.Gc_stats.equal rp.R.stats ri.R.stats);
+  check_bool "inline run collected" true (ri.R.time_parts.Time_model.gc_ns > 0.0);
+  check_bool "parallel gc time smaller" true
+    (rp.R.time_parts.Time_model.gc_ns < ri.R.time_parts.Time_model.gc_ns)
+
 let test_energy_statics () =
   let m = Machine.build Machine.Dram_only in
   let e = Energy.of_run ~machine:m ~time_s:2.0 in
@@ -170,8 +199,8 @@ let test_pipelined_run_matches_inline () =
   List.iter
     (fun (what, spec, threads) ->
       let go () =
-        R.run ~seed:5 ~scale:512 ~heap_scale:8 ~cap_mb:8 ~threads ~oracle:(threads > 1)
-          ~mode:R.Simulate spec (D.find "lusearch")
+        R.run ~seed:5 ~scale:512 ~heap_scale:8 ~cap_mb:8 ~threads ~mode:R.Simulate spec
+          (D.find "lusearch")
       in
       let before = Budget.claimed () in
       let p = go () in
@@ -198,7 +227,7 @@ let test_pipelined_run_matches_inline () =
       ("kg-n", R.kg_n, 1);
       ("kg-w", R.kg_w, 1);
       ("wp", R.wp, 1);
-      ("kg-w, 2-thread oracle", R.kg_w, 2);
+      ("kg-w, 2 threads", R.kg_w, 2);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -296,6 +325,9 @@ let () =
         [
           Alcotest.test_case "time parts sum" `Quick test_time_parts_sum;
           Alcotest.test_case "cpu parts" `Quick test_time_cpu_parts_from_stats;
+          Alcotest.test_case "parallel-gc speedup >= 1.5x" `Quick test_time_parallel_gc_speedup;
+          Alcotest.test_case "only modeled gc time shrinks" `Quick
+            test_time_parallel_gc_only_gc_time;
           Alcotest.test_case "energy statics" `Quick test_energy_statics;
           Alcotest.test_case "pcm write energy" `Quick test_energy_pcm_write_cost;
         ] );

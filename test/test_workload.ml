@@ -228,7 +228,7 @@ let test_mutator_determinism () =
 (* The runtime builds a trace event only when a recorder is attached.
    Attaching one must change no output: the same run with and without
    it gives identical stats and port traffic, on the sequential path
-   and on the epoch path (inline oracle, 2 domains). And the recorder
+   and on the epoch path (2 domains). And the recorder
    sees exactly one event per runtime call: per kind, the counts agree
    with the runtime's own counters. *)
 let test_recorder_changes_no_output () =
@@ -238,7 +238,7 @@ let test_recorder_changes_no_output () =
     let mem, _ = Kg_gc.Mem_iface.counting ~map in
     let rt = Rt.create ~domains:threads ~config:cfg ~mem ~map ~seed:3 () in
     Option.iter (fun r -> Rt.set_event_hook rt (Kg_gc.Trace.record r)) recorder;
-    let m = Mutator.create ~live_mb:16 ~threads ~oracle:true (D.find "lusearch") ~rt ~seed:11 in
+    let m = Mutator.create ~live_mb:16 ~threads (D.find "lusearch") ~rt ~seed:11 in
     Mutator.allocate_startup m;
     Mutator.run m ~alloc_bytes:(6 * mib) ();
     Rt.flush_mem rt;
