@@ -5,21 +5,7 @@ open Cmdliner
 module R = Kg_sim.Run
 module D = Kg_workload.Descriptor
 module GS = Kg_gc.Gc_stats
-
-let spec_of_string = function
-  | "dram-only" -> Ok R.dram_only
-  | "pcm-only" -> Ok R.pcm_only
-  | "kg-n" -> Ok R.kg_n
-  | "kg-n-12" -> Ok R.kg_n_12
-  | "kg-w" -> Ok R.kg_w
-  | "kg-w-loo" -> Ok R.kg_w_no_loo
-  | "kg-w-loo-mdo" -> Ok R.kg_w_no_loo_mdo
-  | "kg-w-pm" -> Ok R.kg_w_no_pm
-  | "wp" -> Ok R.wp
-  | s -> Error (`Msg (Printf.sprintf "unknown collector %S" s))
-
-let collector_names =
-  "dram-only|pcm-only|kg-n|kg-n-12|kg-w|kg-w-loo|kg-w-loo-mdo|kg-w-pm|wp"
+module O = Kg_cli.Run_opts
 
 let print_result (r : R.result) simulate =
   let st = r.R.stats in
@@ -53,79 +39,32 @@ let print_result (r : R.result) simulate =
   Printf.printf "heap: DRAM avg/max %.1f/%.1f MB, PCM avg/max %.1f/%.1f MB, meta %.1f MB\n"
     r.R.dram_avg_mb r.R.dram_max_mb r.R.pcm_avg_mb r.R.pcm_max_mb r.R.meta_mb
 
-let run_cmd bench collector simulate scale heap_scale cap_mb seed domains schedule_seed
-    parallel_gc threshold trigger observer =
-  match spec_of_string collector with
-  | Error (`Msg m) -> prerr_endline m; 1
-  | Ok spec ->
-    let spec =
-      {
-        spec with
-        R.write_threshold = threshold;
-        pcm_write_trigger_mb = trigger;
-        observer_mb = observer;
-      }
+let run_cmd bench spec simulate scale heap_scale cap_mb seed domains schedule_seed parallel_gc
+    threshold trigger observer =
+  let spec =
+    {
+      spec with
+      R.write_threshold = threshold;
+      pcm_write_trigger_mb = trigger;
+      observer_mb = (if observer = None then spec.R.observer_mb else observer);
+    }
+  in
+  match D.find bench with
+  | exception Not_found ->
+    Printf.eprintf "unknown benchmark %S; try: %s\n" bench (String.concat ", " (D.names ()));
+    1
+  | d ->
+    let mode = if simulate then R.Simulate else R.Count in
+    let r =
+      R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~schedule_seed ~parallel_gc ~mode
+        spec d
     in
-    (
-    match D.find bench with
-    | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try: %s\n" bench
-        (String.concat ", " (D.names ()));
-      1
-    | d ->
-      let mode = if simulate then R.Simulate else R.Count in
-      let r =
-        R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~schedule_seed ~parallel_gc
-          ~mode spec d
-      in
-      print_result r simulate;
-      0)
+    print_result r simulate;
+    0
 
 let bench_arg =
   let doc = "Benchmark name (see `kingsguard list')." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc)
-
-let collector_arg =
-  let doc = Printf.sprintf "Collector / memory system: %s." collector_names in
-  Arg.(value & opt string "kg-w" & info [ "c"; "collector" ] ~docv:"COLLECTOR" ~doc)
-
-let simulate_arg =
-  let doc = "Run the full cache/memory simulation (slower) instead of barrier-level counting." in
-  Arg.(value & flag & info [ "simulate" ] ~doc)
-
-let scale_arg =
-  let doc = "Divide the benchmark's allocation volume by this factor." in
-  Arg.(value & opt int 8 & info [ "scale" ] ~doc)
-
-let heap_scale_arg =
-  let doc = "Divide the benchmark's live-heap target by this factor." in
-  Arg.(value & opt int 3 & info [ "heap-scale" ] ~doc)
-
-let cap_arg =
-  let doc = "Cap the run length in MB of allocation." in
-  Arg.(value & opt int 256 & info [ "cap-mb" ] ~doc)
-
-let seed_arg =
-  let doc = "PRNG seed (runs are deterministic given a seed)." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~doc)
-
-let domains_arg =
-  let doc =
-    "Simulated mutator domains; above 1 the run executes the deterministic epoch protocol \
-     (per-domain op streams merged by the schedule seed), all on one host domain."
-  in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-
-let schedule_seed_arg =
-  let doc = "Seed for the deterministic merge schedule of multi-domain runs." in
-  Arg.(value & opt int 0 & info [ "schedule-seed" ] ~doc)
-
-let parallel_gc_arg =
-  let doc =
-    "Model collection phases spread over the --domains cores: only the modeled GC time \
-     shrinks; every counter and table is that of the one inline collector."
-  in
-  Arg.(value & flag & info [ "parallel-gc" ] ~doc)
 
 let threshold_arg =
   let doc = "KG-W extension: writes needed before an object counts as written (default 1)." in
@@ -136,14 +75,14 @@ let trigger_arg =
   Arg.(value & opt (some int) None & info [ "pcm-write-trigger-mb" ] ~doc)
 
 let observer_arg =
-  let doc = "Observer space size in MB (default 2x nursery)." in
+  let doc = "Observer space size in MB (default: the collector's, 2x nursery but for kg-b)." in
   Arg.(value & opt (some int) None & info [ "observer-mb" ] ~doc)
 
 let run_t =
   Term.(
-    const run_cmd $ bench_arg $ collector_arg $ simulate_arg $ scale_arg $ heap_scale_arg
-    $ cap_arg $ seed_arg $ domains_arg $ schedule_seed_arg $ parallel_gc_arg $ threshold_arg
-    $ trigger_arg $ observer_arg)
+    const run_cmd $ bench_arg $ O.collector $ O.simulate $ O.scale $ O.heap_scale $ O.cap_mb
+    $ O.seed $ O.domains $ O.schedule_seed $ O.parallel_gc $ threshold_arg $ trigger_arg
+    $ observer_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check: audit heap invariants across benchmarks x collectors         *)
@@ -204,69 +143,64 @@ let jobs_arg =
 
 let check_t =
   Term.(
-    const check_cmd $ benches_arg $ scale_arg $ heap_scale_arg $ cap_arg $ seed_arg
-    $ domains_arg $ parallel_gc_arg $ jobs_arg)
+    const check_cmd $ benches_arg $ O.scale $ O.heap_scale $ O.cap_mb $ O.seed $ O.domains
+    $ O.parallel_gc $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* replay: record a run, replay its trace, compare bit-for-bit         *)
 
-let replay_cmd bench collector scale heap_scale cap_mb seed trace_file =
-  match spec_of_string collector with
-  | Error (`Msg m) ->
-    prerr_endline m;
+let replay_cmd bench spec scale heap_scale cap_mb seed trace_file =
+  match D.find bench with
+  | exception Not_found ->
+    Printf.eprintf "unknown benchmark %S; try: %s\n" bench (String.concat ", " (D.names ()));
     1
-  | Ok spec -> (
-    match D.find bench with
-    | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try: %s\n" bench (String.concat ", " (D.names ()));
+  | d ->
+    let r, events = R.record ~seed ~scale ~heap_scale ~cap_mb spec d in
+    let events =
+      match trace_file with
+      | None -> events
+      | Some f ->
+        (* Exercise the serialization too: what we replay is what was
+           parsed back from disk. *)
+        Kg_gc.Trace.save f events;
+        Printf.printf "trace            %s (%d events)\n" f (Array.length events);
+        Kg_gc.Trace.load f
+    in
+    Printf.printf "recorded         %s under %s: %d events, %d MB allocated\n" bench
+      (R.label spec) (Array.length events) (r.R.alloc_bytes / 1048576);
+    (match R.replay ~seed ~heap_scale spec d events with
+    | Error m ->
+      Printf.printf "replay DIVERGED: %s\n" m;
       1
-    | d ->
-      let r, events = R.record ~seed ~scale ~heap_scale ~cap_mb spec d in
-      let events =
-        match trace_file with
-        | None -> events
-        | Some f ->
-          (* Exercise the serialization too: what we replay is what was
-             parsed back from disk. *)
-          Kg_gc.Trace.save f events;
-          Printf.printf "trace            %s (%d events)\n" f (Array.length events);
-          Kg_gc.Trace.load f
+    | Ok (st, c) ->
+      let stat_diff = GS.diff r.R.stats st in
+      let ctr_diff = ref [] in
+      let cmp name a b =
+        if int_of_float a <> b then
+          ctr_diff := Printf.sprintf "%s: %d <> %d" name (int_of_float a) b :: !ctr_diff
       in
-      Printf.printf "recorded         %s under %s: %d events, %d MB allocated\n" bench
-        (R.label spec) (Array.length events) (r.R.alloc_bytes / 1048576);
-      (match R.replay ~seed ~heap_scale spec d events with
-      | Error m ->
-        Printf.printf "replay DIVERGED: %s\n" m;
+      cmp "pcm_write_bytes" r.R.mem_pcm_write_bytes c.Kg_gc.Mem_iface.pcm_write_bytes;
+      cmp "dram_write_bytes" r.R.mem_dram_write_bytes c.Kg_gc.Mem_iface.dram_write_bytes;
+      cmp "pcm_read_bytes" r.R.mem_pcm_read_bytes c.Kg_gc.Mem_iface.pcm_read_bytes;
+      cmp "dram_read_bytes" r.R.mem_dram_read_bytes c.Kg_gc.Mem_iface.dram_read_bytes;
+      Array.iteri
+        (fun i v ->
+          cmp
+            (Printf.sprintf "pcm_write_bytes[%s]" (Kg_gc.Phase.to_string (Kg_gc.Phase.of_tag i)))
+            v
+            c.Kg_gc.Mem_iface.pcm_write_bytes_by_phase.(i))
+        r.R.pcm_writes_by_phase;
+      let diffs = stat_diff @ List.rev !ctr_diff in
+      if diffs = [] then begin
+        Printf.printf
+          "replay           identical: all statistics and device write counters match\n";
+        0
+      end
+      else begin
+        Printf.printf "replay DIVERGED in %d counter(s):\n" (List.length diffs);
+        List.iter (fun m -> Printf.printf "       %s\n" m) diffs;
         1
-      | Ok (st, c) ->
-        let stat_diff = GS.diff r.R.stats st in
-        let ctr_diff = ref [] in
-        let cmp name a b =
-          if int_of_float a <> b then
-            ctr_diff := Printf.sprintf "%s: %d <> %d" name (int_of_float a) b :: !ctr_diff
-        in
-        cmp "pcm_write_bytes" r.R.mem_pcm_write_bytes c.Kg_gc.Mem_iface.pcm_write_bytes;
-        cmp "dram_write_bytes" r.R.mem_dram_write_bytes c.Kg_gc.Mem_iface.dram_write_bytes;
-        cmp "pcm_read_bytes" r.R.mem_pcm_read_bytes c.Kg_gc.Mem_iface.pcm_read_bytes;
-        cmp "dram_read_bytes" r.R.mem_dram_read_bytes c.Kg_gc.Mem_iface.dram_read_bytes;
-        Array.iteri
-          (fun i v ->
-            cmp
-              (Printf.sprintf "pcm_write_bytes[%s]" (Kg_gc.Phase.to_string (Kg_gc.Phase.of_tag i)))
-              v
-              c.Kg_gc.Mem_iface.pcm_write_bytes_by_phase.(i))
-          r.R.pcm_writes_by_phase;
-        let diffs = stat_diff @ List.rev !ctr_diff in
-        if diffs = [] then begin
-          Printf.printf
-            "replay           identical: all statistics and device write counters match\n";
-          0
-        end
-        else begin
-          Printf.printf "replay DIVERGED in %d counter(s):\n" (List.length diffs);
-          List.iter (fun m -> Printf.printf "       %s\n" m) diffs;
-          1
-        end))
+      end)
 
 let trace_file_arg =
   let doc = "Also save the trace to this JSONL file and replay the reloaded copy." in
@@ -274,8 +208,8 @@ let trace_file_arg =
 
 let replay_t =
   Term.(
-    const replay_cmd $ bench_arg $ collector_arg $ scale_arg $ heap_scale_arg $ cap_arg
-    $ seed_arg $ trace_file_arg)
+    const replay_cmd $ bench_arg $ O.collector $ O.scale $ O.heap_scale $ O.cap_mb $ O.seed
+    $ trace_file_arg)
 
 let list_cmd () =
   List.iter

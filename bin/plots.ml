@@ -1,5 +1,5 @@
 (* kingsguard-plots: turn the CSV tables written by
-   `kingsguard-experiments --csv --out DIR` into SVG charts.
+   `kingsguard experiments --csv --out DIR` into SVG charts.
 
      dune exec bin/plots.exe -- results-csv plots *)
 
@@ -95,7 +95,7 @@ let () =
   let dst = if Array.length Sys.argv > 2 then Sys.argv.(2) else "plots" in
   if not (Sys.file_exists src && Sys.is_directory src) then begin
     Printf.eprintf
-      "no directory %S; generate it with: kingsguard-experiments --csv --out %s\n" src src;
+      "no directory %S; generate it with: kingsguard experiments --csv --out %s\n" src src;
     exit 1
   end;
   if not (Sys.file_exists dst) then Sys.mkdir dst 0o755;

@@ -1,7 +1,6 @@
-(** The [experiments] command, shared between the standalone
-    [kingsguard-experiments] binary and the [kingsguard experiments]
-    subcommand: regenerate any subset of the paper's tables and
-    figures through the parallel experiment engine. *)
+(** The [kingsguard experiments] subcommand: regenerate any subset of
+    the paper's tables and figures through the parallel experiment
+    engine. *)
 
 val term : int Cmdliner.Term.t
 val doc : string

@@ -1,4 +1,5 @@
 open Kg_util
+open Json
 module E = Kg_sim.Experiments
 module R = Kg_sim.Run
 module GS = Kg_gc.Gc_stats
@@ -27,207 +28,6 @@ let create ?(dir = default_dir) () =
 let dir t = t.dir
 let key ~opts j = Printf.sprintf "v%d;%s" format_version (E.job_key opts j)
 let path t k = Filename.concat t.dir (Digest.to_hex (Digest.string k) ^ ".json")
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON: exactly what our own writer emits. Floats never
-   appear as JSON numbers — they are quoted "%h" hex literals, the
-   only representation that survives a text round trip bit-exactly
-   (including infinities, which matter for death stamps). *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let buf_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let rec write b = function
-  | Null -> Buffer.add_string b "null"
-  | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Str s ->
-    Buffer.add_char b '"';
-    buf_escape b s;
-    Buffer.add_char b '"'
-  | Arr l ->
-    Buffer.add_char b '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char b ',';
-        write b v)
-      l;
-    Buffer.add_char b ']'
-  | Obj l ->
-    Buffer.add_char b '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        write b (Str k);
-        Buffer.add_char b ':';
-        write b v)
-      l;
-    Buffer.add_char b '}'
-
-let to_string j =
-  let b = Buffer.create 4096 in
-  write b j;
-  Buffer.contents b
-
-exception Malformed of string
-
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Malformed (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else fail "unexpected end" in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\n' || s.[!pos] = '\r') do
-      incr pos
-    done
-  in
-  let expect c = if peek () = c then advance () else fail (Printf.sprintf "expected %C" c) in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char b '"'; advance ()
-        | '\\' -> Buffer.add_char b '\\'; advance ()
-        | '/' -> Buffer.add_char b '/'; advance ()
-        | 'n' -> Buffer.add_char b '\n'; advance ()
-        | 't' -> Buffer.add_char b '\t'; advance ()
-        | 'r' -> Buffer.add_char b '\r'; advance ()
-        | 'b' -> Buffer.add_char b '\b'; advance ()
-        | 'f' -> Buffer.add_char b '\012'; advance ()
-        | 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let code =
-            try int_of_string ("0x" ^ String.sub s !pos 4)
-            with Failure _ -> fail "bad \\u escape"
-          in
-          pos := !pos + 4;
-          if code < 0x80 then Buffer.add_char b (Char.chr code)
-          else fail "non-ASCII \\u escape"
-        | _ -> fail "bad escape");
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then (advance (); Obj [])
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (k, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); members ()
-          | '}' -> advance ()
-          | _ -> fail "expected ',' or '}'"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then (advance (); Arr [])
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); elements ()
-          | ']' -> advance ()
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements ();
-        Arr (List.rev !items)
-      end
-    | '"' -> Str (parse_string ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | _ ->
-      let start = !pos in
-      if peek () = '-' then advance ();
-      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-        incr pos
-      done;
-      if !pos = start then fail "expected a value";
-      Int (int_of_string (String.sub s start (!pos - start)))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-(* accessors *)
-let member k = function
-  | Obj l -> ( match List.assoc_opt k l with Some v -> v | None -> raise (Malformed ("missing field " ^ k)))
-  | _ -> raise (Malformed ("not an object looking up " ^ k))
-
-let to_int = function Int i -> i | _ -> raise (Malformed "expected int")
-let to_str = function Str s -> s | _ -> raise (Malformed "expected string")
-let to_bool = function Bool b -> b | _ -> raise (Malformed "expected bool")
-let to_arr = function Arr l -> l | _ -> raise (Malformed "expected array")
-
-let float_j f = Str (Printf.sprintf "%h" f)
-
-let to_float = function
-  | Str s -> (
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> raise (Malformed ("bad float " ^ s)))
-  | _ -> raise (Malformed "expected float string")
-
-let opt_j f = function None -> Null | Some v -> f v
-let to_opt f = function Null -> None | v -> Some (f v)
 
 (* ------------------------------------------------------------------ *)
 (* Run.spec *)
@@ -270,9 +70,9 @@ let spec_j (s : R.spec) =
       ("collector", collector_j s.R.collector);
       ("nursery_mb", Int s.R.nursery_mb);
       ("wp", Bool s.R.wp);
-      ("observer_mb", opt_j (fun m -> Int m) s.R.observer_mb);
+      ("observer_mb", opt (fun m -> Int m) s.R.observer_mb);
       ("write_threshold", Int s.R.write_threshold);
-      ("pcm_write_trigger_mb", opt_j (fun m -> Int m) s.R.pcm_write_trigger_mb);
+      ("pcm_write_trigger_mb", opt (fun m -> Int m) s.R.pcm_write_trigger_mb);
     ]
 
 let spec_of_j j =
@@ -421,12 +221,12 @@ let parts_j (p : Kg_sim.Time_model.parts) =
   let module T = Kg_sim.Time_model in
   Obj
     [
-      ("app_ns", float_j p.T.app_ns);
-      ("gc_ns", float_j p.T.gc_ns);
-      ("remset_ns", float_j p.T.remset_ns);
-      ("monitor_ns", float_j p.T.monitor_ns);
-      ("mem_base_ns", float_j p.T.mem_base_ns);
-      ("mem_pcm_extra_ns", float_j p.T.mem_pcm_extra_ns);
+      ("app_ns", float p.T.app_ns);
+      ("gc_ns", float p.T.gc_ns);
+      ("remset_ns", float p.T.remset_ns);
+      ("monitor_ns", float p.T.monitor_ns);
+      ("mem_base_ns", float p.T.mem_base_ns);
+      ("mem_pcm_extra_ns", float p.T.mem_pcm_extra_ns);
     ]
 
 let parts_of_j j =
@@ -444,10 +244,10 @@ let energy_j (e : Kg_sim.Energy.t) =
   let module En = Kg_sim.Energy in
   Obj
     [
-      ("cpu_j", float_j e.En.cpu_j);
-      ("static_dram_j", float_j e.En.static_dram_j);
-      ("static_pcm_j", float_j e.En.static_pcm_j);
-      ("dynamic_j", float_j e.En.dynamic_j);
+      ("cpu_j", float e.En.cpu_j);
+      ("static_dram_j", float e.En.static_dram_j);
+      ("static_pcm_j", float e.En.static_pcm_j);
+      ("dynamic_j", float e.En.dynamic_j);
     ]
 
 let energy_of_j j =
@@ -463,10 +263,10 @@ let hist_j h =
   let module H = Kg_util.Hdr_histogram in
   Obj
     [
-      ("unit_value", float_j (H.unit_value h));
+      ("unit_value", float (H.unit_value h));
       ("sub", Int (H.sub h));
       ("octaves", Int (H.octaves h));
-      ("max_value", float_j (H.max_value h));
+      ("max_value", float (H.max_value h));
       ( "bins",
         Arr (List.map (fun (bin, count) -> Arr [ Int bin; Int count ]) (H.nonzero h)) );
     ]
@@ -488,7 +288,7 @@ let serve_j (s : R.serve_metrics) =
   Obj
     [
       ("requests", Int s.R.requests);
-      ("rate", float_j s.R.rate);
+      ("rate", float s.R.rate);
       ("t1_hits", Int s.R.t1_hits);
       ("t2_hits", Int s.R.t2_hits);
       ("backend_fills", Int s.R.backend_fills);
@@ -516,32 +316,32 @@ let result_j (r : R.result) =
       ("spec", spec_j r.R.spec);
       ("stats", stats_j r.R.stats);
       ("alloc_bytes", Int r.R.alloc_bytes);
-      ("mem_pcm_write_bytes", float_j r.R.mem_pcm_write_bytes);
-      ("mem_dram_write_bytes", float_j r.R.mem_dram_write_bytes);
-      ("mem_pcm_read_bytes", float_j r.R.mem_pcm_read_bytes);
-      ("mem_dram_read_bytes", float_j r.R.mem_dram_read_bytes);
+      ("mem_pcm_write_bytes", float r.R.mem_pcm_write_bytes);
+      ("mem_dram_write_bytes", float r.R.mem_dram_write_bytes);
+      ("mem_pcm_read_bytes", float r.R.mem_pcm_read_bytes);
+      ("mem_dram_read_bytes", float r.R.mem_dram_read_bytes);
       ( "pcm_writes_by_phase",
-        Arr (Array.to_list (Array.map float_j r.R.pcm_writes_by_phase)) );
-      ("wear_cov", float_j r.R.wear_cov);
-      ("migration_pcm_bytes", float_j r.R.migration_pcm_bytes);
-      ("wp_dram_mb", float_j r.R.wp_dram_mb);
+        Arr (Array.to_list (Array.map float r.R.pcm_writes_by_phase)) );
+      ("wear_cov", float r.R.wear_cov);
+      ("migration_pcm_bytes", float r.R.migration_pcm_bytes);
+      ("wp_dram_mb", float r.R.wp_dram_mb);
       ("time_parts", parts_j r.R.time_parts);
-      ("time_s", float_j r.R.time_s);
-      ("energy", opt_j energy_j r.R.energy);
-      ("edp", float_j r.R.edp);
-      ("dram_avg_mb", float_j r.R.dram_avg_mb);
-      ("dram_max_mb", float_j r.R.dram_max_mb);
-      ("pcm_avg_mb", float_j r.R.pcm_avg_mb);
-      ("pcm_max_mb", float_j r.R.pcm_max_mb);
-      ("mature_dram_avg_mb", float_j r.R.mature_dram_avg_mb);
-      ("meta_mb", float_j r.R.meta_mb);
+      ("time_s", float r.R.time_s);
+      ("energy", opt energy_j r.R.energy);
+      ("edp", float r.R.edp);
+      ("dram_avg_mb", float r.R.dram_avg_mb);
+      ("dram_max_mb", float r.R.dram_max_mb);
+      ("pcm_avg_mb", float r.R.pcm_avg_mb);
+      ("pcm_max_mb", float r.R.pcm_max_mb);
+      ("mature_dram_avg_mb", float r.R.mature_dram_avg_mb);
+      ("meta_mb", float r.R.meta_mb);
       ( "trace",
         Arr
           (List.map
-             (fun (clock, pcm, dram) -> Arr [ float_j clock; float_j pcm; float_j dram ])
+             (fun (clock, pcm, dram) -> Arr [ float clock; float pcm; float dram ])
              r.R.trace) );
       ("check_violations", Arr (List.map (fun v -> Str v) r.R.check_violations));
-      ("serve", opt_j serve_j r.R.serve);
+      ("serve", opt serve_j r.R.serve);
     ]
 
 let result_of_j j =
@@ -590,9 +390,7 @@ let result_of_j j =
 let to_json r = to_string (result_j r)
 
 let of_json line =
-  match parse line with
-  | j -> ( try result_of_j j with Malformed m -> failwith ("Store.of_json: " ^ m))
-  | exception Malformed m -> failwith ("Store.of_json: " ^ m)
+  try result_of_j (parse line) with Malformed m -> failwith ("Store.of_json: " ^ m)
 
 (* ------------------------------------------------------------------ *)
 (* Files *)

@@ -17,7 +17,7 @@
     The on-disk format is one JSON object per line, e.g.
     [{"ev":"alloc","id":3,"size":64,"heat":0,"death":"0x1.5p+20","rf":2}].
     Death stamps are quoted hexadecimal float literals so they round
-    trip bit-exactly (including ["inf"] for immortal objects). *)
+    trip bit-exactly (including ["infinity"] for immortal objects). *)
 
 type event =
   | Alloc of {
@@ -49,8 +49,10 @@ val events : recorder -> event array
 
 val to_json : event -> string
 val of_json : string -> event
-(** Raises [Failure] on a malformed line, including one cut short (a
-    line must end in [}]). *)
+(** Raises [Failure] on anything but one complete event object (see
+    {!Kg_util.Json.parse}): a line cut short or with bytes around the
+    object, an unknown event kind, a missing or mistyped field, or a
+    heat tag outside 0-2. *)
 
 val save : string -> event array -> unit
 (** Write a JSONL trace file, one event per line. *)

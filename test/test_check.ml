@@ -68,7 +68,11 @@ let test_trace_malformed () =
   bad "{}";
   bad {|{"ev":"teleport"}|};
   bad {|{"ev":"alloc","id":1}|};
-  bad {|{"ev":"alloc","id":"x","size":64,"heat":0,"death":"inf","rf":2}|}
+  bad {|{"ev":"alloc","id":"x","size":64,"heat":0,"death":"inf","rf":2}|};
+  bad {|{"ev":"wref","src":1,"tgt":4}2}|};
+  bad {|garbage{"ev":"wprim","obj":7}|};
+  bad {|{"ev":"wref","src":1,"tgt":42,"x":}|};
+  bad {|{"ev":"boot","id":4,"size":16,"heat":3,"rf":1}|}
 
 let contains s sub =
   let n = String.length s and k = String.length sub in
@@ -103,6 +107,26 @@ let test_trace_truncated_last_line () =
         else
           check_bool (Printf.sprintf "cut at byte %d loads every event" cut) true (Trace.load f = evs)
       done)
+
+(* A heat tag outside 0-2 is malformed input like any other: the load
+   fails naming the line, not with an escaped [Invalid_argument]. *)
+let test_trace_bad_heat_names_line () =
+  let f = Filename.temp_file "kg_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove f)
+    (fun () ->
+      Trace.save f (Array.of_list sample_events);
+      Out_channel.with_open_gen [ Open_append; Open_text ] 0o644 f (fun oc ->
+          output_string oc {|{"ev":"alloc","id":5,"size":64,"heat":7,"death":"inf","rf":2}|};
+          output_char oc '\n');
+      let line_no = List.length sample_events + 1 in
+      match Trace.load f with
+      | _ -> Alcotest.fail "a heat tag of 7 loaded"
+      | exception Failure m ->
+        check_bool
+          (Printf.sprintf "names line %d: %s" line_no m)
+          true
+          (contains m (Printf.sprintf "line %d:" line_no)))
 
 (* ------------------------------------------------------------------ *)
 (* Model-based testing: random mutator programs under every collector,
@@ -417,6 +441,7 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_trace_file_roundtrip;
           Alcotest.test_case "malformed rejected" `Quick test_trace_malformed;
           Alcotest.test_case "truncated final line" `Quick test_trace_truncated_last_line;
+          Alcotest.test_case "bad heat tag names its line" `Quick test_trace_bad_heat_names_line;
         ] );
       ("model", [ q model_qcheck ]);
       ( "differential",

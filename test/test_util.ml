@@ -432,6 +432,90 @@ let test_domain_budget () =
   end;
   check_int "back to the start" base (B.claimed ())
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+
+(* Values with nesting, every byte in strings and keys (quotes,
+   backslashes, control characters, non-ASCII), the int extremes and
+   Json.float of infinities, NaN and extreme magnitudes. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 12) in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ int; oneofl [ 0; -1; max_int; min_int ] ]);
+        map (fun s -> Json.Str s) str;
+        map Json.float
+          (oneof
+             [
+               float;
+               oneofl [ infinity; neg_infinity; nan; max_float; min_float; 5e-324; -0.0 ];
+             ]);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 3))));
+               (1, map (fun l -> Json.Obj l) (list_size (0 -- 4) (pair str (self (n / 3)))));
+             ])
+
+let json_roundtrip_qcheck =
+  QCheck.Test.make ~name:"json parse (to_string v) = v" ~count:500
+    (QCheck.make json_gen ~print:Json.to_string)
+    (fun v -> Json.parse (Json.to_string v) = v)
+
+let rejected s =
+  match Json.parse s with exception Json.Malformed _ -> true | _ -> false
+
+(* The parser takes one complete value and nothing else: every proper
+   prefix of a document fails, and so do bytes before or after it. *)
+let test_json_prefixes_and_trailing () =
+  let doc =
+    Json.to_string
+      (Json.Obj
+         [
+           ("ev", Json.Str "wref\t\"q\"\001");
+           ("src", Json.Int 1);
+           ("tgt", Json.Int 42);
+           ("death", Json.float infinity);
+           ("l", Json.Arr [ Json.Null; Json.Bool true; Json.Obj []; Json.Arr [] ]);
+         ])
+  in
+  for cut = 0 to String.length doc - 1 do
+    check_bool (Printf.sprintf "prefix %S rejected" (String.sub doc 0 cut)) true
+      (rejected (String.sub doc 0 cut))
+  done;
+  List.iter
+    (fun s -> check_bool (Printf.sprintf "%S rejected" s) true (rejected s))
+    [ doc ^ "x"; doc ^ "2}"; doc ^ doc; "garbage" ^ doc; {|{"a":1,"b":}|}; {|[1,]|}; "1.5"; "-" ];
+  check_bool "surrounding whitespace allowed" true (Json.parse (" \n" ^ doc ^ "\r\n") = Json.parse doc)
+
+let test_json_int_range () =
+  check_bool "max_int" true (Json.parse (string_of_int max_int) = Json.Int max_int);
+  check_bool "min_int" true (Json.parse (string_of_int min_int) = Json.Int min_int);
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | exception Json.Malformed _ -> ()
+      | _ -> Alcotest.failf "accepted out-of-range %s" s
+      | exception e -> Alcotest.failf "%s raised %s" s (Printexc.to_string e))
+    [ "4611686018427387904"; {|{"n":-4611686018427387905}|}; "99999999999999999999999" ]
+
+let test_json_float_bits () =
+  List.iter
+    (fun f ->
+      let f' = Json.to_float (Json.parse (Json.to_string (Json.float f))) in
+      check_bool (Printf.sprintf "%h" f) true (Int64.bits_of_float f' = Int64.bits_of_float f))
+    [ infinity; neg_infinity; max_float; min_float; 5e-324; -0.0; 0.1; 1234567.8901234567 ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_util"
@@ -488,6 +572,14 @@ let () =
           Alcotest.test_case "bar chart" `Quick test_svg_bar_chart;
           Alcotest.test_case "series mismatch" `Quick test_svg_bar_chart_mismatch;
           Alcotest.test_case "line chart" `Quick test_svg_line_chart;
+        ] );
+      ( "json",
+        [
+          q json_roundtrip_qcheck;
+          Alcotest.test_case "prefixes and trailing bytes rejected" `Quick
+            test_json_prefixes_and_trailing;
+          Alcotest.test_case "out-of-range integer malformed" `Quick test_json_int_range;
+          Alcotest.test_case "floats bit-exact" `Quick test_json_float_bits;
         ] );
       ("domain_budget", [ Alcotest.test_case "claim and try_claim" `Quick test_domain_budget ]);
       ( "table+units",
