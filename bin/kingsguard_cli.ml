@@ -105,13 +105,13 @@ let check_cmd benches scale heap_scale cap_mb seed domains parallel_gc jobs =
   in
   (* Resolve the audit matrix on the pool; await in submission order so
      the report reads the same at any --jobs width. *)
-  let pool = Kg_engine.Pool.create ~seed ~jobs () in
+  let pool = Kg_engine.Pool.create ~jobs in
   let futures =
     List.map
       (fun (bench, d, name, spec) ->
         ( bench,
           name,
-          Kg_engine.Pool.submit pool (fun ~seed:_ ->
+          Kg_engine.Pool.submit pool (fun () ->
               R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~parallel_gc
                 ~check:true ~mode:R.Count spec d) ))
       matrix

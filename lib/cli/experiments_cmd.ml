@@ -11,6 +11,7 @@ open Cmdliner
 module E = Kg_sim.Experiments
 
 let doc = "Regenerate the paper's tables and figures"
+let ids = List.map (fun (e : E.experiment) -> e.E.id) E.all
 
 let run_experiments list_only names quick scale heap_scale cap_mb seed csv out_dir jobs
     no_cache cache_dir progress =
@@ -52,8 +53,7 @@ let run_experiments list_only names quick scale heap_scale cap_mb seed csv out_d
           match List.find_opt (fun (e : E.experiment) -> e.E.id = n) E.all with
           | Some e -> Some e
           | None ->
-            Printf.eprintf "unknown experiment %S (known: %s)\n" n
-              (String.concat ", " (List.map (fun (e : E.experiment) -> e.E.id) E.all));
+            Printf.eprintf "unknown experiment %S (known: %s)\n" n (String.concat ", " ids);
             exit 1)
         names
   in
@@ -70,11 +70,11 @@ let run_experiments list_only names quick scale heap_scale cap_mb seed csv out_d
     Kg_engine.Exec.create ~jobs ~cache:(not no_cache) ?cache_dir ~progress opts
   in
   let env = Kg_engine.Exec.env ex in
-  (* Resolve every selected experiment's declared matrix up front — in
+  (* Resolve every selected experiment's runs up front — in
      parallel when jobs > 1 — so the sequential renderers below only
      read memoised results. *)
   Kg_engine.Exec.prefetch_experiments ex (List.map (fun (e : E.experiment) -> e.E.id) selected);
-  Option.iter (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755) out_dir;
+  Option.iter Kg_engine.Store.mkdir_p out_dir;
   List.iter
     (fun (e : E.experiment) ->
       Printf.printf "== %s — %s ==\n%!" e.E.id e.E.doc;
@@ -95,7 +95,7 @@ let run_experiments list_only names quick scale heap_scale cap_mb seed csv out_d
   0
 
 let names_arg =
-  let doc = "Experiments to run (default: all). Ids: tab1-tab4, fig1, fig2, fig5-fig13, ext-*." in
+  let doc = "Experiments to run (default: all). Ids: " ^ String.concat ", " ids ^ "." in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let list_arg =

@@ -12,7 +12,7 @@ type t = {
 let create ?(jobs = 1) ?(cache = true) ?cache_dir ?progress o =
   {
     o;
-    pool = Pool.create ~jobs ~seed:o.E.seed ();
+    pool = Pool.create ~jobs;
     store = (if cache then Some (Store.create ?dir:cache_dir ()) else None);
     progress = (match progress with Some p -> p | None -> Progress.create Progress.Quiet);
     memo = Hashtbl.create 256;
@@ -88,7 +88,7 @@ let prefetch t jobs =
   in
   ignore
     (Pool.run_all t.pool
-       (List.map (fun (key, j) ~seed:_ -> ignore (resolve t key j)) pending));
+       (List.map (fun (key, j) () -> ignore (resolve t key j)) pending));
   Progress.finish t.progress
 
 let prefetch_experiments t ids =

@@ -6,15 +6,15 @@
     results are published to the store, so any later process is
     incremental over this one.
 
-    Parallelism comes from {!prefetch}: the declared run matrix of the
-    selected experiments is deduplicated by cache key and every miss is
-    scheduled onto the pool; the table renderers then find every cell
-    already memoised. A run's value depends only on its key — each job
-    builds its own runtime, heap, caches, RNG and statistics from the
-    options' seed ({!Kg_sim.Run.run} shares no mutable state between
-    calls) — so a pool of any width, with or without a warm store,
-    produces field-for-field identical results and byte-identical
-    tables. *)
+    Parallelism comes from {!prefetch}: the runs of the selected
+    experiments are deduplicated by cache key and every miss is
+    scheduled onto the pool. An experiment's [runs] and its table come
+    from one plan, so the tables then find every run they read already
+    memoised. A run's value depends only on its key — each job builds
+    its own runtime, heap, caches, RNG and statistics from the options'
+    seed ({!Kg_sim.Run.run} shares no mutable state between calls) — so
+    a pool of any width, with or without a warm store, produces
+    field-for-field identical results and byte-identical tables. *)
 
 type t
 
@@ -46,7 +46,7 @@ val prefetch : t -> Kg_sim.Experiments.job list -> unit
     and re-raises here. *)
 
 val prefetch_experiments : t -> string list -> unit
-(** {!prefetch} the declared run matrix of the named experiments
+(** {!prefetch} the runs of the named experiments
     (unknown ids are ignored — the renderer will reject them with a
     proper error). *)
 

@@ -8,11 +8,9 @@ type core = {
   not_full : Condition.t;
   settled : Condition.t;  (* broadcast whenever any future settles *)
   queue : (unit -> unit) Queue.t;  (* thunk runs the job and fills its future *)
-  capacity : int;
   njobs : int;
-  seed : int;
   created_at : float;
-  mutable tickets : int;
+  mutable submitted : int;
   mutable completed : int;
   mutable failed : int;
   mutable cancelled : int;
@@ -24,14 +22,6 @@ type core = {
 
 type t = core
 type 'a future = { core : core; mutable outcome : 'a outcome }
-
-(* SplitMix64-style finalizer over (pool seed, ticket): decorrelated
-   per-job seeds that depend only on submission order. *)
-let mix seed ticket =
-  let z = Int64.of_int ((seed * 0x3779_97f5) lxor (ticket + 0x1234_5678)) in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.to_int (Int64.logxor z (Int64.shift_right_logical z 31)) land 0x3fff_ffff
 
 let now () = Unix.gettimeofday ()
 
@@ -52,9 +42,8 @@ let worker t () =
   in
   loop ()
 
-let create ?queue_capacity ?(seed = 0) ~jobs () =
+let create ~jobs =
   let njobs = max 1 (min jobs 128) in
-  let capacity = match queue_capacity with Some c -> max 1 c | None -> 4 * njobs in
   let t =
     {
       m = Mutex.create ();
@@ -62,11 +51,9 @@ let create ?queue_capacity ?(seed = 0) ~jobs () =
       not_full = Condition.create ();
       settled = Condition.create ();
       queue = Queue.create ();
-      capacity;
       njobs;
-      seed;
       created_at = now ();
-      tickets = 0;
+      submitted = 0;
       completed = 0;
       failed = 0;
       cancelled = 0;
@@ -86,7 +73,7 @@ let jobs t = t.njobs
 
 (* Execute [f] for [fut], settling it and the pool accounting. Called
    from a worker domain (or inline); takes the lock only to settle. *)
-let execute t fut f job_seed =
+let execute t fut f =
   let cancelled_before_run =
     Mutex.lock t.m;
     let c = t.first_error <> None in
@@ -100,7 +87,7 @@ let execute t fut f job_seed =
   in
   if not cancelled_before_run then begin
     let t0 = now () in
-    let outcome = try Value (f ~seed:job_seed) with e -> Failed e in
+    let outcome = try Value (f ()) with e -> Failed e in
     let dt = now () -. t0 in
     Mutex.lock t.m;
     t.busy_s <- t.busy_s +. dt;
@@ -126,9 +113,7 @@ let submit t f =
     Mutex.unlock t.m;
     invalid_arg "Pool.submit: pool is shut down"
   end;
-  let ticket = t.tickets in
-  t.tickets <- ticket + 1;
-  let job_seed = mix t.seed ticket in
+  t.submitted <- t.submitted + 1;
   let fut = { core = t; outcome = Pending } in
   if t.first_error <> None then begin
     (* fail fast: the matrix is already doomed, don't run stragglers *)
@@ -140,14 +125,14 @@ let submit t f =
   end
   else if t.njobs <= 1 then begin
     Mutex.unlock t.m;
-    execute t fut f job_seed;
+    execute t fut f;
     fut
   end
   else begin
-    while Queue.length t.queue >= t.capacity && t.first_error = None do
+    while Queue.length t.queue >= 4 * t.njobs && t.first_error = None do
       Condition.wait t.not_full t.m
     done;
-    Queue.push (fun () -> execute t fut f job_seed) t.queue;
+    Queue.push (fun () -> execute t fut f) t.queue;
     Condition.signal t.not_empty;
     Mutex.unlock t.m;
     fut
@@ -190,7 +175,7 @@ let totals t =
   Mutex.lock t.m;
   let r =
     {
-      submitted = t.tickets;
+      submitted = t.submitted;
       completed = t.completed;
       failed = t.failed;
       cancelled = t.cancelled;

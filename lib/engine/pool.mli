@@ -3,10 +3,7 @@
     Jobs are submitted from one coordinating domain and executed by
     [jobs] worker domains ([jobs <= 1] degenerates to inline execution
     in the submitting domain, so sequential and parallel runs share one
-    code path). Each job receives a seed derived deterministically from
-    the pool seed and its submission ticket — never from scheduling
-    order or wall clock — so a pool of any width resolves the same
-    submissions to the same results.
+    code path).
 
     The first job that raises cancels everything still queued: their
     futures settle with {!Cancelled}, and the pool refuses further
@@ -19,28 +16,24 @@ type t
 exception Cancelled
 (** The job never ran: an earlier job failed first. *)
 
-val create : ?queue_capacity:int -> ?seed:int -> jobs:int -> unit -> t
+val create : jobs:int -> t
 (** [jobs] worker domains (clamped to [1 .. 128]; [<= 1] means inline
-    execution, no domains spawned). [queue_capacity] bounds how many
-    submitted-but-unclaimed jobs may exist before {!submit} blocks
-    (default [4 * jobs]). [seed] (default 0) is the base of per-job
-    seed derivation. *)
+    execution, no domains spawned). At most [4 * jobs] submitted jobs
+    wait unclaimed before {!submit} blocks. *)
 
 val jobs : t -> int
 (** Worker count (1 for an inline pool). *)
 
 type 'a future
 
-val submit : t -> (seed:int -> 'a) -> 'a future
-(** Enqueue a job; blocks while the queue is full. The job's [seed] is
-    [mix pool_seed ticket] where tickets count submissions, so it is
-    stable across pool widths and re-runs. *)
+val submit : t -> (unit -> 'a) -> 'a future
+(** Enqueue a job; blocks while the queue is full. *)
 
 val await : 'a future -> 'a
 (** Block until the job settles; returns its value or re-raises its
     exception ({!Cancelled} if it was discarded). *)
 
-val run_all : t -> (seed:int -> 'a) list -> 'a list
+val run_all : t -> (unit -> 'a) list -> 'a list
 (** Submit everything, await everything (in submission order), and
     return the values. If any job failed, re-raises the error of the
     earliest-submitted failed job after all futures have settled. *)

@@ -32,6 +32,10 @@ val default_dir : string
 val create : ?dir:string -> unit -> t
 (** Opens (and creates, including parents) the cache directory. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents; one that already
+    exists, or that another process creates meanwhile, is fine. *)
+
 val dir : t -> string
 
 val key : opts:Kg_sim.Experiments.opts -> Kg_sim.Experiments.job -> string

@@ -9,10 +9,12 @@
     An environment is parameterised by its fetch function, so the run
     matrix can be resolved by the default in-process memo table or by
     an external engine (see {!Kg_engine.Exec}) that schedules misses
-    onto a domain pool and persists results on disk. Each experiment
-    additionally declares the jobs it will fetch ([runs]), which is
-    what lets an engine resolve a whole figure's matrix in parallel
-    before the (sequential) table renderer asks for any of it. *)
+    onto a domain pool and persists results on disk. Each table is
+    written as a plan of the runs it reads: the list of runs is fixed
+    before any result exists, and the table is computed from their
+    results. An experiment's [runs] and [table] both come from that one
+    plan, which is what lets an engine resolve a whole figure's matrix
+    in parallel before the (sequential) table asks for any of it. *)
 
 type opts = {
   scale : int;  (** divide each benchmark's allocation volume *)
@@ -78,32 +80,22 @@ val make_env_with : fetch:(job -> Run.result) -> opts -> env
 (** Environment with an external resolver (memoisation, scheduling and
     persistence are the resolver's business). *)
 
-val opts : env -> opts
-
-val fetch :
-  env ->
-  ?trace:bool ->
-  ?threads:int ->
-  ?parallel_gc:bool ->
-  ?cap_mb:int ->
-  ?serve:int ->
-  Run.mode ->
-  Run.spec ->
-  Kg_workload.Descriptor.t ->
-  Run.result
-(** Memoised access to the underlying runs (exposed for tests and for
-    the example programs). *)
+val fetch : env -> job -> Run.result
+(** Resolve one run through the environment (exposed for tests). *)
 
 type experiment = {
   id : string;
   doc : string;
   runs : opts -> job list;
-      (** the fetches the table will perform, for prefetching; may
-          contain duplicates and may be empty for experiments that do
-          not go through {!fetch} (tab1/tab2 are static; ext-allocator
+      (** the runs the table reads, each once (distinct by {!job_key}),
+          in the order the table first names them; empty for tables
+          that read no run (tab1 and tab2 are static; ext-allocator
           drives spaces directly) *)
   table : env -> Kg_util.Table.t;
+      (** reads exactly the runs of [runs] at the environment's options *)
 }
+(** [runs] and [table] come from one plan of the table, so the runs an
+    engine resolves ahead of rendering are the runs the table reads. *)
 
 val all : experiment list
 (** Every experiment: tab1-tab4, fig1, fig2, fig5-fig13, the ext-*

@@ -54,8 +54,8 @@ let temp_dir =
 let test_pool_values () =
   List.iter
     (fun jobs ->
-      let p = Pool.create ~jobs () in
-      let vals = Pool.run_all p (List.init 20 (fun i ~seed:_ -> i * i)) in
+      let p = Pool.create ~jobs in
+      let vals = Pool.run_all p (List.init 20 (fun i () -> i * i)) in
       check_bool
         (Printf.sprintf "jobs=%d: values in submission order" jobs)
         true
@@ -71,32 +71,15 @@ let test_pool_values () =
       Pool.shutdown p)
     [ 1; 3 ]
 
-let test_pool_seeds () =
-  (* per-job seeds depend on (pool seed, ticket) only: same list at any
-     pool width, different list under a different pool seed *)
-  let seeds_at ~seed jobs =
-    let p = Pool.create ~seed ~jobs () in
-    let ss = Pool.run_all p (List.init 16 (fun _ ~seed -> seed)) in
-    Pool.shutdown p;
-    ss
-  in
-  let s1 = seeds_at ~seed:7 1 in
-  let s4 = seeds_at ~seed:7 4 in
-  check_bool "same seeds at jobs=1 and jobs=4" true (s1 = s4);
-  check_bool "same seeds on a second pool" true (s1 = seeds_at ~seed:7 1);
-  check_bool "different pool seed, different job seeds" true (s1 <> seeds_at ~seed:8 1);
-  check_int "seeds decorrelated (all distinct)" 16
-    (List.length (List.sort_uniq compare s1))
-
 let test_pool_cancel () =
   (* inline pool: deterministic — the failure settles before the next
      submission, so every later job is discarded as Cancelled *)
-  let p = Pool.create ~jobs:1 () in
+  let p = Pool.create ~jobs:1 in
   let ran = ref 0 in
   let fs =
-    (fun ~seed:_ -> incr ran)
-    :: (fun ~seed:_ -> failwith "boom")
-    :: List.init 5 (fun _ ~seed:_ -> incr ran)
+    (fun () -> incr ran)
+    :: (fun () -> failwith "boom")
+    :: List.init 5 (fun _ () -> incr ran)
   in
   (try
      ignore (Pool.run_all p fs);
@@ -111,9 +94,9 @@ let test_pool_cancel () =
      real error, never Cancelled; its workers hold the domain budget
      until shutdown *)
   let before = Kg_util.Domain_budget.claimed () in
-  let p = Pool.create ~jobs:4 () in
+  let p = Pool.create ~jobs:4 in
   check_int "workers claimed" (before + 4) (Kg_util.Domain_budget.claimed ());
-  let fs = List.init 12 (fun i ~seed:_ -> if i = 3 then failwith "boom" else i) in
+  let fs = List.init 12 (fun i () -> if i = 3 then failwith "boom" else i) in
   (try
      ignore (Pool.run_all p fs);
      Alcotest.fail "run_all should re-raise"
@@ -122,13 +105,13 @@ let test_pool_cancel () =
   check_int "claims released on shutdown" before (Kg_util.Domain_budget.claimed ())
 
 let test_pool_shutdown () =
-  let p = Pool.create ~jobs:2 () in
-  ignore (Pool.run_all p [ (fun ~seed:_ -> ()) ]);
+  let p = Pool.create ~jobs:2 in
+  ignore (Pool.run_all p [ (fun () -> ()) ]);
   Pool.shutdown p;
   Pool.shutdown p;
   (* idempotent *)
   (try
-     ignore (Pool.submit p (fun ~seed:_ -> ()));
+     ignore (Pool.submit p (fun () -> ()));
      Alcotest.fail "submit after shutdown should raise"
    with Invalid_argument _ -> ())
 
@@ -451,14 +434,38 @@ let all_ids = List.map (fun (e : E.experiment) -> e.E.id) E.all
 let render_all env =
   List.map (fun (e : E.experiment) -> (e.E.id, Kg_util.Table.render (e.E.table env))) E.all
 
+let declared_keys (e : E.experiment) = List.map (E.job_key o) (e.E.runs o)
+
 let test_determinism () =
   let dir = temp_dir () in
   (* cold store, parallel pool *)
   let ex4 = Exec.create ~jobs:cold_jobs ~cache_dir:dir o in
   Exec.prefetch_experiments ex4 all_ids;
   check_int "cold pass: everything computed" 0 (Exec.hits ex4);
-  check_bool "cold pass: something computed" true (Exec.misses ex4 > 0);
+  let distinct = List.sort_uniq compare (List.concat_map declared_keys E.all) in
+  check_int "cold pass: one run per distinct declared key" (List.length distinct)
+    (Exec.misses ex4);
   let tables4 = render_all (Exec.env ex4) in
+  check_int "rendering after the prefetch computes nothing" (List.length distinct)
+    (Exec.misses ex4);
+  (* Each table reads exactly the runs its experiment declares, and no
+     declared run list repeats a key. *)
+  List.iter
+    (fun (e : E.experiment) ->
+      let declared = declared_keys e in
+      check_int (e.E.id ^ ": runs repeat no key") (List.length declared)
+        (List.length (List.sort_uniq compare declared));
+      let read = ref [] in
+      let env =
+        E.make_env_with o ~fetch:(fun j ->
+            read := E.job_key o j :: !read;
+            Exec.fetch ex4 j)
+      in
+      ignore (e.E.table env);
+      Alcotest.(check (list string))
+        (e.E.id ^ ": reads exactly its declared runs")
+        (List.sort compare declared) (List.sort_uniq compare !read))
+    E.all;
   (* Release the pool's domains: the sequential engine then finds a
      spare core (on a host with two or more) and pipelines its
      Simulate runs' cache-sim sinks, which the pool's jobs did not. *)
@@ -535,7 +542,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "values in order" `Quick test_pool_values;
-          Alcotest.test_case "deterministic seeds" `Quick test_pool_seeds;
           Alcotest.test_case "cancel on first error" `Quick test_pool_cancel;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
         ] );

@@ -308,8 +308,8 @@ let test_modes_agree_at_barrier_level () =
 let test_experiments_cache_reuse () =
   let env = tiny_env () in
   let d = D.find "fop" in
-  let a = Experiments.fetch env R.Count R.kg_n d in
-  let b = Experiments.fetch env R.Count R.kg_n d in
+  let a = Experiments.fetch env (Experiments.job R.Count R.kg_n d) in
+  let b = Experiments.fetch env (Experiments.job R.Count R.kg_n d) in
   check_bool "memoised (same physical result)" true (a == b)
 
 let () =
