@@ -280,7 +280,7 @@ let build_record pop =
 
 let build_words pop =
   let n = Array.length pop.p_sizes in
-  let w = Kg_heap.Heap_words.create () in
+  let w = O.create () in
   let cursor = ref 0 in
   for i = 0 to n - 1 do
     let o =
@@ -314,7 +314,7 @@ let mark_sweep_record (s : Record_store.t) now =
 
 let mark_sweep_words w now =
   let bytes = ref 0 in
-  let len = Kg_heap.Heap_words.length w in
+  let len = O.length w in
   for o = 1 to len do
     if O.is_live w o now then O.set_marked w o true
   done;
@@ -339,7 +339,7 @@ let count_record (s : Record_store.t) port now =
   Port.flush port
 
 let count_words w port now =
-  let len = Kg_heap.Heap_words.length w in
+  let len = O.length w in
   for o = 1 to len do
     if O.is_live w o now then Port.write port ~addr:(O.addr w o) ~size:(O.size w o)
   done;

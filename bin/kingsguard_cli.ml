@@ -49,6 +49,8 @@ let run_cmd bench spec simulate scale heap_scale cap_mb seed domains schedule_se
       observer_mb = (if observer = None then spec.R.observer_mb else observer);
     }
   in
+  if O.wp_without_simulate spec ~simulate then 1
+  else
   match D.find bench with
   | exception Not_found ->
     Printf.eprintf "unknown benchmark %S; try: %s\n" bench (String.concat ", " (D.names ()));
@@ -150,6 +152,8 @@ let check_t =
 (* replay: record a run, replay its trace, compare bit-for-bit         *)
 
 let replay_cmd bench spec scale heap_scale cap_mb seed trace_file =
+  if O.wp_without_simulate spec ~simulate:false then 1
+  else
   match D.find bench with
   | exception Not_found ->
     Printf.eprintf "unknown benchmark %S; try: %s\n" bench (String.concat ", " (D.names ()));

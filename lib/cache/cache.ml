@@ -101,9 +101,6 @@ let name t = t.name
 let line_size t = t.line_size
 let latency_ns t = t.latency_ns
 
-let block_of t addr = addr lsr t.line_bits
-let set_of t block = block land t.set_mask
-
 (* The single debug-mode bounds assertion guarding the unsafe scans:
    if [base] is in range, so is base + way for way < ways. Compiled
    out by -noassert (the release profile); the hot loops themselves
@@ -163,10 +160,10 @@ let rec scan_set tags meta base ways block way victim best =
    Returns 0 on a hit; on a miss the line is filled in place and the
    result is 1 (clean or invalid victim) or 2 (dirty victim published
    in [last_wb_addr]/[last_wb_tag], counted in [writebacks]).
-   Equivalent to [probe] followed (on miss, after the caller's
-   next-level fetch) by [fill]: nothing the caller does between the
-   two can touch this cache, so selecting the victim at probe time is
-   the same as selecting it at fill time. Never allocates. *)
+   Selecting the victim at lookup time is the same as selecting it
+   after the caller's next-level fetch, as a separate probe and fill
+   would: nothing the caller does in between can touch this cache.
+   Never allocates. *)
 let probe_fill t ~addr ~write ~tag =
   let block = addr lsr t.line_bits in
   let set = block land t.set_mask in
@@ -224,49 +221,6 @@ let bump_run t ~addr ~count ~dirty ~tag =
   let m = Array.unsafe_get t.meta i in
   Array.unsafe_set t.meta i
     (if dirty then meta_write clk tag else meta_restamp m clk)
-
-let probe t ~addr ~write ~tag =
-  let block = addr lsr t.line_bits in
-  let set = block land t.set_mask in
-  let base = set * t.ways in
-  check_base t base;
-  let hit = scan_hit t.tags base t.ways block 0 in
-  if hit >= 0 then begin
-    t.hits <- t.hits + 1;
-    let clk = t.clock + 1 in
-    t.clock <- clk;
-    let i = base + hit in
-    let m = Array.unsafe_get t.meta i in
-    Array.unsafe_set t.meta i
-      (if write then meta_write clk tag else meta_restamp m clk);
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    false
-  end
-
-(* Cold/compat path (tests, external callers): separate victim scan and
-   fill, allocating the classic [writeback option]. *)
-let fill t ~addr ~write ~tag =
-  let block = block_of t addr in
-  let set = set_of t block in
-  let base = set * t.ways in
-  check_base t base;
-  let victim = scan_set t.tags t.meta base t.ways (-2) 0 0 max_int land 0xff in
-  let idx = base + victim in
-  let wb =
-    if t.tags.(idx) >= 0 && meta_is_dirty t.meta.(idx) then begin
-      t.writebacks <- t.writebacks + 1;
-      Some { wb_addr = t.tags.(idx) lsl t.line_bits; wb_tag = meta_tag t.meta.(idx) }
-    end
-    else None
-  in
-  let clk = t.clock + 1 in
-  t.clock <- clk;
-  t.tags.(idx) <- block;
-  t.meta.(idx) <- (if write then meta_write clk tag else meta_read clk);
-  wb
 
 (* Cold path, safe indexing. Writebacks are emitted in ascending way
    index order (set-major), by consing during a descending scan: the

@@ -14,8 +14,8 @@
 type t
 
 type writeback = { wb_addr : int; wb_tag : int }
-(** A dirty line evicted by a fill: its block-aligned address and the
-    phase tag that last wrote it. *)
+(** A dirty line flushed by {!invalidate_all}: its block-aligned
+    address and the phase tag that last wrote it. *)
 
 val create : name:string -> size:int -> ways:int -> line_size:int -> latency_ns:float -> t
 (** [size] must be divisible by [ways * line_size], and the number of
@@ -25,22 +25,16 @@ val name : t -> string
 val line_size : t -> int
 val latency_ns : t -> float
 
-val probe : t -> addr:int -> write:bool -> tag:int -> bool
-(** [probe t ~addr ~write ~tag] looks up the line containing [addr].
-    On a hit it updates LRU state and, for a write, the dirty bit and
-    phase tag, returning [true]. On a miss it returns [false] without
-    allocating; the caller fetches the line from the next level and
-    then calls {!fill}. *)
-
 val probe_fill : t -> addr:int -> write:bool -> tag:int -> int
-(** Fused hot-path lookup: one scan over the set resolves the hit, the
-    victim choice and the writeback production. Returns [0] on a hit
-    (state updated as {!probe}). On a miss the line is filled in place
-    (as {!probe} followed by {!fill} — the set cannot change in
-    between, so fusing is behaviour-preserving) and the result is [1]
+(** [probe_fill t ~addr ~write ~tag] looks up the line containing
+    [addr]; one scan over its set resolves the hit, the victim choice
+    and the writeback. On a hit it updates LRU state and, for a write,
+    the dirty bit and phase tag, and returns [0]. On a miss it fills
+    the line in place, evicting the LRU way of the set, and returns [1]
     for a clean or invalid victim, or [2] for a dirty victim whose
     address and phase tag are published in {!last_wb_addr} and
-    {!last_wb_tag}. Never allocates. *)
+    {!last_wb_tag}; the caller writes that victim to the next level.
+    Never allocates. *)
 
 val last_wb_addr : t -> int
 (** Address of the dirty victim evicted by the last {!probe_fill} that
@@ -61,11 +55,6 @@ val prefetch_set : t -> addr:int -> unit
 (** Issue the loads for [addr]'s set so its tag and meta lines are in
     flight while the caller does other work. Purely a host-side
     latency hint: simulator state is not modified. *)
-
-val fill : t -> addr:int -> write:bool -> tag:int -> writeback option
-(** Allocate the line containing [addr] (after a miss), evicting the
-    LRU way of its set. Returns the dirty victim, if any, which the
-    caller must write to the next level. *)
 
 val invalidate_all : t -> writeback list
 (** Flush the cache, returning all dirty lines (used at simulation end

@@ -9,8 +9,6 @@ open Kg_mem
    would produce on every call). *)
 type t = {
   map : Address_map.t;
-  dram : Device.t;
-  pcm : Device.t;
   wear : Wear.t option;
   line_size : int;
   dram_base : int;
@@ -29,14 +27,16 @@ type t = {
   mutable on_write : int -> unit;
 }
 
-let create ?(dram = Device.dram) ?(pcm = Device.pcm) ?wear ?(max_tags = 8)
-    ?(on_write = fun _ -> ()) ~map ~line_size () =
+(* Per-tag write counters kept per device; writes with a larger tag
+   are counted only in the totals. *)
+let max_tags = 8
+
+let create ?wear ~map ~line_size () =
   let dram_base, dram_limit = Address_map.dram_bounds map in
   let pcm_base, pcm_limit = Address_map.pcm_bounds map in
+  let dram = Device.dram and pcm = Device.pcm in
   {
     map;
-    dram;
-    pcm;
     wear;
     line_size;
     dram_base;
@@ -64,15 +64,13 @@ let create ?(dram = Device.dram) ?(pcm = Device.pcm) ?wear ?(max_tags = 8)
         Device.read_energy_j pcm;
         Device.write_energy_j pcm;
       |];
-    on_write;
+    on_write = (fun _ -> ());
   }
 
 let set_on_write t f = t.on_write <- f
 
 let map t = t.map
 let line_size t = t.line_size
-
-let device t = function Device.Dram -> t.dram | Device.Pcm -> t.pcm
 
 (* An address outside both regions must raise exactly as the routing
    match did: Address_map.kind_of supplies the error. *)

@@ -7,21 +7,15 @@
 
 type t
 
-val create :
-  ?dram:Kg_mem.Device.t ->
-  ?pcm:Kg_mem.Device.t ->
-  ?wear:Kg_mem.Wear.t ->
-  ?max_tags:int ->
-  ?on_write:(int -> unit) ->
-  map:Kg_mem.Address_map.t ->
-  line_size:int ->
-  unit ->
-  t
-(** [on_write] observes every line writeback's physical address — the
-    hook OS write-partitioning uses to count per-page writes in the
-    memory controller. *)
+val create : ?wear:Kg_mem.Wear.t -> map:Kg_mem.Address_map.t -> line_size:int -> unit -> t
+(** A controller for the {!Kg_mem.Device.dram} and {!Kg_mem.Device.pcm}
+    devices of Table 2. PCM writes feed [wear], if given. *)
 
 val set_on_write : t -> (int -> unit) -> unit
+(** Install the hook that observes every line writeback's physical
+    address (replacing any earlier one) — the hook OS
+    write-partitioning uses to count per-page writes in the memory
+    controller. *)
 
 val map : t -> Kg_mem.Address_map.t
 val line_size : t -> int
@@ -59,7 +53,5 @@ val access_time_ns : t -> float
 
 val access_energy_j : t -> float
 (** Dynamic energy of all serviced accesses. *)
-
-val device : t -> Kg_mem.Device.kind -> Kg_mem.Device.t
 
 val reset : t -> unit

@@ -26,6 +26,25 @@ let simulate =
   let doc = "Run the full cache/memory simulation (slower) instead of barrier-level counting." in
   Arg.(value & flag & info [ "simulate" ] ~doc)
 
+(* WP places pages by the cache writebacks it observes, and a Count-mode
+   run simulates no cache: it would run GenImmix on the hybrid map under
+   the label WP. *)
+let wp_without_simulate spec ~simulate =
+  let bad = spec.R.wp && not simulate in
+  if bad then
+    prerr_endline
+      "collector wp needs --simulate: it acts on cache writebacks, which only the cache \
+       simulation produces (replay records without it, so use another collector there)";
+  bad
+
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (Printf.sprintf "%S is not a positive integer" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
 let scale =
   let doc = "Divide the benchmark's allocation volume by this factor." in
   Arg.(value & opt int 8 & info [ "scale" ] ~doc)
@@ -47,7 +66,7 @@ let domains =
     "Simulated mutator domains; above 1 the run executes the deterministic epoch protocol \
      (per-domain op streams merged by the schedule seed), all on one host domain."
   in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 let schedule_seed =
   let doc = "Seed for the deterministic merge schedule of multi-domain runs." in

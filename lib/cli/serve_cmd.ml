@@ -41,6 +41,8 @@ let print_serve (r : R.result) (s : R.serve_metrics) =
 
 let serve_cmd bench spec rate simulate scale heap_scale cap_mb seed domains schedule_seed
     parallel_gc =
+  if O.wp_without_simulate spec ~simulate then 1
+  else
   match D.find bench with
   | exception Not_found ->
     Printf.eprintf "unknown benchmark %S; try: %s\n" bench (String.concat ", " (D.names ()));
@@ -64,7 +66,7 @@ let bench_arg =
 
 let rate_arg =
   let doc = "Open-loop arrival rate, requests/sec across all domains." in
-  Arg.(value & opt int 1024 & info [ "rate" ] ~docv:"REQ_S" ~doc)
+  Arg.(value & opt O.positive 1024 & info [ "rate" ] ~docv:"REQ_S" ~doc)
 
 let term =
   Term.(

@@ -43,4 +43,3 @@ let name t =
     "KG-W" ^ suffix
 
 let has_observer t = match t.collector with Kg_writers _ -> true | _ -> false
-let monitors_writes = has_observer

@@ -54,4 +54,3 @@ val name : t -> string
     KG-W-LOO-MDO, KG-W-PM, GenImmix, KG-N-12). *)
 
 val has_observer : t -> bool
-val monitors_writes : t -> bool

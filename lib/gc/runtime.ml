@@ -120,7 +120,7 @@ let line_mark_chunk_bytes = Immix_space.meta_bytes_per_block * (Layout.mature_re
 let create ?(domains = 1) ?parallel_gc:_ ~config:cfg ~mem ~map ~seed () =
   if domains <= 0 then invalid_arg "Runtime.create: domains must be positive";
   let open Kg_mem in
-  let words = Heap_words.create () in
+  let words = O.create () in
   let arena_of_region kind =
     match kind with
     | Device.Dram ->
@@ -266,10 +266,6 @@ let heap_used t =
   let u = usage t in
   u.nursery_used + u.observer_used + u.mature_dram_used + u.mature_pcm_used
   + u.los_dram_used + u.los_pcm_used
-
-let live_large_bytes t =
-  Los.live_bytes t.los_pcm
-  + (match t.los_dram with Some l -> Los.live_bytes l | None -> 0)
 
 let space_kind_is_pcm t base = Kg_mem.Address_map.kind_of t.map base = Kg_mem.Device.Pcm
 
@@ -891,69 +887,3 @@ let flush_retirement_stats t =
   match t.los_dram with Some l -> Los.iter l each | None -> ()
 
 let nursery_free ?(domain = 0) t = Bump_space.free_bytes t.nurseries.(domain)
-
-let check_invariants t =
-  let w = t.words in
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let check_population name expected_id objs =
-    Vec.fold
-      (fun acc o ->
-        match acc with
-        | Error _ -> acc
-        | Ok () ->
-          if O.space w o <> expected_id then
-            fail "%s holds object at %#x with space id %d (expected %d)" name
-              (O.addr w o) (O.space w o) expected_id
-          else if O.addr w o < 0 then fail "%s holds an unallocated object" name
-          else Ok ())
-      (Ok ()) objs
-  in
-  let no_overlap name objs =
-    let live =
-      Vec.fold (fun acc o -> if O.is_live w o t.now then o :: acc else acc) [] objs
-    in
-    let sorted = List.sort (fun a b -> compare (O.addr w a) (O.addr w b)) live in
-    let rec go = function
-      | a :: b :: rest ->
-        if O.end_addr w a > O.addr w b then
-          fail "%s: live objects overlap at %#x and %#x" name (O.addr w a) (O.addr w b)
-        else go (b :: rest)
-      | _ -> Ok ()
-    in
-    go sorted
-  in
-  let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  let each_nursery f =
-    Array.to_list t.nurseries
-    |> List.fold_left
-         (fun acc n -> match acc with Error _ -> acc | Ok () -> f n)
-         (Ok ())
-  in
-  each_nursery (fun n ->
-      check_population (Bump_space.name n) sp_nursery (Bump_space.objects n))
-  >>= fun () ->
-  (match t.observer with
-  | Some obs -> check_population "observer" sp_observer (Bump_space.objects obs)
-  | None -> Ok ())
-  >>= fun () ->
-  check_population "mature-pcm" sp_mature_pcm (Immix_space.objects t.mature_pcm) >>= fun () ->
-  (match t.mature_dram with
-  | Some s -> check_population "mature-dram" sp_mature_dram (Immix_space.objects s)
-  | None -> Ok ())
-  >>= fun () ->
-  each_nursery (fun n -> no_overlap (Bump_space.name n) (Bump_space.objects n))
-  >>= fun () ->
-  no_overlap "mature-pcm" (Immix_space.objects t.mature_pcm) >>= fun () ->
-  (match t.mature_dram with
-  | Some s -> no_overlap "mature-dram" (Immix_space.objects s)
-  | None -> Ok ())
-  >>= fun () ->
-  let u = usage t in
-  if
-    heap_used t
-    <> u.nursery_used + u.observer_used + u.mature_dram_used + u.mature_pcm_used
-       + u.los_dram_used + u.los_pcm_used
-  then fail "usage components disagree with heap_used"
-  else if dram_used t + pcm_used t <> heap_used t + u.meta_used then
-    fail "device attribution disagrees with totals"
-  else Ok ()

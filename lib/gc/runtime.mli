@@ -137,8 +137,6 @@ val dram_used : t -> int
 
 val pcm_used : t -> int
 
-val live_large_bytes : t -> int
-
 val set_gc_hook : t -> (Phase.t -> unit) -> unit
 (** Invoked at the end of every collection — the Figure 13 heap
     composition traces sample usage from here. *)
@@ -216,9 +214,3 @@ val los_dram_space : t -> Kg_heap.Los.t option
 val meta_space : t -> Kg_heap.Meta_space.t
 val gen_remset : t -> Remset.t
 val obs_remset : t -> Remset.t option
-
-val check_invariants : t -> (unit, string) result
-(** Heavy-weight consistency check for tests and debugging: space
-    membership matches each object's [space] id, live objects in a
-    space never overlap, and usage accounting is internally consistent.
-    Returns [Error description] on the first violation. *)

@@ -13,6 +13,8 @@
       space contiguously from its base up to the bump cursor;
     - {b immix}: line/block metadata agrees with the resident
       population ({!Kg_heap.Immix_space.audit});
+    - {b no-overlap}: the live objects of each Immix space occupy
+      disjoint extents;
     - {b los-occupancy}: treadmill byte/object accounting matches the
       population;
     - {b config-placement}: on hybrid systems, each space sits on the

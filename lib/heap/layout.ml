@@ -1,6 +1,5 @@
 let word = 8
 let header_bytes = 8
-let write_word_bytes = 8
 let line = 256
 let block = 32 * 1024
 let lines_per_block = block / line

@@ -9,9 +9,6 @@ val word : int
 val header_bytes : int
 (** Standard object header (type/status word). *)
 
-val write_word_bytes : int
-(** The extra header word KG-W adds to record writes (§4.2.2). *)
-
 val line : int
 (** Immix line size = PCM line size = 256 B. *)
 

@@ -5,21 +5,52 @@
     standard trace-driven alternative to tracing a concrete pointer
     graph. Everything the collectors of the paper observe — size, age
     (which space it has reached), the write word, the mark state — is
-    explicit state, packed into the {!Heap_words} tables.
+    explicit state, packed into the words of a {!store}.
 
     An object is a dense integer index (its id) into a {!store}; every
     accessor takes the store first. Index lifetime rules: indices are
     assigned once by {!make}, never recycled, and stay valid for the
     life of the store — death only flips what {!is_live} answers, it
-    does not invalidate the index. *)
+    does not invalidate the index.
 
-type heat = Heap_words.heat = Cold | Warm | Hot
+    Object metadata lives in packed words inside flat [Bigarray]
+    tables, and allocation bump-advances the table cursor. One header
+    word packs size, heat, space, the written/marked flags and the
+    reference-slot count; a second word holds the address, a float64
+    word the oracle death time (kept as an IEEE double so liveness
+    compares bit-identically to the record heap), and a fourth word the
+    age / epoch-write / lifetime-write counters.
+
+    Accessors use unsafe Bigarray indexing guarded by [assert]s that
+    dev and test builds keep and the release profile strips with
+    [-noassert]. Table growth may move storage, so object creation
+    must stay confined to the sequential (boot / apply / GC) phases;
+    parallel mutator generation only reads. *)
+
+type heat = Cold | Warm | Hot
 (** Write-hotness class assigned by the workload: [Hot] objects are the
     top-2 % that take 81 % of mature writes, [Warm] the next 8 % (12 %
     of writes), [Cold] the rest (Figure 2). *)
 
-type store = Heap_words.t
+val heat_code : heat -> int
+(** The 2-bit header encoding of a heat class: [Cold] 0, [Warm] 1,
+    [Hot] 2. *)
+
+val heat_of_code : int -> heat
+(** Inverse of {!heat_code}. *)
+
+type store
 (** The packed metadata tables all accessors read and write. *)
+
+val create : ?capacity:int -> unit -> store
+(** Fresh store; [capacity] (default 4096) is the initial table size in
+    objects, doubled on demand. *)
+
+val length : store -> int
+(** Number of objects ever allocated (the cursor minus the reserved
+    null slot). *)
+
+val capacity : store -> int
 
 type t = int
 (** A dense object index; equal to the object's trace id. *)
@@ -34,8 +65,10 @@ val id : t -> int
 
 val make :
   store -> size:int -> heat:heat -> death:float -> ref_fields:int -> t
-(** Fresh unallocated object ([addr] = -1, [space] = -1); ids are
-    assigned densely from 1. *)
+(** Bump-allocate a fresh unallocated object ([addr] = -1, [space] =
+    -1, flags clear, counters zero); ids are assigned densely from 1.
+    Raises [Invalid_argument] if [size] is below
+    {!Layout.min_object}. *)
 
 val size : store -> t -> int
 (** Bytes, header included, word-aligned. *)

@@ -1,7 +1,6 @@
 type kind = Dram | Pcm
 
 let kind_to_string = function Dram -> "DRAM" | Pcm -> "PCM"
-let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)
 
 type t = {
   kind : kind;
@@ -25,7 +24,7 @@ let dram =
     endurance = infinity;
   }
 
-let pcm_with_endurance endurance =
+let pcm =
   {
     kind = Pcm;
     read_latency_ns = 180.0;
@@ -35,10 +34,8 @@ let pcm_with_endurance endurance =
     (* "The static power of PCM prototypes are negligible compared to
        DRAM" (§5.2.2). *)
     static_power_w = 0.05;
-    endurance;
+    endurance = 30e6;
   }
-
-let pcm = pcm_with_endurance 30e6
 
 let read_energy_j t = t.read_power_w *. (t.read_latency_ns *. 1e-9)
 let write_energy_j t = t.write_power_w *. (t.write_latency_ns *. 1e-9)

@@ -11,7 +11,6 @@
 
 type kind = Dram | Pcm
 
-val pp_kind : Format.formatter -> kind -> unit
 val kind_to_string : kind -> string
 
 type t = {
@@ -29,9 +28,6 @@ val dram : t
 
 val pcm : t
 (** PCM device from Lee et al. scaling model (Table 2), 30 M endurance. *)
-
-val pcm_with_endurance : float -> t
-(** PCM variant for the Figure 1 endurance sweep (10 M / 30 M / 100 M). *)
 
 val read_energy_j : t -> float
 (** Energy to read one cache line: read power x read latency. *)

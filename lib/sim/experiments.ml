@@ -475,7 +475,7 @@ let ext_allocator { seed; _ } =
     let ctrl = Kg_cache.Controller.create ~map ~line_size:64 () in
     let hier = Kg_cache.Hierarchy.create ~controller:ctrl () in
     let arena = H.Arena.create ~kind:Kg_mem.Device.Pcm ~base:0 ~size:(2 * Units.gib) in
-    let words = H.Heap_words.create () in
+    let words = H.Object_model.create () in
     let immix = H.Immix_space.create ~words ~id:3 ~name:"immix" ~arena () in
     let flist = H.Freelist_space.create ~words ~id:3 ~name:"freelist" ~arena in
     let rng = Rng.of_seed seed in

@@ -27,15 +27,13 @@ let map_of = function
   | Pcm_only -> Address_map.pcm_only ~size:(pcm_gb * gib) ()
   | Hybrid -> Address_map.hybrid ~dram_size:(hybrid_dram_gb * gib) ~pcm_size:(pcm_gb * gib) ()
 
-let build ?(endurance = 30e6) system =
+let build system =
   let map = map_of system in
   let has_pcm = Address_map.pcm_size map > 0 in
   let wear =
     if has_pcm then Some (Wear.create ~size:(Address_map.pcm_size map) ()) else None
   in
-  let ctrl =
-    Controller.create ~pcm:(Device.pcm_with_endurance endurance) ?wear ~map ~line_size:64 ()
-  in
+  let ctrl = Controller.create ?wear ~map ~line_size:64 () in
   let hier = Hierarchy.create ~controller:ctrl () in
   { system; map; ctrl; hier; wear }
 

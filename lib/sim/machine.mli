@@ -25,9 +25,8 @@ val hybrid_dram_gb : int
 
 val map_of : system -> Kg_mem.Address_map.t
 
-val build : ?endurance:float -> system -> t
-(** Assemble caches, controller and wear-leveling for a system.
-    [endurance] defaults to the paper's 30 M writes/cell. *)
+val build : system -> t
+(** Assemble caches, controller and wear-leveling for a system. *)
 
 val port : t -> Kg_gc.Mem_iface.t
 (** A batched memory port whose [Cache_sim] sink drives this machine's

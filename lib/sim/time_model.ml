@@ -56,8 +56,7 @@ let with_machine p (m : Machine.t) =
   let open Kg_cache in
   let open Kg_mem in
   let f = float_of_int in
-  let dram = Controller.device m.Machine.ctrl Device.Dram in
-  let pcm = Controller.device m.Machine.ctrl Device.Pcm in
+  let dram = Device.dram and pcm = Device.pcm in
   let reads k = f (Controller.reads m.Machine.ctrl k) in
   let writes k = f (Controller.writes m.Machine.ctrl k) in
   (* Base: every memory access at DRAM speed, plus cache lookup time.

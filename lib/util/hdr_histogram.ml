@@ -112,16 +112,6 @@ let merge a b =
 let equal a b =
   same_geometry a b && a.n = b.n && a.max_v = b.max_v && a.counts = b.counts
 
-let approx_total t =
-  let s = ref 0.0 in
-  for i = 0 to nbins t - 1 do
-    if t.counts.(i) > 0 then
-      s := !s +. (bin_upper t i *. float_of_int t.counts.(i))
-  done;
-  !s
-
-let approx_mean t = if t.n = 0 then 0.0 else approx_total t /. float_of_int t.n
-
 let nonzero t =
   let acc = ref [] in
   for i = nbins t - 1 downto 0 do

@@ -52,12 +52,6 @@ val merge : t -> t -> t
 
 val equal : t -> t -> bool
 
-val approx_total : t -> float
-(** Sum of bucket upper bounds weighted by counts — deterministic
-    given the counts, within the bucket error of the true total. *)
-
-val approx_mean : t -> float
-
 val summary : t -> string
 (** ["p50=... p90=... p99=... p99.9=... max=... (n=...)"]. *)
 

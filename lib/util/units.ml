@@ -2,7 +2,6 @@ let kib = 1024
 let mib = 1024 * 1024
 let gib = 1024 * 1024 * 1024
 let bytes_of_mib n = n * mib
-let bytes_of_kib n = n * kib
 let mib_of_bytes b = float_of_int b /. float_of_int mib
 let gib_of_bytes b = float_of_int b /. float_of_int gib
 
@@ -14,14 +13,5 @@ let pp_bytes_f fmt b =
   else Format.fprintf fmt "%.0f B" b
 
 let pp_bytes fmt b = pp_bytes_f fmt (float_of_int b)
-
-let ns_per_s = 1e9
-
-let pp_time_ns fmt t =
-  let abs = Float.abs t in
-  if abs >= 1e9 then Format.fprintf fmt "%.3f s" (t /. 1e9)
-  else if abs >= 1e6 then Format.fprintf fmt "%.2f ms" (t /. 1e6)
-  else if abs >= 1e3 then Format.fprintf fmt "%.2f us" (t /. 1e3)
-  else Format.fprintf fmt "%.0f ns" t
 
 let seconds_per_year = 2.0 ** 25.0

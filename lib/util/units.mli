@@ -5,7 +5,6 @@ val mib : int
 val gib : int
 
 val bytes_of_mib : int -> int
-val bytes_of_kib : int -> int
 
 val mib_of_bytes : int -> float
 val gib_of_bytes : int -> float
@@ -15,11 +14,6 @@ val pp_bytes : Format.formatter -> int -> unit
 
 val pp_bytes_f : Format.formatter -> float -> unit
 (** Like {!pp_bytes} for fractional byte counts (rates, averages). *)
-
-val ns_per_s : float
-
-val pp_time_ns : Format.formatter -> float -> unit
-(** Render nanoseconds with an adaptive unit (ns / us / ms / s). *)
 
 val seconds_per_year : float
 (** The paper's lifetime formula uses 2^25 s ~ one year; we keep the

@@ -1,7 +1,6 @@
 type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
-let with_capacity n = { data = (if n = 0 then [||] else Array.make n (Obj.magic 0)); len = 0 }
 let length t = t.len
 let is_empty t = t.len = 0
 

@@ -70,7 +70,7 @@ let[@inline] push ops kind a b life =
 let[@inline] pending i = -(i + 1)
 
 let[@inline] push_alloc ops ~size ~heat ~life ~ref_fields =
-  push ops (Kg_heap.Heap_words.heat_code heat) size ref_fields life;
+  push ops (Kg_heap.Object_model.heat_code heat) size ref_fields life;
   let p = ops.allocs in
   ops.allocs <- p + 1;
   pending p
@@ -91,7 +91,7 @@ let apply_op rt allocs d ops i =
   if k < k_write_ref then begin
     let death = Rt.now rt +. Array.unsafe_get ops.life i in
     let o =
-      Rt.alloc ~domain:d rt ~size:x ~heat:(Kg_heap.Heap_words.heat_of_code k) ~death ~ref_fields:y
+      Rt.alloc ~domain:d rt ~size:x ~heat:(Kg_heap.Object_model.heat_of_code k) ~death ~ref_fields:y
     in
     Vec.push allocs o;
     o

@@ -27,7 +27,7 @@ val reset : ops -> unit
 val k_private : int
 (** The first kind free for a caller's own ops (pushed with {!push},
     handled by the caller's apply). Below it are the shared kinds: an
-    allocation's kind is its heat's {!Kg_heap.Heap_words.heat_code}
+    allocation's kind is its heat's {!Kg_heap.Object_model.heat_code}
     (0..2), then write-ref, write-prim and read-burst. *)
 
 val kind : ops -> int -> int

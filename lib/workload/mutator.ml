@@ -13,33 +13,21 @@ let large_alpha = 1.3
    of this exponent over registration order. *)
 let hot_skew = 1.2
 
-(* Per-logical-thread mutator state: its own PRNG stream and hot-pick
-   sampler, window of recently allocated objects ([O.null] marks an
-   empty slot), and outstanding read/write debts. Pools of mature
-   targets are shared (threads share data structures). *)
-type thread = {
-  rng : Rng.t;
-  hot_zipf : Rng.Zipf.t;
-  recent : O.t array;
-  mutable recent_cursor : int;
-  mutable write_debt : float;
-  mutable read_debt : float;
-}
+(* A mutator thread's private state: PRNG stream and hot-pick
+   sampler, op buffer, recent-allocation ring ([O.null] marks an empty
+   slot) and mutation debts. Pools of mature targets are shared
+   (threads share data structures).
 
-(* Multicore mutator state. With [threads > 1] the round-robin logical
-   threads are replaced by simulated mutator domains running an epoch
-   protocol (see [run_epochs] below): each domain *generates* a
-   symbolic op stream as a pure function of its private state plus a
+   With [threads > 1] the threads are simulated mutator domains running
+   an epoch protocol (see [run_epochs] below): each domain *generates*
+   a symbolic op stream as a pure function of its private state plus a
    read-only snapshot, and the streams are then *applied* in a
    schedule-seeded deterministic merge. A generated op names an object
    that does not exist yet with a negative pending target, [-(i+1)]
-   for the issuing domain's i-th allocation of the epoch.
-
-   A mutator domain's private state: PRNG stream, op buffer, recent-
-   allocation ring (holding pending targets until the epoch
-   materialises them; [O.null] marks an empty slot) and mutation
-   debts. Touched only by its own generator and by the epoch
-   barrier. *)
+   for the issuing domain's i-th allocation of the epoch; the recent
+   ring holds such targets until the epoch barrier materialises them.
+   A domain's state is touched only by its own generator and by the
+   epoch barrier. With one thread the op buffer stays empty. *)
 type dstate = {
   d_rng : Rng.t;
   d_hot_zipf : Rng.Zipf.t;
@@ -54,8 +42,6 @@ type t = {
   desc : Descriptor.t;
   rt : Rt.t;
   words : O.store;  (* the runtime's flat-word heap tables *)
-  threads : thread array;  (* sequential path; empty when nthreads > 1 *)
-  mutable cur : int;  (* round-robin position *)
   life : Lifetime.t;
   hot : O.t Vec.t;
   warm : O.t Vec.t;
@@ -64,10 +50,9 @@ type t = {
   p_large : float;
   large_mean : float;
   live_mb : int;
-  (* Multicore: *)
   nthreads : int;
-  sched_rng : Rng.t;  (* merge schedule; seeded independently *)
-  dstates : dstate array;  (* empty when nthreads = 1 *)
+  dstates : dstate array;  (* one per thread *)
+  sched_rng : Rng.t;  (* multi-domain merge schedule; seeded independently *)
   boot_allocs_by_thread : int array;
 }
 
@@ -99,16 +84,6 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc ~rt ~seed =
       (Printf.sprintf
          "Mutator.create: %d threads need a runtime with %d domains (has %d)"
          threads threads (Rt.domains rt));
-  let mk_thread _ =
-    {
-      rng = Rng.split root;
-      hot_zipf = Rng.Zipf.create ~s:hot_skew;
-      recent = Array.make recent_size O.null;
-      recent_cursor = 0;
-      write_debt = 0.0;
-      read_debt = 0.0;
-    }
-  in
   let mk_dstate _ =
     {
       d_rng = Rng.split root;
@@ -124,8 +99,6 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc ~rt ~seed =
     desc;
     rt;
     words = Rt.words rt;
-    threads = (if threads = 1 then [| mk_thread 0 |] else [||]);
-    cur = 0;
     life;
     hot = Vec.create ();
     warm = Vec.create ();
@@ -136,7 +109,7 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc ~rt ~seed =
     live_mb;
     nthreads = threads;
     sched_rng = Rng.of_seed schedule_seed;
-    dstates = (if threads = 1 then [||] else Array.init threads mk_dstate);
+    dstates = Array.init threads mk_dstate;
     boot_allocs_by_thread = Array.make threads 0;
   }
 
@@ -147,13 +120,9 @@ let draw_small_size_rng t rng =
   let words = 2 + Rng.geometric rng p in
   Int.min Layout.max_small_object (Int.max 16 (words * 8))
 
-let draw_small_size t th = draw_small_size_rng t th.rng
-
 let draw_large_size_rng rng =
   let s = Rng.pareto rng ~alpha:large_alpha ~xmin:(float_of_int large_min) in
   Int.min (2 * Units.mib) (int_of_float s)
-
-let draw_large_size th = draw_large_size_rng th.rng
 
 let assign_heat_rng t rng cls =
   (* Hot objects must end up ~2% of *written* mature objects (Figure
@@ -182,8 +151,6 @@ let assign_heat_rng t rng cls =
     | Lifetime.Immortal -> if Rng.bernoulli rng 0.01 then O.Warm else O.Cold
     | Lifetime.Long -> O.Cold
 
-let assign_heat t th cls = assign_heat_rng t th.rng cls
-
 (* Count a new object and enter it in the shared target pool of its
    heat; the cold pool is a reservoir sample whose draws come from
    [rng]. *)
@@ -197,25 +164,26 @@ let add_to_pools t rng (o : O.t) =
     else if Rng.bernoulli rng (float_of_int cold_cap /. float_of_int t.allocated) then
       Vec.set t.cold (Rng.int rng cold_cap) o
 
-let register t th (o : O.t) =
-  th.recent.(th.recent_cursor) <- o;
-  th.recent_cursor <- (th.recent_cursor + 1) mod recent_size;
-  add_to_pools t th.rng o
+(* Register a new object against its thread's state. *)
+let register t ds (o : O.t) =
+  ds.d_recent.(ds.d_recent_cursor) <- o;
+  ds.d_recent_cursor <- (ds.d_recent_cursor + 1) mod recent_size;
+  add_to_pools t ds.d_rng o
 
-let allocate_one t th =
+let allocate_one t ds =
   let cls, life =
-    Lifetime.draw t.life th.rng ~nursery_remaining:(float_of_int (Rt.nursery_free t.rt))
+    Lifetime.draw t.life ds.d_rng ~nursery_remaining:(float_of_int (Rt.nursery_free t.rt))
   in
-  let large = Rng.bernoulli th.rng t.p_large in
-  let size = if large then draw_large_size th else draw_small_size t th in
+  let large = Rng.bernoulli ds.d_rng t.p_large in
+  let size = if large then draw_large_size_rng ds.d_rng else draw_small_size_rng t ds.d_rng in
   (* Large objects draw from the same lifetime mixture: "we find
      empirically that large objects often follow the weak-generational
      hypothesis, i.e., they die quickly" (4.2.4). *)
-  let heat = assign_heat t th cls in
+  let heat = assign_heat_rng t ds.d_rng cls in
   let death = Rt.now t.rt +. life in
   let ref_fields = Int.max 1 (size / 32) in
   let o = Rt.alloc t.rt ~size ~heat ~death ~ref_fields in
-  register t th o;
+  register t ds o;
   o
 
 (* The sequential picks return [O.null] for "nothing found" and
@@ -223,73 +191,73 @@ let allocate_one t th =
 
 (* Pick a live object from a pool, pruning dead entries on the way.
    Returns [O.null] if the pool is effectively empty. *)
-let rec pick_live t th pool attempts =
+let rec pick_live t ds pool attempts =
   if attempts = 0 || Vec.length pool = 0 then O.null
   else begin
-    let i = Rng.int th.rng (Vec.length pool) in
+    let i = Rng.int ds.d_rng (Vec.length pool) in
     let o = Vec.get pool i in
     if O.is_live t.words o (Rt.now t.rt) then o
     else begin
       ignore (Vec.swap_remove pool i);
-      pick_live t th pool (attempts - 1)
+      pick_live t ds pool (attempts - 1)
     end
   end
 
-let rec pick_recent_tries t th attempts =
+let rec pick_recent_tries t ds attempts =
   if attempts = 0 then O.null
   else begin
-    let o = th.recent.(Rng.int th.rng recent_size) in
+    let o = ds.d_recent.(Rng.int ds.d_rng recent_size) in
     if (not (O.is_null o)) && O.is_live t.words o (Rt.now t.rt) then o
-    else pick_recent_tries t th (attempts - 1)
+    else pick_recent_tries t ds (attempts - 1)
   end
 
-let pick_recent t th = pick_recent_tries t th 4
+let pick_recent t ds = pick_recent_tries t ds 4
 
-let rec pick_hot t th attempts =
+let rec pick_hot t ds attempts =
   let pool = t.hot in
   if attempts = 0 || Vec.length pool = 0 then O.null
   else begin
-    let i = Rng.Zipf.draw th.hot_zipf th.rng ~n:(Vec.length pool) in
+    let i = Rng.Zipf.draw ds.d_hot_zipf ds.d_rng ~n:(Vec.length pool) in
     let o = Vec.get pool i in
     if O.is_live t.words o (Rt.now t.rt) then o
     else begin
       ignore (Vec.swap_remove pool i);
-      pick_hot t th (attempts - 1)
+      pick_hot t ds (attempts - 1)
     end
   end
 
-let pick_mature t th =
+let pick_mature t ds =
   let d = t.desc in
-  let u = Rng.float th.rng 1.0 in
+  let u = Rng.float ds.d_rng 1.0 in
   let primary =
-    if u < d.Descriptor.top2_frac then pick_hot t th 8
-    else if u < d.Descriptor.top10_frac then pick_live t th t.warm 8
-    else pick_live t th t.cold 8
+    if u < d.Descriptor.top2_frac then pick_hot t ds 8
+    else if u < d.Descriptor.top10_frac then pick_live t ds t.warm 8
+    else pick_live t ds t.cold 8
   in
   if not (O.is_null primary) then primary
   else begin
-    let o = pick_live t th t.cold 8 in
-    if not (O.is_null o) then o else pick_recent t th
+    let o = pick_live t ds t.cold 8 in
+    if not (O.is_null o) then o else pick_recent t ds
   end
 
 (* A recent object, else a mature one. *)
-let pick_recent_first t th =
-  let o = pick_recent t th in
-  if O.is_null o then pick_mature t th else o
+let pick_recent_first t ds =
+  let o = pick_recent t ds in
+  if O.is_null o then pick_mature t ds else o
 
-let pick_write_target t th =
-  if Rng.bernoulli th.rng t.desc.Descriptor.nursery_write_frac then pick_recent_first t th
+let pick_write_target t ds =
+  if Rng.bernoulli ds.d_rng t.desc.Descriptor.nursery_write_frac then pick_recent_first t ds
   else begin
-    let o = pick_mature t th in
-    if O.is_null o then pick_recent t th else o
+    let o = pick_mature t ds in
+    if O.is_null o then pick_recent t ds else o
   end
 
-let do_write t th =
-  let src = pick_write_target t th in
+let do_write t ds =
+  let src = pick_write_target t ds in
   if not (O.is_null src) then
-    if Rng.bernoulli th.rng t.desc.Descriptor.ref_write_frac then begin
+    if Rng.bernoulli ds.d_rng t.desc.Descriptor.ref_write_frac then begin
       let tgt =
-        if Rng.bernoulli th.rng 0.5 then pick_recent_first t th else pick_mature t th
+        if Rng.bernoulli ds.d_rng 0.5 then pick_recent_first t ds else pick_mature t ds
       in
       if O.is_null tgt then Rt.write_prim t.rt src else Rt.write_ref t.rt ~src ~tgt
     end
@@ -297,38 +265,30 @@ let do_write t th =
 
 (* Reads come in streaming bursts over one object (field walks, array
    scans), so one target pick services several load events. *)
-let do_reads t th n =
-  let target = if Rng.bernoulli th.rng 0.6 then pick_recent t th else pick_mature t th in
+let do_reads t ds n =
+  let target = if Rng.bernoulli ds.d_rng 0.6 then pick_recent t ds else pick_mature t ds in
   if not (O.is_null target) then Rt.read_burst t.rt target n
 
 (* The debts live in locals for the loop (a mutable float field of a
    mixed record is boxed, so every store to one allocates) and are
    written back once. *)
-let mutate_for t th (o : O.t) =
+let mutate_for t ds (o : O.t) =
   let d = t.desc in
   let owed = float_of_int (O.size t.words o) *. d.Descriptor.write_alloc_ratio /. 8.0 in
-  let write_debt = ref (th.write_debt +. owed) in
-  let read_debt = ref th.read_debt in
+  let write_debt = ref (ds.d_write_debt +. owed) in
+  let read_debt = ref ds.d_read_debt in
   while !write_debt >= 1.0 do
-    do_write t th;
+    do_write t ds;
     write_debt := !write_debt -. 1.0;
     read_debt := !read_debt +. d.Descriptor.read_write_ratio;
     if !read_debt >= 1.0 then begin
       let burst = Int.min 8 (int_of_float !read_debt) in
-      do_reads t th burst;
+      do_reads t ds burst;
       read_debt := !read_debt -. float_of_int burst
     end
   done;
-  th.write_debt <- !write_debt;
-  th.read_debt <- !read_debt
-
-(* Register a boot/epoch object against a mutator domain's state. The
-   cold-reservoir draws use the domain's own stream here (startup runs
-   sequentially, before any worker exists). *)
-let register_d t ds (o : O.t) =
-  ds.d_recent.(ds.d_recent_cursor) <- o;
-  ds.d_recent_cursor <- (ds.d_recent_cursor + 1) mod recent_size;
-  add_to_pools t ds.d_rng o
+  ds.d_write_debt <- !write_debt;
+  ds.d_read_debt <- !read_debt
 
 let allocate_startup t =
   (* Boot image: immortal objects placed directly in the mature space.
@@ -343,35 +303,21 @@ let allocate_startup t =
   while Rt.now t.rt -. start < target do
     let d = !k mod t.nthreads in
     incr k;
-    let rng = if t.nthreads = 1 then t.threads.(0).rng else t.dstates.(d).d_rng in
+    let ds = t.dstates.(d) in
+    let rng = ds.d_rng in
     let large = Rng.bernoulli rng t.p_large in
     let size = if large then draw_large_size_rng rng else draw_small_size_rng t rng in
     let heat = assign_heat_rng t rng Lifetime.Immortal in
     let o = Rt.alloc_boot t.rt ~size ~heat ~ref_fields:(max 1 (size / 32)) in
-    if t.nthreads = 1 then register t t.threads.(0) o else register_d t t.dstates.(d) o;
+    register t ds o;
     t.boot_allocs_by_thread.(d) <- t.boot_allocs_by_thread.(d) + 1
   done
 
-(* Each engine step runs one thread for a small burst of allocations,
-   then rotates: the coarse interleaving real schedulers produce. *)
-let burst_allocs = 16
-
-let run_sequential t ~alloc_bytes ~on_tick ~tick_bytes =
-  let start = Rt.now t.rt in
-  let next_tick = ref (start +. float_of_int tick_bytes) in
-  let target = start +. float_of_int alloc_bytes in
+let run_sequential t ~alloc_bytes =
+  let ds = t.dstates.(0) in
+  let target = Rt.now t.rt +. float_of_int alloc_bytes in
   while Rt.now t.rt < target do
-    let th = t.threads.(t.cur) in
-    t.cur <- (t.cur + 1) mod Array.length t.threads;
-    let deadline = Float.min target (Rt.now t.rt +. float_of_int (burst_allocs * 256)) in
-    while Rt.now t.rt < deadline do
-      let o = allocate_one t th in
-      mutate_for t th o
-    done;
-    if Rt.now t.rt >= !next_tick then begin
-      on_tick (Rt.now t.rt);
-      next_tick := !next_tick +. float_of_int tick_bytes
-    end
+    mutate_for t ds (allocate_one t ds)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -535,26 +481,15 @@ let epoch_barrier t (allocs : O.t Vec.t array) =
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.warm;
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.cold
 
-(* The epoch loop, op buffers and chunk schedule are Epoch's; the tick
-   check rides on the barrier. *)
-let run_epochs t ~alloc_bytes ~on_tick ~tick_bytes =
-  let start = Rt.now t.rt in
-  let next_tick = ref (start +. float_of_int tick_bytes) in
-  let barrier allocs =
-    epoch_barrier t allocs;
-    if Rt.now t.rt >= !next_tick then begin
-      on_tick (Rt.now t.rt);
-      next_tick := !next_tick +. float_of_int tick_bytes
-    end
-  in
+(* The epoch loop, op buffers and chunk schedule are Epoch's. *)
+let run_epochs t ~alloc_bytes =
   Epoch.run ~rt:t.rt ~n:t.nthreads ~sched_rng:t.sched_rng
     ~bufs:(Array.map (fun ds -> ds.d_ops) t.dstates)
-    ~target:(start +. float_of_int alloc_bytes)
-    ~generate:(generate t) ~apply:(apply_op t) ~barrier
+    ~target:(Rt.now t.rt +. float_of_int alloc_bytes)
+    ~generate:(generate t) ~apply:(apply_op t) ~barrier:(epoch_barrier t)
 
-let run t ~alloc_bytes ?(on_tick = fun _ -> ()) ?(tick_bytes = Units.mib) () =
-  if t.nthreads = 1 then run_sequential t ~alloc_bytes ~on_tick ~tick_bytes
-  else run_epochs t ~alloc_bytes ~on_tick ~tick_bytes
+let run t ~alloc_bytes () =
+  if t.nthreads = 1 then run_sequential t ~alloc_bytes else run_epochs t ~alloc_bytes
 
 let scaled_alloc_bytes (d : Descriptor.t) ~scale ~cap_mb =
   let scaled = d.alloc_mb / max 1 scale in

@@ -47,12 +47,11 @@ val allocate_startup : t -> unit
 (** Allocate the immortal base: 40 % of the benchmark's live target,
     modeling boot images and static data. Run once before {!run}. *)
 
-val run :
-  t -> alloc_bytes:int -> ?on_tick:(float -> unit) -> ?tick_bytes:int -> unit -> unit
+val run : t -> alloc_bytes:int -> unit -> unit
 (** Allocate and mutate until [alloc_bytes] more bytes have been
-    allocated. [on_tick] fires roughly every [tick_bytes] (default
-    1 MiB) of allocation with the current allocation clock — the hook
-    the Figure 13 traces use. *)
+    allocated: with one thread, allocate one object and perform the
+    writes and reads it owes, until the target is reached; with more,
+    run epochs of the protocol described at {!create}. *)
 
 val scaled_alloc_bytes : Descriptor.t -> scale:int -> cap_mb:int -> int
 (** The run length used by the experiment drivers: the benchmark's

@@ -1,10 +1,10 @@
 (* The record-based object model this repo used before the flat-word
    heap (PR 6), kept verbatim as a differential oracle: the QCheck
-   test in test_heap drives it and Heap_words through identical
+   test in test_heap drives it and Object_model through identical
    operation sequences and demands bit-identical observations.
 
    [death] is an IEEE double here exactly as it was in the record
-   field; Heap_words stores it in a float64 table, so round-trips are
+   field; Object_model stores it in a float64 table, so round-trips are
    exact and [is_live] comparisons agree bit-for-bit (including
    [infinity] for immortal objects). *)
 

@@ -9,65 +9,63 @@ let small_cache () = Cache.create ~name:"t" ~size:(4 * 64 * 2) ~ways:2 ~line_siz
 (* ------------------------------------------------------------------ *)
 (* Single cache                                                        *)
 
+(* [Cache.probe_fill] returns 0 on a hit, 1 on a miss with a clean or
+   invalid victim, 2 on a miss that evicts a dirty victim. *)
+
 let test_cache_miss_then_hit () =
   let c = small_cache () in
-  check_bool "first touch misses" false (Cache.probe c ~addr:0 ~write:false ~tag:0);
-  ignore (Cache.fill c ~addr:0 ~write:false ~tag:0);
-  check_bool "then hits" true (Cache.probe c ~addr:0 ~write:false ~tag:0);
-  check_bool "same line hits" true (Cache.probe c ~addr:63 ~write:false ~tag:0);
-  check_bool "next line misses" false (Cache.probe c ~addr:64 ~write:false ~tag:0)
+  check_int "first touch misses" 1 (Cache.probe_fill c ~addr:0 ~write:false ~tag:0);
+  check_int "then hits" 0 (Cache.probe_fill c ~addr:0 ~write:false ~tag:0);
+  check_int "same line hits" 0 (Cache.probe_fill c ~addr:63 ~write:false ~tag:0);
+  check_int "next line misses" 1 (Cache.probe_fill c ~addr:64 ~write:false ~tag:0)
 
 let test_cache_clean_eviction_silent () =
   let c = small_cache () in
   (* three blocks mapping to set 0 in a 2-way set: 0, 4*64, 8*64 *)
-  ignore (Cache.fill c ~addr:0 ~write:false ~tag:0);
-  ignore (Cache.fill c ~addr:(4 * 64) ~write:false ~tag:0);
-  let wb = Cache.fill c ~addr:(8 * 64) ~write:false ~tag:0 in
-  check_bool "clean victim: no writeback" true (wb = None)
+  ignore (Cache.probe_fill c ~addr:0 ~write:false ~tag:0);
+  ignore (Cache.probe_fill c ~addr:(4 * 64) ~write:false ~tag:0);
+  check_int "clean victim: no writeback" 1 (Cache.probe_fill c ~addr:(8 * 64) ~write:false ~tag:0);
+  check_int "none counted" 0 (Cache.stats c).Cache.writebacks
 
 let test_cache_dirty_eviction_carries_tag () =
   let c = small_cache () in
-  ignore (Cache.fill c ~addr:0 ~write:true ~tag:3);
-  ignore (Cache.fill c ~addr:(4 * 64) ~write:false ~tag:0);
-  match Cache.fill c ~addr:(8 * 64) ~write:false ~tag:0 with
-  | Some { Cache.wb_addr; wb_tag } ->
-    check_int "victim address" 0 wb_addr;
-    check_int "writer tag preserved" 3 wb_tag
-  | None -> Alcotest.fail "expected dirty writeback"
+  ignore (Cache.probe_fill c ~addr:0 ~write:true ~tag:3);
+  ignore (Cache.probe_fill c ~addr:(4 * 64) ~write:false ~tag:0);
+  check_int "dirty writeback" 2 (Cache.probe_fill c ~addr:(8 * 64) ~write:false ~tag:0);
+  check_int "victim address" 0 (Cache.last_wb_addr c);
+  check_int "writer tag preserved" 3 (Cache.last_wb_tag c)
 
 let test_cache_lru_order () =
   let c = small_cache () in
-  ignore (Cache.fill c ~addr:0 ~write:false ~tag:0);
-  ignore (Cache.fill c ~addr:(4 * 64) ~write:false ~tag:0);
+  ignore (Cache.probe_fill c ~addr:0 ~write:false ~tag:0);
+  ignore (Cache.probe_fill c ~addr:(4 * 64) ~write:false ~tag:0);
   (* touch block 0 so block 4*64 becomes LRU *)
-  ignore (Cache.probe c ~addr:0 ~write:false ~tag:0);
-  ignore (Cache.fill c ~addr:(8 * 64) ~write:false ~tag:0);
-  check_bool "recently used stays" true (Cache.probe c ~addr:0 ~write:false ~tag:0);
-  check_bool "LRU evicted" false (Cache.probe c ~addr:(4 * 64) ~write:false ~tag:0)
+  ignore (Cache.probe_fill c ~addr:0 ~write:false ~tag:0);
+  ignore (Cache.probe_fill c ~addr:(8 * 64) ~write:false ~tag:0);
+  check_int "recently used stays" 0 (Cache.probe_fill c ~addr:0 ~write:false ~tag:0);
+  check_int "LRU evicted" 1 (Cache.probe_fill c ~addr:(4 * 64) ~write:false ~tag:0)
 
 let test_cache_write_hit_sets_dirty () =
   let c = small_cache () in
-  ignore (Cache.fill c ~addr:0 ~write:false ~tag:0);
-  ignore (Cache.probe c ~addr:0 ~write:true ~tag:2);
-  ignore (Cache.fill c ~addr:(4 * 64) ~write:false ~tag:0);
-  (match Cache.fill c ~addr:(8 * 64) ~write:false ~tag:0 with
-  | Some { Cache.wb_tag; _ } -> check_int "dirtied by probe" 2 wb_tag
-  | None -> Alcotest.fail "expected writeback")
+  ignore (Cache.probe_fill c ~addr:0 ~write:false ~tag:0);
+  check_int "write hit" 0 (Cache.probe_fill c ~addr:0 ~write:true ~tag:2);
+  ignore (Cache.probe_fill c ~addr:(4 * 64) ~write:false ~tag:0);
+  check_int "expected writeback" 2 (Cache.probe_fill c ~addr:(8 * 64) ~write:false ~tag:0);
+  check_int "dirtied by the hit" 2 (Cache.last_wb_tag c)
 
 let test_cache_invalidate_all () =
   let c = small_cache () in
-  ignore (Cache.fill c ~addr:0 ~write:true ~tag:1);
-  ignore (Cache.fill c ~addr:128 ~write:false ~tag:0);
-  ignore (Cache.fill c ~addr:256 ~write:true ~tag:2);
+  ignore (Cache.probe_fill c ~addr:0 ~write:true ~tag:1);
+  ignore (Cache.probe_fill c ~addr:128 ~write:false ~tag:0);
+  ignore (Cache.probe_fill c ~addr:256 ~write:true ~tag:2);
   let wbs = Cache.invalidate_all c in
   check_int "two dirty lines" 2 (List.length wbs);
-  check_bool "all invalid now" false (Cache.probe c ~addr:0 ~write:false ~tag:0)
+  check_int "all invalid now" 1 (Cache.probe_fill c ~addr:0 ~write:false ~tag:0)
 
 let test_cache_stats () =
   let c = small_cache () in
-  ignore (Cache.probe c ~addr:0 ~write:false ~tag:0);
-  ignore (Cache.fill c ~addr:0 ~write:false ~tag:0);
-  ignore (Cache.probe c ~addr:0 ~write:false ~tag:0);
+  ignore (Cache.probe_fill c ~addr:0 ~write:false ~tag:0);
+  ignore (Cache.probe_fill c ~addr:0 ~write:false ~tag:0);
   let s = Cache.stats c in
   check_int "hits" 1 s.Cache.hits;
   check_int "misses" 1 s.Cache.misses;
@@ -126,7 +124,8 @@ let test_controller_time_energy () =
 let test_controller_on_write_hook () =
   let map = Kg_mem.Address_map.hybrid ~dram_size:4096 ~pcm_size:8192 () in
   let seen = ref [] in
-  let c = Controller.create ~on_write:(fun a -> seen := a :: !seen) ~map ~line_size:64 () in
+  let c = Controller.create ~map ~line_size:64 () in
+  Controller.set_on_write c (fun a -> seen := a :: !seen);
   Controller.line_write c 4096 ~tag:0;
   Controller.line_write c 128 ~tag:0;
   Alcotest.(check (list int)) "hook sees all writes" [ 128; 4096 ] !seen
@@ -281,10 +280,10 @@ let batch_equivalence_qcheck =
 let test_invalidate_all_ascending () =
   let c = small_cache () in
   (* set-major way order: set0 way0, set0 way1, set1 way0, set3 way0 *)
-  ignore (Cache.fill c ~addr:0 ~write:true ~tag:1);
-  ignore (Cache.fill c ~addr:(4 * 64) ~write:true ~tag:2);
-  ignore (Cache.fill c ~addr:64 ~write:true ~tag:3);
-  ignore (Cache.fill c ~addr:(3 * 64) ~write:true ~tag:4);
+  ignore (Cache.probe_fill c ~addr:0 ~write:true ~tag:1);
+  ignore (Cache.probe_fill c ~addr:(4 * 64) ~write:true ~tag:2);
+  ignore (Cache.probe_fill c ~addr:64 ~write:true ~tag:3);
+  ignore (Cache.probe_fill c ~addr:(3 * 64) ~write:true ~tag:4);
   let wbs = Cache.invalidate_all c in
   Alcotest.(check (list int))
     "writebacks in ascending way-index order" [ 0; 256; 64; 192 ]
@@ -376,9 +375,8 @@ let differential_qcheck =
       (* reference side: per-access closures, one controller call per
          memory event *)
       let wb1 = ref [] in
-      let c1 =
-        Controller.create ~on_write:(fun a -> wb1 := a :: !wb1) ~map:(mk_map ()) ~line_size:64 ()
-      in
+      let c1 = Controller.create ~map:(mk_map ()) ~line_size:64 () in
+      Controller.set_on_write c1 (fun a -> wb1 := a :: !wb1);
       let r = Reference_cache.create ~l1 ~l2 ~l3 ~controller:c1 () in
       List.iter
         (fun (kind, (write, addr, size, tag)) ->
@@ -394,9 +392,8 @@ let differential_qcheck =
       Reference_cache.drain r;
       (* kernel side: batched port into the fused hierarchy *)
       let wb2 = ref [] in
-      let c2 =
-        Controller.create ~on_write:(fun a -> wb2 := a :: !wb2) ~map:(mk_map ()) ~line_size:64 ()
-      in
+      let c2 = Controller.create ~map:(mk_map ()) ~line_size:64 () in
+      Controller.set_on_write c2 (fun a -> wb2 := a :: !wb2);
       let h = Hierarchy.create ~l1 ~l2 ~l3 ~controller:c2 () in
       let port =
         Kg_mem.Port.create ~capacity:5

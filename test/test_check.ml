@@ -398,6 +398,21 @@ let test_detects_space_id_corruption () =
   Alcotest.(check (list string)) "clean after restore" []
     (strings_of (Verify.audit ~counters rt))
 
+let test_detects_immix_overlap () =
+  let rt, counters = mk Gc_config.Kg_nursery in
+  let w = Rt.words rt in
+  let a = Rt.alloc_boot rt ~size:64 ~heat:O.Cold ~ref_fields:1 in
+  let b = Rt.alloc_boot rt ~size:64 ~heat:O.Cold ~ref_fields:1 in
+  check_int "both in mature PCM" Rt.sp_mature_pcm (O.space w b);
+  Alcotest.(check (list string)) "clean before corruption" []
+    (strings_of (Verify.audit ~counters rt));
+  let b_addr = O.addr w b in
+  O.set_addr w b (O.addr w a + 32);
+  check_bool "overlap detected" true (has_invariant "no-overlap" (Verify.audit ~counters rt));
+  O.set_addr w b b_addr;
+  Alcotest.(check (list string)) "clean after restore" []
+    (strings_of (Verify.audit ~counters rt))
+
 let test_detects_stats_corruption () =
   let rt, counters = mk Gc_config.kg_w_default in
   let a = Rt.alloc rt ~size:64 ~heat:O.Cold ~death:infinity ~ref_fields:2 in
@@ -458,6 +473,7 @@ let () =
       ( "negative",
         [
           Alcotest.test_case "space-id corruption" `Quick test_detects_space_id_corruption;
+          Alcotest.test_case "immix overlap" `Quick test_detects_immix_overlap;
           Alcotest.test_case "stats corruption" `Quick test_detects_stats_corruption;
           Alcotest.test_case "leftover remset entries" `Quick test_detects_leftover_remset;
         ] );

@@ -55,7 +55,7 @@ let test_phase_roundtrip () =
 
 let test_remset_basic () =
   let rs = Remset.create ~name:"t" ~buffer_base:1000 ~buffer_bytes:64 () in
-  let w = Kg_heap.Heap_words.create () in
+  let w = O.create () in
   let o = O.make w ~size:64 ~heat:O.Cold ~death:infinity ~ref_fields:1 in
   let a1 = Remset.insert rs ~slot_addr:42 ~target:o in
   check_bool "entry addr in buffer" true (a1 >= 1000 && a1 < 1064);
@@ -83,7 +83,7 @@ let remset_handshake_model_qcheck =
       let rs =
         Remset.create ~domains ~name:"model" ~buffer_base:0 ~buffer_bytes:4096 ()
       in
-      let w = Kg_heap.Heap_words.create () in
+      let w = O.create () in
       let o = O.make w ~size:64 ~heat:O.Cold ~death:infinity ~ref_fields:1 in
       (* Reference model: per-domain pending queues + published list. *)
       let m_pending = Array.make domains [] in
@@ -127,7 +127,7 @@ let test_remset_record_slices () =
   (* Each domain's pending entries write into its own slice of the
      metadata store, so concurrent barrier hits never share lines. *)
   let rs = Remset.create ~domains:2 ~name:"s" ~buffer_base:1000 ~buffer_bytes:64 () in
-  let w = Kg_heap.Heap_words.create () in
+  let w = O.create () in
   let o = O.make w ~size:64 ~heat:O.Cold ~death:infinity ~ref_fields:1 in
   for _ = 1 to 10 do
     let a0 = Remset.record rs ~domain:0 ~slot_addr:1 ~target:o in
@@ -600,9 +600,7 @@ let test_invariants_after_collections () =
   let rt, _ = mk ~heap_mb:8 Gc_config.kg_w_default in
   fill_mb rt 6 ~death:(Rt.now rt +. (2.0 *. float_of_int mib));
   Rt.major_gc rt;
-  (match Rt.check_invariants rt with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "invariant violated: %s" m);
+  Alcotest.(check (list string)) "no violations" [] (List.map Verify.to_string (Verify.audit rt));
   check_bool "collections happened" true ((Rt.stats rt).Gc_stats.nursery_gcs > 0)
 
 let test_gc_hook_fires () =
@@ -646,7 +644,7 @@ let runtime_storm_qcheck =
       && Rt.pcm_used rt >= 0
       && Rt.dram_used rt + Rt.pcm_used rt = sum + u.Rt.meta_used
       && Gc_stats.nursery_survival (Rt.stats rt) <= 1.0
-      && Rt.check_invariants rt = Ok ())
+      && Verify.audit rt = [])
 
 (* ------------------------------------------------------------------ *)
 (* Multi-domain heaps and collection edge cases                        *)

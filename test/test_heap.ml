@@ -9,7 +9,7 @@ let mib = Kg_util.Units.mib
 let fresh_arena ?(size = 256 * mib) ?(kind = Kg_mem.Device.Pcm) () =
   Arena.create ~kind ~base:(4 * mib) ~size
 
-let fresh_words () = Heap_words.create ()
+let fresh_words () = O.create ()
 
 (* Indices are minted in call order, so a test that cares about ids
    simply allocates in id order (ids start at 1). *)
@@ -89,7 +89,7 @@ let test_object_size_validation () =
 (* The packed tables start at a small capacity and double; metadata
    must survive growth bit-for-bit. *)
 let test_heap_words_growth () =
-  let w = Heap_words.create ~capacity:8 () in
+  let w = O.create ~capacity:8 () in
   let n = 10_000 in
   let objs =
     Array.init n (fun i ->
@@ -176,7 +176,7 @@ let heap_words_differential_qcheck =
   QCheck.Test.make ~name:"flat words match the record-heap oracle" ~count:100
     (QCheck.make QCheck.Gen.(list_size (int_range 1 200) diff_op_gen))
     (fun ops ->
-      let w = Heap_words.create ~capacity:4 () in
+      let w = O.create ~capacity:4 () in
       let refs : Reference_heap.t Kg_util.Vec.t = Kg_util.Vec.create () in
       let flats : O.t Kg_util.Vec.t = Kg_util.Vec.create () in
       let pick i = i mod max 1 (Kg_util.Vec.length refs) in

@@ -26,11 +26,6 @@ let test_machine_build () =
   let d = Machine.build Machine.Dram_only in
   check_bool "no pcm, no wear" true (d.Machine.wear = None)
 
-let test_machine_endurance_override () =
-  let m = Machine.build ~endurance:100e6 Machine.Pcm_only in
-  let dev = Kg_cache.Controller.device m.Machine.ctrl Kg_mem.Device.Pcm in
-  check_bool "endurance" true (dev.Kg_mem.Device.endurance = 100e6)
-
 (* ------------------------------------------------------------------ *)
 (* Time and energy models                                              *)
 
@@ -319,7 +314,6 @@ let () =
         [
           Alcotest.test_case "maps" `Quick test_machine_maps;
           Alcotest.test_case "build" `Quick test_machine_build;
-          Alcotest.test_case "endurance override" `Quick test_machine_endurance_override;
         ] );
       ( "models",
         [
