@@ -74,11 +74,11 @@ let threshold_arg =
 
 let trigger_arg =
   let doc = "KG-W extension: trigger a major GC after this many MB of PCM writes." in
-  Arg.(value & opt (some int) None & info [ "pcm-write-trigger-mb" ] ~doc)
+  Arg.(value & opt (some O.positive) None & info [ "pcm-write-trigger-mb" ] ~doc)
 
 let observer_arg =
   let doc = "Observer space size in MB (default: the collector's, 2x nursery but for kg-b)." in
-  Arg.(value & opt (some int) None & info [ "observer-mb" ] ~doc)
+  Arg.(value & opt (some O.positive) None & info [ "observer-mb" ] ~doc)
 
 let run_t =
   Term.(
@@ -105,22 +105,20 @@ let check_cmd benches scale heap_scale cap_mb seed domains parallel_gc jobs =
         | d -> List.map (fun (name, spec) -> (bench, d, name, spec)) specs)
       benches
   in
-  (* Resolve the audit matrix on the pool; await in submission order so
-     the report reads the same at any --jobs width. *)
+  (* Resolve the audit matrix on the pool; run_all returns in
+     submission order, so the report reads the same at any --jobs width. *)
   let pool = Kg_engine.Pool.create ~jobs in
-  let futures =
-    List.map
-      (fun (bench, d, name, spec) ->
-        ( bench,
-          name,
-          Kg_engine.Pool.submit pool (fun () ->
-              R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~parallel_gc
-                ~check:true ~mode:R.Count spec d) ))
-      matrix
+  let results =
+    Kg_engine.Pool.run_all pool
+      (List.map
+         (fun (_, d, _, spec) () ->
+           R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~parallel_gc ~check:true
+             ~mode:R.Count spec d)
+         matrix)
   in
-  List.iter
-    (fun (bench, name, fut) ->
-      let r = Kg_engine.Pool.await fut in
+  Kg_engine.Pool.shutdown pool;
+  List.iter2
+    (fun (bench, _, name, _) (r : R.result) ->
       let st = r.R.stats in
       let gcs = st.GS.nursery_gcs + st.GS.observer_gcs + st.GS.major_gcs in
       match r.R.check_violations with
@@ -131,8 +129,7 @@ let check_cmd benches scale heap_scale cap_mb seed domains parallel_gc jobs =
         Printf.printf "FAIL %-10s %-9s %d violation(s) in %d collections:\n" bench name
           (List.length vs) gcs;
         List.iter (fun v -> Printf.printf "       %s\n" v) vs)
-    futures;
-  Kg_engine.Pool.shutdown pool;
+    matrix results;
   if !failures > 0 then 1 else 0
 
 let benches_arg =

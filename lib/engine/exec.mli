@@ -42,8 +42,8 @@ val fetch : t -> Kg_sim.Experiments.job -> Kg_sim.Run.result
 
 val prefetch : t -> Kg_sim.Experiments.job list -> unit
 (** Deduplicate by key, drop what the memo already holds, resolve the
-    rest on the pool, and wait. The first failing job cancels the rest
-    and re-raises here. *)
+    rest on the pool as one list, and wait. The first failing job
+    cancels the jobs not yet started and re-raises here. *)
 
 val prefetch_experiments : t -> string list -> unit
 (** {!prefetch} the runs of the named experiments
@@ -61,4 +61,5 @@ val summary : t -> string
     throughput. The CI smoke job parses this. *)
 
 val shutdown : t -> unit
-(** Drain and join the pool (results already published remain valid). *)
+(** Release the pool's domain claims (results already published remain
+    valid). *)

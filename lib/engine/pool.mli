@@ -1,13 +1,14 @@
-(** Fixed-size domain worker pool with a bounded work queue.
+(** A domain pool that runs one job list at a time.
 
-    Jobs are submitted from one coordinating domain and executed by
-    [jobs] worker domains ([jobs <= 1] degenerates to inline execution
-    in the submitting domain, so sequential and parallel runs share one
-    code path).
+    {!run_all} spawns its worker domains for the list it is given and
+    joins them before it returns ([jobs <= 1] runs the list inline in
+    the calling domain, so sequential and parallel runs share one code
+    path). OCaml 5 collects every domain's minor heap in one
+    stop-the-world section, so the pool holds domains only while it
+    has jobs to run.
 
-    The first job that raises cancels everything still queued: their
-    futures settle with {!Cancelled}, and the pool refuses further
-    submissions the same way. Jobs already running are left to finish
+    The first job that raises cancels every job not yet started: they
+    settle as {!Cancelled}. Jobs already running are left to finish
     (the simulator has no preemption points, and a partial heap is
     worthless anyway). *)
 
@@ -17,26 +18,20 @@ exception Cancelled
 (** The job never ran: an earlier job failed first. *)
 
 val create : jobs:int -> t
-(** [jobs] worker domains (clamped to [1 .. 128]; [<= 1] means inline
-    execution, no domains spawned). At most [4 * jobs] submitted jobs
-    wait unclaimed before {!submit} blocks. *)
+(** A pool of [jobs] workers (clamped to [1 .. 128]; [<= 1] means
+    inline execution). The workers' domains are claimed from
+    {!Kg_util.Domain_budget} until {!shutdown}. *)
 
 val jobs : t -> int
 (** Worker count (1 for an inline pool). *)
 
-type 'a future
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a job; blocks while the queue is full. *)
-
-val await : 'a future -> 'a
-(** Block until the job settles; returns its value or re-raises its
-    exception ({!Cancelled} if it was discarded). *)
-
 val run_all : t -> (unit -> 'a) list -> 'a list
-(** Submit everything, await everything (in submission order), and
-    return the values. If any job failed, re-raises the error of the
-    earliest-submitted failed job after all futures have settled. *)
+(** Run every job on [min jobs n] domains, which take job indices from
+    one shared cursor (inline in the calling domain when that is 1),
+    and return the values in submission order. If any job failed,
+    re-raises the error of the earliest-submitted failed job once every
+    domain has joined. Call from one domain at a time; raises
+    [Invalid_argument] after {!shutdown}. *)
 
 type totals = {
   submitted : int;
@@ -53,6 +48,4 @@ val throughput : totals -> float
 (** Completed jobs per wall-clock second (0 for an idle pool). *)
 
 val shutdown : t -> unit
-(** Wait for queued and running jobs to drain, then join the worker
-    domains. Idempotent; submitting after shutdown raises
-    [Invalid_argument]. *)
+(** Release the workers' domain claims. Idempotent. *)

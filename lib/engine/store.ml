@@ -123,87 +123,23 @@ let push_zero_runs v j =
         done)
     (to_arr j)
 
+(* The counters in [GS.counters] order, then the two log vectors. *)
 let stats_j (st : GS.t) =
   Obj
-    [
-      ("app_writes_nursery", Int st.GS.app_writes_nursery);
-      ("app_writes_observer", Int st.GS.app_writes_observer);
-      ("app_writes_mature", Int st.GS.app_writes_mature);
-      ("app_write_bytes_dram", Int st.GS.app_write_bytes_dram);
-      ("app_write_bytes_pcm", Int st.GS.app_write_bytes_pcm);
-      ("ref_writes", Int st.GS.ref_writes);
-      ("prim_writes", Int st.GS.prim_writes);
-      ("reads", Int st.GS.reads);
-      ("gen_remset_inserts", Int st.GS.gen_remset_inserts);
-      ("obs_remset_inserts", Int st.GS.obs_remset_inserts);
-      ("monitor_header_writes", Int st.GS.monitor_header_writes);
-      ("barrier_fast_paths", Int st.GS.barrier_fast_paths);
-      ("nursery_gcs", Int st.GS.nursery_gcs);
-      ("observer_gcs", Int st.GS.observer_gcs);
-      ("major_gcs", Int st.GS.major_gcs);
-      ("copied_bytes_nursery", Int st.GS.copied_bytes_nursery);
-      ("copied_bytes_observer", Int st.GS.copied_bytes_observer);
-      ("copied_bytes_major", Int st.GS.copied_bytes_major);
-      ("remset_slot_updates", Int st.GS.remset_slot_updates);
-      ("mark_header_writes", Int st.GS.mark_header_writes);
-      ("mark_table_writes", Int st.GS.mark_table_writes);
-      ("scanned_objects", Int st.GS.scanned_objects);
-      ("nursery_alloc_bytes", Int st.GS.nursery_alloc_bytes);
-      ("nursery_survived_bytes", Int st.GS.nursery_survived_bytes);
-      ("observer_in_bytes", Int st.GS.observer_in_bytes);
-      ("observer_survived_bytes", Int st.GS.observer_survived_bytes);
-      ("observer_to_dram_bytes", Int st.GS.observer_to_dram_bytes);
-      ("observer_to_pcm_bytes", Int st.GS.observer_to_pcm_bytes);
-      ("large_allocs", Int st.GS.large_allocs);
-      ("large_allocs_in_nursery", Int st.GS.large_allocs_in_nursery);
-      ("mature_moves_to_dram", Int st.GS.mature_moves_to_dram);
-      ("mature_moves_to_pcm", Int st.GS.mature_moves_to_pcm);
-      ("los_moves_to_dram", Int st.GS.los_moves_to_dram);
-      ("retired_mature_writes", zero_runs_j st.GS.retired_mature_writes);
-      ( "collection_log",
-        Arr
-          (Array.to_list
-             (Array.map
-                (fun (p, c, s) -> Arr [ Int (Kg_gc.Phase.to_tag p); Int c; Int s ])
-                (Vec.to_array st.GS.collection_log))) );
-    ]
+    (List.map (fun (k, get, _) -> (k, Int (get st))) GS.counters
+    @ [
+        ("retired_mature_writes", zero_runs_j st.GS.retired_mature_writes);
+        ( "collection_log",
+          Arr
+            (Array.to_list
+               (Array.map
+                  (fun (p, c, s) -> Arr [ Int (Kg_gc.Phase.to_tag p); Int c; Int s ])
+                  (Vec.to_array st.GS.collection_log))) );
+      ])
 
 let stats_of_j j =
   let st = GS.create () in
-  let i k = to_int (member k j) in
-  st.GS.app_writes_nursery <- i "app_writes_nursery";
-  st.GS.app_writes_observer <- i "app_writes_observer";
-  st.GS.app_writes_mature <- i "app_writes_mature";
-  st.GS.app_write_bytes_dram <- i "app_write_bytes_dram";
-  st.GS.app_write_bytes_pcm <- i "app_write_bytes_pcm";
-  st.GS.ref_writes <- i "ref_writes";
-  st.GS.prim_writes <- i "prim_writes";
-  st.GS.reads <- i "reads";
-  st.GS.gen_remset_inserts <- i "gen_remset_inserts";
-  st.GS.obs_remset_inserts <- i "obs_remset_inserts";
-  st.GS.monitor_header_writes <- i "monitor_header_writes";
-  st.GS.barrier_fast_paths <- i "barrier_fast_paths";
-  st.GS.nursery_gcs <- i "nursery_gcs";
-  st.GS.observer_gcs <- i "observer_gcs";
-  st.GS.major_gcs <- i "major_gcs";
-  st.GS.copied_bytes_nursery <- i "copied_bytes_nursery";
-  st.GS.copied_bytes_observer <- i "copied_bytes_observer";
-  st.GS.copied_bytes_major <- i "copied_bytes_major";
-  st.GS.remset_slot_updates <- i "remset_slot_updates";
-  st.GS.mark_header_writes <- i "mark_header_writes";
-  st.GS.mark_table_writes <- i "mark_table_writes";
-  st.GS.scanned_objects <- i "scanned_objects";
-  st.GS.nursery_alloc_bytes <- i "nursery_alloc_bytes";
-  st.GS.nursery_survived_bytes <- i "nursery_survived_bytes";
-  st.GS.observer_in_bytes <- i "observer_in_bytes";
-  st.GS.observer_survived_bytes <- i "observer_survived_bytes";
-  st.GS.observer_to_dram_bytes <- i "observer_to_dram_bytes";
-  st.GS.observer_to_pcm_bytes <- i "observer_to_pcm_bytes";
-  st.GS.large_allocs <- i "large_allocs";
-  st.GS.large_allocs_in_nursery <- i "large_allocs_in_nursery";
-  st.GS.mature_moves_to_dram <- i "mature_moves_to_dram";
-  st.GS.mature_moves_to_pcm <- i "mature_moves_to_pcm";
-  st.GS.los_moves_to_dram <- i "los_moves_to_dram";
+  List.iter (fun (k, _, set) -> set st (to_int (member k j))) GS.counters;
   push_zero_runs st.GS.retired_mature_writes (member "retired_mature_writes" j);
   List.iter
     (fun e ->

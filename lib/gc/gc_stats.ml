@@ -77,40 +77,47 @@ let create () =
     collection_log = Vec.create ();
   }
 
+(* The scalar counters in declaration order, each with its reader and
+   writer: reset, diff and the result store's codec walk this list. *)
+let counters =
+  [
+    ("app_writes_nursery", (fun t -> t.app_writes_nursery), fun t v -> t.app_writes_nursery <- v);
+    ("app_writes_observer", (fun t -> t.app_writes_observer), fun t v -> t.app_writes_observer <- v);
+    ("app_writes_mature", (fun t -> t.app_writes_mature), fun t v -> t.app_writes_mature <- v);
+    ("app_write_bytes_dram", (fun t -> t.app_write_bytes_dram), fun t v -> t.app_write_bytes_dram <- v);
+    ("app_write_bytes_pcm", (fun t -> t.app_write_bytes_pcm), fun t v -> t.app_write_bytes_pcm <- v);
+    ("ref_writes", (fun t -> t.ref_writes), fun t v -> t.ref_writes <- v);
+    ("prim_writes", (fun t -> t.prim_writes), fun t v -> t.prim_writes <- v);
+    ("reads", (fun t -> t.reads), fun t v -> t.reads <- v);
+    ("gen_remset_inserts", (fun t -> t.gen_remset_inserts), fun t v -> t.gen_remset_inserts <- v);
+    ("obs_remset_inserts", (fun t -> t.obs_remset_inserts), fun t v -> t.obs_remset_inserts <- v);
+    ("monitor_header_writes", (fun t -> t.monitor_header_writes), fun t v -> t.monitor_header_writes <- v);
+    ("barrier_fast_paths", (fun t -> t.barrier_fast_paths), fun t v -> t.barrier_fast_paths <- v);
+    ("nursery_gcs", (fun t -> t.nursery_gcs), fun t v -> t.nursery_gcs <- v);
+    ("observer_gcs", (fun t -> t.observer_gcs), fun t v -> t.observer_gcs <- v);
+    ("major_gcs", (fun t -> t.major_gcs), fun t v -> t.major_gcs <- v);
+    ("copied_bytes_nursery", (fun t -> t.copied_bytes_nursery), fun t v -> t.copied_bytes_nursery <- v);
+    ("copied_bytes_observer", (fun t -> t.copied_bytes_observer), fun t v -> t.copied_bytes_observer <- v);
+    ("copied_bytes_major", (fun t -> t.copied_bytes_major), fun t v -> t.copied_bytes_major <- v);
+    ("remset_slot_updates", (fun t -> t.remset_slot_updates), fun t v -> t.remset_slot_updates <- v);
+    ("mark_header_writes", (fun t -> t.mark_header_writes), fun t v -> t.mark_header_writes <- v);
+    ("mark_table_writes", (fun t -> t.mark_table_writes), fun t v -> t.mark_table_writes <- v);
+    ("scanned_objects", (fun t -> t.scanned_objects), fun t v -> t.scanned_objects <- v);
+    ("nursery_alloc_bytes", (fun t -> t.nursery_alloc_bytes), fun t v -> t.nursery_alloc_bytes <- v);
+    ("nursery_survived_bytes", (fun t -> t.nursery_survived_bytes), fun t v -> t.nursery_survived_bytes <- v);
+    ("observer_in_bytes", (fun t -> t.observer_in_bytes), fun t v -> t.observer_in_bytes <- v);
+    ("observer_survived_bytes", (fun t -> t.observer_survived_bytes), fun t v -> t.observer_survived_bytes <- v);
+    ("observer_to_dram_bytes", (fun t -> t.observer_to_dram_bytes), fun t v -> t.observer_to_dram_bytes <- v);
+    ("observer_to_pcm_bytes", (fun t -> t.observer_to_pcm_bytes), fun t v -> t.observer_to_pcm_bytes <- v);
+    ("large_allocs", (fun t -> t.large_allocs), fun t v -> t.large_allocs <- v);
+    ("large_allocs_in_nursery", (fun t -> t.large_allocs_in_nursery), fun t v -> t.large_allocs_in_nursery <- v);
+    ("mature_moves_to_dram", (fun t -> t.mature_moves_to_dram), fun t v -> t.mature_moves_to_dram <- v);
+    ("mature_moves_to_pcm", (fun t -> t.mature_moves_to_pcm), fun t v -> t.mature_moves_to_pcm <- v);
+    ("los_moves_to_dram", (fun t -> t.los_moves_to_dram), fun t v -> t.los_moves_to_dram <- v);
+  ]
+
 let reset t =
-  t.app_writes_nursery <- 0;
-  t.app_writes_observer <- 0;
-  t.app_writes_mature <- 0;
-  t.app_write_bytes_dram <- 0;
-  t.app_write_bytes_pcm <- 0;
-  t.ref_writes <- 0;
-  t.prim_writes <- 0;
-  t.reads <- 0;
-  t.gen_remset_inserts <- 0;
-  t.obs_remset_inserts <- 0;
-  t.monitor_header_writes <- 0;
-  t.barrier_fast_paths <- 0;
-  t.nursery_gcs <- 0;
-  t.observer_gcs <- 0;
-  t.major_gcs <- 0;
-  t.copied_bytes_nursery <- 0;
-  t.copied_bytes_observer <- 0;
-  t.copied_bytes_major <- 0;
-  t.remset_slot_updates <- 0;
-  t.mark_header_writes <- 0;
-  t.mark_table_writes <- 0;
-  t.scanned_objects <- 0;
-  t.nursery_alloc_bytes <- 0;
-  t.nursery_survived_bytes <- 0;
-  t.observer_in_bytes <- 0;
-  t.observer_survived_bytes <- 0;
-  t.observer_to_dram_bytes <- 0;
-  t.observer_to_pcm_bytes <- 0;
-  t.large_allocs <- 0;
-  t.large_allocs_in_nursery <- 0;
-  t.mature_moves_to_dram <- 0;
-  t.mature_moves_to_pcm <- 0;
-  t.los_moves_to_dram <- 0;
+  List.iter (fun (_, _, set) -> set t 0) counters;
   Vec.clear t.retired_mature_writes;
   Vec.clear t.collection_log
 
@@ -119,39 +126,7 @@ let diff a b =
   let cmp name va vb =
     if va <> vb then out := Printf.sprintf "%s: %d <> %d" name va vb :: !out
   in
-  cmp "app_writes_nursery" a.app_writes_nursery b.app_writes_nursery;
-  cmp "app_writes_observer" a.app_writes_observer b.app_writes_observer;
-  cmp "app_writes_mature" a.app_writes_mature b.app_writes_mature;
-  cmp "app_write_bytes_dram" a.app_write_bytes_dram b.app_write_bytes_dram;
-  cmp "app_write_bytes_pcm" a.app_write_bytes_pcm b.app_write_bytes_pcm;
-  cmp "ref_writes" a.ref_writes b.ref_writes;
-  cmp "prim_writes" a.prim_writes b.prim_writes;
-  cmp "reads" a.reads b.reads;
-  cmp "gen_remset_inserts" a.gen_remset_inserts b.gen_remset_inserts;
-  cmp "obs_remset_inserts" a.obs_remset_inserts b.obs_remset_inserts;
-  cmp "monitor_header_writes" a.monitor_header_writes b.monitor_header_writes;
-  cmp "barrier_fast_paths" a.barrier_fast_paths b.barrier_fast_paths;
-  cmp "nursery_gcs" a.nursery_gcs b.nursery_gcs;
-  cmp "observer_gcs" a.observer_gcs b.observer_gcs;
-  cmp "major_gcs" a.major_gcs b.major_gcs;
-  cmp "copied_bytes_nursery" a.copied_bytes_nursery b.copied_bytes_nursery;
-  cmp "copied_bytes_observer" a.copied_bytes_observer b.copied_bytes_observer;
-  cmp "copied_bytes_major" a.copied_bytes_major b.copied_bytes_major;
-  cmp "remset_slot_updates" a.remset_slot_updates b.remset_slot_updates;
-  cmp "mark_header_writes" a.mark_header_writes b.mark_header_writes;
-  cmp "mark_table_writes" a.mark_table_writes b.mark_table_writes;
-  cmp "scanned_objects" a.scanned_objects b.scanned_objects;
-  cmp "nursery_alloc_bytes" a.nursery_alloc_bytes b.nursery_alloc_bytes;
-  cmp "nursery_survived_bytes" a.nursery_survived_bytes b.nursery_survived_bytes;
-  cmp "observer_in_bytes" a.observer_in_bytes b.observer_in_bytes;
-  cmp "observer_survived_bytes" a.observer_survived_bytes b.observer_survived_bytes;
-  cmp "observer_to_dram_bytes" a.observer_to_dram_bytes b.observer_to_dram_bytes;
-  cmp "observer_to_pcm_bytes" a.observer_to_pcm_bytes b.observer_to_pcm_bytes;
-  cmp "large_allocs" a.large_allocs b.large_allocs;
-  cmp "large_allocs_in_nursery" a.large_allocs_in_nursery b.large_allocs_in_nursery;
-  cmp "mature_moves_to_dram" a.mature_moves_to_dram b.mature_moves_to_dram;
-  cmp "mature_moves_to_pcm" a.mature_moves_to_pcm b.mature_moves_to_pcm;
-  cmp "los_moves_to_dram" a.los_moves_to_dram b.los_moves_to_dram;
+  List.iter (fun (name, get, _) -> cmp name (get a) (get b)) counters;
   cmp "retired_mature_writes length" (Vec.length a.retired_mature_writes)
     (Vec.length b.retired_mature_writes);
   if Vec.length a.retired_mature_writes = Vec.length b.retired_mature_writes then

@@ -58,6 +58,11 @@ type t = {
 
 val create : unit -> t
 
+val counters : (string * (t -> int) * (t -> int -> unit)) list
+(** Every scalar counter of {!t} in declaration order: its field name,
+    reader and writer. {!reset}, {!diff} and the result store's codec
+    walk this list; the two log vectors are not in it. *)
+
 val reset : t -> unit
 (** Zero every counter (e.g. after warmup/boot allocation, so measured
     demographics reflect steady state only). *)

@@ -77,12 +77,6 @@ let object_in_pcm t o =
 
 let set_gc_hook t f = t.gc_hook <- f
 
-(* Chain a hook after whatever is installed: the run driver samples
-   heap composition, and the invariant auditor rides along behind it. *)
-let add_gc_hook t f =
-  let g = t.gc_hook in
-  t.gc_hook <- (fun p -> g p; f p)
-
 let set_event_hook t f = t.event_hook <- Some f
 
 (* ------------------------------------------------------------------ *)

@@ -138,12 +138,10 @@ val dram_used : t -> int
 val pcm_used : t -> int
 
 val set_gc_hook : t -> (Phase.t -> unit) -> unit
-(** Invoked at the end of every collection — the Figure 13 heap
-    composition traces sample usage from here. *)
-
-val add_gc_hook : t -> (Phase.t -> unit) -> unit
-(** Chain another hook after the installed one (the invariant auditor
-    attaches itself this way without displacing the sampling hook). *)
+(** Install the one hook invoked at the end of every collection,
+    replacing any earlier one. [Run.run]'s hook samples heap
+    composition (the Figure 13 traces), audits the heap and feeds the
+    serve pause profile from here. *)
 
 val set_event_hook : t -> (Trace.event -> unit) -> unit
 (** Observe every mutator-level runtime interaction (allocations with
@@ -172,11 +170,6 @@ val nursery_free : ?domain:int -> t -> int
 val domains : t -> int
 (** Number of mutator domains the runtime was created with. *)
 
-val mut_mem : t -> int -> Mem_iface.t
-(** The memory port a given domain issues its traffic through —
-    [mem t] itself for a single-domain runtime, a member of a
-    sequenced port group otherwise. *)
-
 (** {2 Introspection}
 
     Read-only access to the runtime's spaces and metadata structures,
@@ -185,10 +178,7 @@ val mut_mem : t -> int -> Mem_iface.t
 
 val sp_nursery : int
 val sp_observer : int
-val sp_mature_dram : int
 val sp_mature_pcm : int
-val sp_los_dram : int
-val sp_los_pcm : int
 
 val address_map : t -> Kg_mem.Address_map.t
 

@@ -300,8 +300,3 @@ let audit ?counters ?(phase = Phase.Application) rt =
     counters;
 
   List.rev !vs
-
-let attach ?counters rt =
-  let acc = Vec.create () in
-  Runtime.add_gc_hook rt (fun phase -> List.iter (Vec.push acc) (audit ?counters ~phase rt));
-  acc

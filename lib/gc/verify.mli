@@ -1,9 +1,9 @@
 (** Heap invariant auditor.
 
-    Verifies, typically at the end of every collection phase (via
-    {!attach}) and once more at the end of a run, that the runtime's
-    heap is structurally sound and its statistics obey their
-    conservation laws:
+    Verifies, typically at the end of every collection phase (from
+    [Run.run]'s collection hook) and once more at the end of a run,
+    that the runtime's heap is structurally sound and its statistics
+    obey their conservation laws:
 
     - {b space-id / placement / unique-residence}: every resident
       object carries the id of the space holding it, lies (entirely) on
@@ -48,11 +48,6 @@ val audit :
 (** Run every check once against the current heap. [phase] (default
     [Application]) selects the phase-dependent remembered-set checks
     and tags the violations. *)
-
-val attach : ?counters:Mem_iface.counters -> Runtime.t -> violation Kg_util.Vec.t
-(** Chain an auditing hook onto the runtime ({!Runtime.add_gc_hook});
-    every collection phase end runs {!audit} and accumulates the
-    violations into the returned vector. *)
 
 val live_census : Runtime.t -> int * int
 (** Oracle-live (count, bytes) across all object spaces including the

@@ -10,6 +10,8 @@ let create ~kind ~base ~size = { kind; base; limit = base + size; cursor = base 
 let kind t = t.kind
 
 let reserve ?(who = "?") t bytes =
+  if bytes < 0 then
+    invalid_arg (Printf.sprintf "Arena.reserve: %s requested a negative size (%d)" who bytes);
   let bytes = Layout.align_up bytes Layout.page in
   if t.cursor + bytes > t.limit then
     failwith

@@ -16,10 +16,11 @@ val kind : t -> Kg_mem.Device.kind
 val reserve : ?who:string -> t -> int -> int
 (** [reserve ?who t bytes] returns the base address of a fresh
     page-aligned range. [who] names the requesting space for
-    diagnostics. Raises [Failure] when the arena is exhausted; the
-    message reports the requester, the rounded request, the bytes
-    left, and the reserved-of-limit occupancy. Takes no lock: spaces
-    grow only in sequential phases. *)
+    diagnostics. Raises [Invalid_argument] naming the requester on a
+    negative size, before the cursor moves. Raises [Failure] when the
+    arena is exhausted; the message reports the requester, the rounded
+    request, the bytes left, and the reserved-of-limit occupancy.
+    Takes no lock: spaces grow only in sequential phases. *)
 
 val reserved_bytes : t -> int
 val remaining : t -> int

@@ -133,7 +133,6 @@ type t = {
   mutable pause_acc : float;  (* total pause ms so far *)
   d_pause_mark : float array;  (* pause_acc when each domain's open request began *)
   mutable requests : int;
-  mutable pause_model_attached : bool;
 }
 
 let config t = t.cfg
@@ -211,26 +210,13 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(config = default_confi
     pause_acc = 0.0;
     d_pause_mark = Array.make threads 0.0;
     requests = 0;
-    pause_model_attached = false;
   }
 
-(* Feed every collection's modeled STW pause into the histogram and
-   the running total the latency attribution reads. The driver calls
-   this after Gc_stats.reset (so boot collections are excluded) with
-   Time_model.pause_ms partially applied to the run's domain count. *)
-let attach_pause_recorder t ~pause_ms =
-  if t.pause_model_attached then invalid_arg "Server.attach_pause_recorder: already attached";
-  t.pause_model_attached <- true;
-  let stats = Rt.stats t.rt in
-  Rt.add_gc_hook t.rt (fun phase ->
-      let log = stats.Kg_gc.Gc_stats.collection_log in
-      if Vec.length log > 0 then begin
-        let p, copied, scanned = Vec.get log (Vec.length log - 1) in
-        ignore phase;
-        let ms = pause_ms p ~copied ~scanned in
-        Hdr_histogram.add t.pauses ms;
-        t.pause_acc <- t.pause_acc +. ms
-      end)
+(* One collection's modeled STW pause: into the histogram and the
+   running total the latency attribution reads. *)
+let add_pause t ms =
+  Hdr_histogram.add t.pauses ms;
+  t.pause_acc <- t.pause_acc +. ms
 
 (* ------------------------------------------------------------------ *)
 (* Generation (pure per-domain)                                        *)

@@ -20,9 +20,8 @@
     queue — a request's service demand is its allocated bytes, so
     queueing delay emerges as the arrival rate approaches the
     per-domain allocation speed. On top, the server attributes
-    modeled STW pauses (supplied by the driver via
-    {!attach_pause_recorder}) to the requests in flight while they
-    fired. *)
+    modeled STW pauses (supplied by the driver via {!add_pause}) to
+    the requests in flight while they fired. *)
 
 type config = {
   rate : float;  (** open-loop arrival rate, requests/sec across all domains *)
@@ -63,13 +62,11 @@ val descriptor : t -> Kg_workload.Descriptor.t
 val runtime : t -> Kg_gc.Runtime.t
 val thread_count : t -> int
 
-val attach_pause_recorder :
-  t -> pause_ms:(Kg_gc.Phase.t -> copied:int -> scanned:int -> float) -> unit
-(** Chain a GC hook that feeds every collection's modeled pause into
-    {!pauses} and the latency attribution. Call once, after the boot
-    image and stats reset so startup collections are excluded; the
-    driver passes [Time_model.pause_ms] with the run's domain count
-    applied. Raises [Invalid_argument] on a second attach. *)
+val add_pause : t -> float -> unit
+(** Record one collection's modeled STW pause, in ms, into {!pauses}
+    and the latency attribution. The driver calls it from its
+    collection hook once the boot image is built and the stats reset,
+    so startup collections are excluded. *)
 
 val allocate_startup : t -> unit
 (** Allocate the immortal base (40 % of the live target), round-robin
@@ -86,8 +83,7 @@ val latencies : t -> Kg_util.Hdr_histogram.t
     + attributed GC pauses. *)
 
 val pauses : t -> Kg_util.Hdr_histogram.t
-(** Per-collection modeled STW pauses, ms (empty until
-    {!attach_pause_recorder}). *)
+(** Per-collection modeled STW pauses, ms (as given to {!add_pause}). *)
 
 val request_count : t -> int
 val tier1_hits : t -> int

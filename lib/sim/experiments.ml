@@ -58,17 +58,6 @@ type env = { o : opts; resolve : job -> Run.result }
 
 let make_env_with ~fetch o = { o; resolve = fetch }
 
-let make_env o =
-  let cache = Hashtbl.create 64 in
-  make_env_with o ~fetch:(fun j ->
-      let key = job_key o j in
-      match Hashtbl.find_opt cache key with
-      | Some r -> r
-      | None ->
-        let r = run_job o j in
-        Hashtbl.replace cache key r;
-        r)
-
 let fetch env j = env.resolve j
 
 (* ------------------------------------------------------------------ *)

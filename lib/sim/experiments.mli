@@ -2,14 +2,13 @@
 
     Every runner returns a {!Kg_util.Table.t} whose rows mirror the
     published figure so measured-vs-paper comparison is mechanical.
-    Results are memoised per environment: figures share underlying
-    (benchmark x system x collector) runs, so regenerating the full set
-    costs one pass over the run matrix.
+    Figures share underlying (benchmark x system x collector) runs, so
+    an environment's resolver memoises them and regenerating the full
+    set costs one pass over the run matrix.
 
-    An environment is parameterised by its fetch function, so the run
-    matrix can be resolved by the default in-process memo table or by
-    an external engine (see {!Kg_engine.Exec}) that schedules misses
-    onto a domain pool and persists results on disk. Each table is
+    An environment is parameterised by its fetch function; the engine
+    ({!Kg_engine.Exec}) resolves the run matrix, scheduling misses onto
+    a domain pool and persisting results on disk. Each table is
     written as a plan of the runs it reads: the list of runs is fixed
     before any result exists, and the table is computed from their
     results. An experiment's [runs] and [table] both come from that one
@@ -68,16 +67,13 @@ val job_key : opts -> job -> string
 val run_job : opts -> job -> Run.result
 (** Execute the job with {!Run.run}. The single place where an
     environment's options are turned into [Run.run] arguments, so the
-    sequential memo, the parallel pool, and the persistent store all
-    compute exactly the same thing for a given key. *)
+    engine's memo, its pool and its persistent store all compute
+    exactly the same thing for a given key. *)
 
 type env
 
-val make_env : opts -> env
-(** Sequential environment: an in-process memo table over {!run_job}. *)
-
 val make_env_with : fetch:(job -> Run.result) -> opts -> env
-(** Environment with an external resolver (memoisation, scheduling and
+(** Environment with a resolver (memoisation, scheduling and
     persistence are the resolver's business). *)
 
 val fetch : env -> job -> Run.result

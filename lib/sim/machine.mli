@@ -20,9 +20,6 @@ val dram_gb : int
 val pcm_gb : int
 (** 32 GB of PCM. *)
 
-val hybrid_dram_gb : int
-(** 1 GB of DRAM in the hybrid system. *)
-
 val map_of : system -> Kg_mem.Address_map.t
 
 val build : system -> t

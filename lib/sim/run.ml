@@ -96,11 +96,6 @@ type result = {
   serve : serve_metrics option;
 }
 
-(* The pause-time model handed to the serve recorder:
-   Time_model.pause_ms with the run's domain count applied. *)
-let pause_model ?(domains = 1) ?(parallel_gc = false) () =
- fun (_ : Phase.t) ~copied ~scanned -> Time_model.pause_ms ~domains ~parallel_gc ~copied ~scanned ()
-
 (* The engine simulates one mutator thread; the paper's 4-core rates
    run the multithreaded benchmarks across all cores, and write rates
    scale near-linearly at low core counts (Table 3 shows >= 5x from 4
@@ -167,22 +162,31 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
   @@ fun () ->
   let rt = Runtime.create ~domains:threads ~config:cfg ~mem ~map:runtime_map ~seed () in
   Option.iter (fun r -> Runtime.set_event_hook rt (Trace.record r)) recorder;
-  (* Sample heap composition at every collection. *)
+  (* The one collection hook, at the end of every collection phase:
+     sample heap composition, audit the heap when [check] is set, and
+     feed a serve run's modeled pause to its server. *)
   let dram_acc = Stats.Acc.create () and pcm_acc = Stats.Acc.create () in
   let mature_dram_acc = Stats.Acc.create () in
   let trace_acc = ref [] in
-  Runtime.set_gc_hook rt (fun _phase ->
+  let violations = Vec.create () in
+  let server = ref None in
+  Runtime.set_gc_hook rt (fun phase ->
       let d = Units.mib_of_bytes (Runtime.dram_used rt) in
       let p = Units.mib_of_bytes (Runtime.pcm_used rt) in
       Stats.Acc.add dram_acc d;
       Stats.Acc.add pcm_acc p;
       Stats.Acc.add mature_dram_acc (Units.mib_of_bytes (Runtime.usage rt).mature_dram_used);
-      if trace then trace_acc := (Runtime.now rt, p, d) :: !trace_acc);
-  (* The auditor chains onto the sampling hook and re-checks the heap
-     at the end of every collection phase. *)
-  let audit_acc =
-    if check then Some (Verify.attach ?counters:!counting_counters rt) else None
-  in
+      if trace then trace_acc := (Runtime.now rt, p, d) :: !trace_acc;
+      if check then
+        List.iter (Vec.push violations) (Verify.audit ?counters:!counting_counters ~phase rt);
+      Option.iter
+        (fun srv ->
+          (* The runtime logs each collection before calling the hook. *)
+          let log = (Runtime.stats rt).Gc_stats.collection_log in
+          let _, copied, scanned = Vec.get log (Vec.length log - 1) in
+          Kg_serve.Server.add_pause srv
+            (Time_model.pause_ms ~domains:threads ~parallel_gc ~copied ~scanned ()))
+        !server);
   let alloc_bytes = Mutator.scaled_alloc_bytes bench ~scale ~cap_mb in
   let serve_metrics =
     match serve with
@@ -204,10 +208,10 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
       S.allocate_startup srv;
       Option.iter (fun r -> Trace.record r Trace.Reset_stats) recorder;
       Gc_stats.reset (Runtime.stats rt);
-      (* Attached after the reset so boot collections stay out of the
-         pause profile, like every other steady-state statistic. *)
-      S.attach_pause_recorder srv
-        ~pause_ms:(pause_model ~domains:threads ~parallel_gc ());
+      (* Pauses count from here, after the reset, so boot collections
+         stay out of the pause profile like every other steady-state
+         statistic. *)
+      server := Some srv;
       S.run srv ~alloc_bytes;
       Some
         {
@@ -284,13 +288,10 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
     meta_mb = Units.mib_of_bytes (Runtime.usage rt).meta_used;
     trace = List.rev !trace_acc;
     check_violations =
-      (match audit_acc with
-      | None -> []
-      | Some acc ->
-        let final =
-          Verify.audit ?counters:!counting_counters ~phase:Phase.Application rt
-        in
-        List.map Verify.to_string (Array.to_list (Vec.to_array acc) @ final));
+      (if not check then []
+       else
+         let final = Verify.audit ?counters:!counting_counters ~phase:Phase.Application rt in
+         List.map Verify.to_string (Array.to_list (Vec.to_array violations) @ final));
     serve = serve_metrics;
   }
 

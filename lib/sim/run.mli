@@ -79,12 +79,6 @@ type result = {
   serve : serve_metrics option;  (** populated by serve-mode runs only *)
 }
 
-val pause_model :
-  ?domains:int -> ?parallel_gc:bool -> unit ->
-  Kg_gc.Phase.t -> copied:int -> scanned:int -> float
-(** {!Time_model.pause_ms} in the shape the serve pause recorder
-    ({!Kg_serve.Server.attach_pause_recorder}) expects. *)
-
 val pcm_write_rate_4core_gbs : result -> float
 (** Simulated PCM write rate: writeback bytes / reconstructed time. *)
 
@@ -134,11 +128,15 @@ val run :
     ([bench/e2e]) stops passing it, in the next change to that
     benchmark.
 
-    [check] (default false) attaches the {!Kg_gc.Verify} heap auditor
-    to every collection phase plus a final end-of-run audit, reporting
-    violations in [check_violations]. [recorder] records every
-    runtime-API event plus the driver's reset/flush markers into a
-    replayable {!Kg_gc.Trace}.
+    The run installs one collection hook ({!Kg_gc.Runtime.set_gc_hook}):
+    it samples heap composition, then, with [check] (default false),
+    runs the {!Kg_gc.Verify} heap auditor, then feeds a serve run's
+    modeled pause ({!Time_model.pause_ms} of the collection's log
+    entry) to {!Kg_serve.Server.add_pause}. A final end-of-run audit
+    joins the per-phase violations in [check_violations].
+
+    [recorder] records every runtime-API event plus the driver's
+    reset/flush markers into a replayable {!Kg_gc.Trace}.
 
     [serve] replaces the batch mutator with the {!Kg_serve.Server}
     request/response mutator at the given config (same epoch protocol,

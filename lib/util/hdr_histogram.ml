@@ -9,9 +9,7 @@
    (modulo one float rounding on each side) for samples above
    [unit_value]; samples at or below [unit_value] share bucket 0 and
    report [unit_value]. State is an int count array plus an exact
-   float maximum, so [merge] is element-wise integer addition and
-   [Float.max] — associative and commutative by construction, which is
-   what makes per-domain histogram merging deterministic. *)
+   float maximum. *)
 
 type t = {
   unit_value : float;
@@ -97,20 +95,9 @@ let p90 t = quantile t 0.90
 let p99 t = quantile t 0.99
 let p999 t = quantile t 0.999
 
-let same_geometry a b =
-  a.unit_value = b.unit_value && a.sub = b.sub && a.octaves = b.octaves
-
-let merge a b =
-  if not (same_geometry a b) then invalid_arg "Hdr_histogram.merge: geometry mismatch";
-  {
-    a with
-    counts = Array.mapi (fun i c -> c + b.counts.(i)) a.counts;
-    n = a.n + b.n;
-    max_v = Float.max a.max_v b.max_v;
-  }
-
 let equal a b =
-  same_geometry a b && a.n = b.n && a.max_v = b.max_v && a.counts = b.counts
+  a.unit_value = b.unit_value && a.sub = b.sub && a.octaves = b.octaves && a.n = b.n
+  && a.max_v = b.max_v && a.counts = b.counts
 
 let nonzero t =
   let acc = ref [] in

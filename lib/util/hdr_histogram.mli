@@ -12,11 +12,8 @@
     report [unit_value]. Values beyond the top octave clamp into the
     last bucket ([max_value] stays exact regardless).
 
-    The state is an int count array plus an exact float maximum, so
-    [merge] is element-wise integer addition plus [Float.max] —
-    associative and commutative by construction. That is what makes
-    merging per-domain histograms deterministic: any merge order
-    yields an [equal] result. *)
+    The state is an int count array plus an exact float maximum, which
+    {!nonzero} and {!restore} serialise exactly. *)
 
 type t
 
@@ -45,10 +42,6 @@ val p999 : t -> float
 
 val relative_error : t -> float
 (** The documented bucket error, [1 / sub]. *)
-
-val merge : t -> t -> t
-(** Element-wise sum; raises [Invalid_argument] when the two
-    histograms were created with different parameters. *)
 
 val equal : t -> t -> bool
 

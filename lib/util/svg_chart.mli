@@ -31,6 +31,3 @@ val line_chart :
   string
 (** Poly-line chart over (x, y) points (e.g. the Figure 13 heap
     composition traces). *)
-
-val palette : int -> string
-(** Stable colour for series index [i]. *)

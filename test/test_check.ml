@@ -174,7 +174,9 @@ let run_model collector ops =
   let cfg = Gc_config.make ~nursery_mb:1 ~heap_mb:8 collector in
   let mem, counters = Mem_iface.counting ~map in
   let rt = Rt.create ~config:cfg ~mem ~map ~seed:7 () in
-  let violations = Verify.attach ~counters rt in
+  let violations = Vec.create () in
+  Rt.set_gc_hook rt (fun phase ->
+      List.iter (Vec.push violations) (Verify.audit ~counters ~phase rt));
   let has_obs = Gc_config.has_observer cfg in
   let pool = Vec.create () in
   let shadow_gen = ref 0 and shadow_obs = ref 0 in

@@ -111,9 +111,33 @@ let test_pool_shutdown () =
   Pool.shutdown p;
   (* idempotent *)
   (try
-     ignore (Pool.submit p (fun () -> ()));
-     Alcotest.fail "submit after shutdown should raise"
+     ignore (Pool.run_all p [ (fun () -> ()) ]);
+     Alcotest.fail "run_all after shutdown should raise"
    with Invalid_argument _ -> ())
+
+(* The contract the one-list pool keeps at any width: values come back
+   in submission order, a failing job's own error is the one re-raised,
+   and every submitted job is accounted for exactly once. *)
+let pool_contract_qcheck =
+  QCheck.Test.make ~name:"run_all keeps order, error and accounting" ~count:60
+    QCheck.(triple (int_range 0 40) (int_range 1 3) (option (int_bound 39)))
+    (fun (n, jobs, fail_at) ->
+      let fail_at = Option.bind fail_at (fun i -> if i < n then Some i else None) in
+      let p = Pool.create ~jobs in
+      let fs =
+        List.init n (fun i () -> if Some i = fail_at then failwith (string_of_int i) else i)
+      in
+      let outcome = try Ok (Pool.run_all p fs) with e -> Error e in
+      let tot = Pool.totals p in
+      Pool.shutdown p;
+      let settled = tot.Pool.completed + tot.Pool.failed + tot.Pool.cancelled in
+      (match (fail_at, outcome) with
+      | None, Ok vals -> vals = List.init n Fun.id
+      | Some i, Error (Failure m) -> m = string_of_int i
+      | _ -> false)
+      && tot.Pool.submitted = n
+      && settled = n
+      && tot.Pool.failed = Option.fold ~none:0 ~some:(fun _ -> 1) fail_at)
 
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
@@ -544,6 +568,7 @@ let () =
           Alcotest.test_case "values in order" `Quick test_pool_values;
           Alcotest.test_case "cancel on first error" `Quick test_pool_cancel;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
+          QCheck_alcotest.to_alcotest pool_contract_qcheck;
         ] );
       ( "store",
         [

@@ -262,6 +262,20 @@ let test_arena_exhaustion_names_space () =
         (Bump_space.create ~words:(fresh_words ()) ~id:0 ~name:"nurse" ~arena:a
            ~size:(2 * Layout.page)))
 
+(* A negative size is refused before the cursor moves: a space created
+   with one would otherwise hand the next space addresses inside it. *)
+let test_arena_negative_request () =
+  let a = fresh_arena () in
+  ignore (Arena.reserve a 100);
+  let before = Arena.reserved_bytes a in
+  Alcotest.check_raises "negative size"
+    (Invalid_argument "Arena.reserve: observer requested a negative size (-1048576)")
+    (fun () ->
+      ignore
+        (Bump_space.create ~words:(fresh_words ()) ~id:1 ~name:"observer" ~arena:a
+           ~size:(-mib)));
+  check_int "cursor unmoved" before (Arena.reserved_bytes a)
+
 (* ------------------------------------------------------------------ *)
 (* Bump space                                                          *)
 
@@ -752,6 +766,7 @@ let () =
           Alcotest.test_case "reserve" `Quick test_arena_reserve;
           Alcotest.test_case "exhaustion" `Quick test_arena_exhaustion;
           Alcotest.test_case "exhaustion names space" `Quick test_arena_exhaustion_names_space;
+          Alcotest.test_case "negative request" `Quick test_arena_negative_request;
         ] );
       ( "bump_space",
         [

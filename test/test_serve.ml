@@ -77,22 +77,6 @@ let test_serve_cache_activity () =
   check_bool "backend fills" true (s.Run.backend_fills > 0);
   check_bool "sessions churned" true (s.Run.sessions_churned > 0)
 
-(* Direct driver sanity: attach_pause_recorder refuses a second
-   attach, and Server.create rejects a thread/runtime mismatch like
-   the batch mutator does. *)
-let test_serve_attach_twice () =
-  let map = Kg_mem.Address_map.hybrid () in
-  let cfg = Kg_gc.Gc_config.make ~heap_mb:48 Kg_gc.Gc_config.kg_w_default in
-  let mem = Kg_gc.Mem_iface.null () in
-  let rt = Kg_gc.Runtime.create ~config:cfg ~mem ~map ~seed:3 () in
-  let srv = S.create ~live_mb:16 (Kg_workload.Descriptor.find "pjbb") ~rt ~seed:4 in
-  let pause_ms = Run.pause_model () in
-  S.attach_pause_recorder srv ~pause_ms;
-  try
-    S.attach_pause_recorder srv ~pause_ms;
-    Alcotest.fail "second attach should raise"
-  with Invalid_argument _ -> ()
-
 let () =
   Alcotest.run "kg_serve"
     [
@@ -106,6 +90,5 @@ let () =
             test_serve_histograms_non_degenerate;
           Alcotest.test_case "latency rises with load" `Quick test_serve_latency_rises_with_rate;
           Alcotest.test_case "cache activity" `Quick test_serve_cache_activity;
-          Alcotest.test_case "pause recorder attaches once" `Quick test_serve_attach_twice;
         ] );
     ]

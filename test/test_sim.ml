@@ -229,7 +229,9 @@ let test_pipelined_run_matches_inline () =
 (* Experiments                                                         *)
 
 let tiny_env () =
-  Experiments.make_env { Experiments.scale = 512; heap_scale = 8; cap_mb = 12; seed = 5 }
+  Kg_engine.Exec.env
+    (Kg_engine.Exec.create ~cache:false
+       { Experiments.scale = 512; heap_scale = 8; cap_mb = 12; seed = 5 })
 
 let test_experiments_registry () =
   check_int "25 experiments" 25 (List.length Experiments.all);

@@ -302,12 +302,6 @@ let test_hdr_restore_roundtrip () =
   in
   check_bool "roundtrip equal" true (H.equal h h')
 
-let test_hdr_merge_mismatch () =
-  let a = H.create ~sub:16 () and b = H.create ~sub:32 () in
-  Alcotest.check_raises "geometry mismatch"
-    (Invalid_argument "Hdr_histogram.merge: geometry mismatch") (fun () ->
-      ignore (H.merge a b))
-
 (* The documented error bound against an exact nearest-rank oracle:
    exact <= quantile <= exact * (1 + 1/sub), one float rounding each
    side, for samples above unit_value. *)
@@ -327,25 +321,6 @@ let hdr_quantile_qcheck =
       if est > exact *. (1.0 +. H.relative_error h +. 1e-9) then
         QCheck.Test.fail_reportf "quantile %g above bound for exact %g at q=%g" est exact q;
       true)
-
-let hdr_merge_assoc_qcheck =
-  QCheck.Test.make ~name:"hdr merge is associative and commutative" ~count:200
-    QCheck.(
-      triple
-        (list_of_size Gen.(0 -- 60) (float_range 1e-4 1e6))
-        (list_of_size Gen.(0 -- 60) (float_range 1e-4 1e6))
-        (list_of_size Gen.(0 -- 60) (float_range 1e-4 1e6)))
-    (fun (xs, ys, zs) ->
-      let mk l =
-        let h = H.create () in
-        List.iter (H.add h) l;
-        h
-      in
-      let a = mk xs and b = mk ys and c = mk zs in
-      let all = mk (xs @ ys @ zs) in
-      H.equal (H.merge (H.merge a b) c) (H.merge a (H.merge b c))
-      && H.equal (H.merge a b) (H.merge b a)
-      && H.equal (H.merge (H.merge a b) c) all)
 
 (* ------------------------------------------------------------------ *)
 (* Table and Units                                                     *)
@@ -563,9 +538,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_hdr_empty;
           Alcotest.test_case "basics" `Quick test_hdr_basics;
           Alcotest.test_case "restore roundtrip" `Quick test_hdr_restore_roundtrip;
-          Alcotest.test_case "merge geometry mismatch" `Quick test_hdr_merge_mismatch;
           q hdr_quantile_qcheck;
-          q hdr_merge_assoc_qcheck;
         ] );
       ( "svg",
         [

@@ -276,107 +276,6 @@ let test_scaled_alloc_bounds () =
   (* 37 MB: floor keeps the full workload *)
   check_int "small runs whole" (37 * mib) (Mutator.scaled_alloc_bytes small ~scale:16 ~cap_mb:256)
 
-(* ------------------------------------------------------------------ *)
-(* Trace input                                                         *)
-
-let test_trace_parse () =
-  let ok line =
-    match Trace_input.parse_line line with
-    | Ok (Some e) -> e
-    | Ok None -> Alcotest.fail ("unexpectedly blank: " ^ line)
-    | Error m -> Alcotest.failf "parse %S: %s" line m
-  in
-  (match ok "alloc 64 1000 hot" with
-  | Trace_input.Alloc { size = 64; heat = O.Hot; lifetime } ->
-    check_bool "lifetime" true (lifetime = 1000.0)
-  | _ -> Alcotest.fail "wrong alloc");
-  (match ok "alloc 64 inf" with
-  | Trace_input.Alloc { lifetime; heat = O.Cold; _ } ->
-    check_bool "immortal" true (lifetime = infinity)
-  | _ -> Alcotest.fail "wrong alloc inf");
-  (match ok "write 3 ref" with
-  | Trace_input.Write { back = 3; is_ref = true } -> ()
-  | _ -> Alcotest.fail "wrong write");
-  (match ok "read 0 8" with
-  | Trace_input.Read { back = 0; burst = 8 } -> ()
-  | _ -> Alcotest.fail "wrong read");
-  (match Trace_input.parse_line "# comment" with
-  | Ok None -> ()
-  | _ -> Alcotest.fail "comment not skipped");
-  (match Trace_input.parse_line "frobnicate 1" with
-  | Error _ -> ()
-  | _ -> Alcotest.fail "bad verb accepted")
-
-let test_trace_parse_string_errors () =
-  match Trace_input.parse_string "alloc 64 100\nwrite nope" with
-  | Error m -> check_bool "line number in error" true (String.length m > 6)
-  | Ok _ -> Alcotest.fail "bad trace accepted"
-
-let test_trace_edge_cases () =
-  (* empty trace: parses to no events, replays to no effect *)
-  (match Trace_input.parse_string "" with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "empty trace produced events"
-  | Error m -> Alcotest.fail m);
-  (match Trace_input.parse_string "# only a comment\n\n" with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "comment-only trace produced events"
-  | Error m -> Alcotest.fail m);
-  (* single record *)
-  (match Trace_input.parse_string "alloc 64 1000" with
-  | Ok [ Trace_input.Alloc { size = 64; _ } ] -> ()
-  | Ok _ -> Alcotest.fail "single-record trace misparsed"
-  | Error m -> Alcotest.fail m);
-  (match Trace_input.parse_string "req 0.5" with
-  | Ok [ Trace_input.Request { issue } ] -> check_bool "issue stamp" true (issue = 0.5)
-  | Ok _ -> Alcotest.fail "single req misparsed"
-  | Error m -> Alcotest.fail m)
-
-let test_trace_req_out_of_order () =
-  (* issue stamps must be monotone; the error names the line and both
-     stamps so the offending record is findable in a big trace *)
-  (match Trace_input.parse_string "req 1.0\nalloc 64 100\nreq 0.5" with
-  | Error m ->
-    let contains needle hay =
-      let nl = String.length needle and hl = String.length hay in
-      let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-      go 0
-    in
-    check_bool "names the line" true (String.length m >= 7 && String.sub m 0 7 = "line 3:");
-    check_bool "mentions the order" true (contains "out of order" m)
-  | Ok _ -> Alcotest.fail "out-of-order issue stamps accepted");
-  (* equal stamps are fine (simultaneous arrivals) *)
-  (match Trace_input.parse_string "req 1.0\nreq 1.0" with
-  | Ok [ _; _ ] -> ()
-  | _ -> Alcotest.fail "equal issue stamps rejected");
-  (* malformed stamps *)
-  (match Trace_input.parse_line "req" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "req without stamp accepted");
-  match Trace_input.parse_line "req soon" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-numeric stamp accepted"
-
-let test_trace_replay () =
-  let rt = mk_rt Kg_gc.Gc_config.kg_w_default in
-  let trace =
-    String.concat "\n"
-      ("# tiny synthetic trace"
-      :: List.concat_map
-           (fun _ -> [ "alloc 128 2000000 cold"; "write 0 prim"; "read 0 4"; "write 1 ref" ])
-           (List.init 40000 Fun.id))
-  in
-  match Trace_input.parse_string trace with
-  | Error m -> Alcotest.fail m
-  | Ok events ->
-    Trace_input.replay rt events;
-    let st = Rt.stats rt in
-    check_bool "allocated ~5MB" true (st.Kg_gc.Gc_stats.nursery_alloc_bytes > 4 * mib);
-    check_bool "writes executed" true (st.Kg_gc.Gc_stats.prim_writes > 10_000);
-    check_bool "reads executed" true (st.Kg_gc.Gc_stats.reads > 10_000);
-    check_bool "collections ran" true (st.Kg_gc.Gc_stats.nursery_gcs >= 1);
-    check_bool "invariants hold" true (Kg_gc.Verify.audit rt = [])
-
 let mutator_any_benchmark_qcheck =
   QCheck.Test.make ~name:"every benchmark runs on every collector" ~count:12
     QCheck.(pair (int_bound 17) (int_bound 2))
@@ -465,14 +364,6 @@ let () =
           Alcotest.test_case "draw classes" `Quick test_lifetime_draw_classes;
           Alcotest.test_case "clamping bounds survival" `Quick test_lifetime_clamping_bounds_survival;
           Alcotest.test_case "immortal" `Quick test_lifetime_immortal;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "parse" `Quick test_trace_parse;
-          Alcotest.test_case "parse errors" `Quick test_trace_parse_string_errors;
-          Alcotest.test_case "edge cases" `Quick test_trace_edge_cases;
-          Alcotest.test_case "req stamps out of order" `Quick test_trace_req_out_of_order;
-          Alcotest.test_case "replay" `Quick test_trace_replay;
         ] );
       ( "mutator",
         [
