@@ -70,7 +70,7 @@ let bench_arg =
 
 let threshold_arg =
   let doc = "KG-W extension: writes needed before an object counts as written (default 1)." in
-  Arg.(value & opt int 1 & info [ "write-threshold" ] ~doc)
+  Arg.(value & opt O.positive 1 & info [ "write-threshold" ] ~doc)
 
 let trigger_arg =
   let doc = "KG-W extension: trigger a major GC after this many MB of PCM writes." in

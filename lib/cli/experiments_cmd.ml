@@ -82,7 +82,8 @@ let run_experiments list_only names quick scale heap_scale cap_mb seed csv out_d
       let table = e.E.table env in
       let rendered = if csv then Kg_util.Table.to_csv table else Kg_util.Table.render table in
       print_string rendered;
-      Printf.printf "(%.1f s)\n\n%!" (Unix.gettimeofday () -. t0);
+      print_newline ();
+      Printf.eprintf "%s: %.1f s\n%!" e.E.id (Unix.gettimeofday () -. t0);
       Option.iter
         (fun d ->
           let oc = open_out (Filename.concat d (e.E.id ^ if csv then ".csv" else ".txt")) in
@@ -106,9 +107,15 @@ let quick_arg =
   let doc = "Use small quick-run parameters (for smoke testing)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
-let scale_arg = Arg.(value & opt (some int) None & info [ "scale" ] ~doc:"Allocation scale divisor.")
-let heap_arg = Arg.(value & opt (some int) None & info [ "heap-scale" ] ~doc:"Live-heap scale divisor.")
-let cap_arg = Arg.(value & opt (some int) None & info [ "cap-mb" ] ~doc:"Run length cap (MB).")
+let scale_arg =
+  Arg.(value & opt (some Run_opts.positive) None & info [ "scale" ] ~doc:"Allocation scale divisor.")
+
+let heap_arg =
+  Arg.(value & opt (some Run_opts.positive) None & info [ "heap-scale" ] ~doc:"Live-heap scale divisor.")
+
+let cap_arg =
+  Arg.(value & opt (some Run_opts.non_negative) None & info [ "cap-mb" ] ~doc:"Run length cap (MB).")
+
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.")
 let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of aligned tables.")
 

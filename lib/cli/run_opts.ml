@@ -37,25 +37,28 @@ let wp_without_simulate spec ~simulate =
        simulation produces (replay records without it, so use another collector there)";
   bad
 
-let positive =
+let int_where what ok =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (Printf.sprintf "%S is not a positive integer" s)
+    | Some n when ok n -> Ok n
+    | _ -> Error (Printf.sprintf "%S is not a %s integer" s what)
   in
   Arg.conv' (parse, Format.pp_print_int)
 
+let positive = int_where "positive" (fun n -> n > 0)
+let non_negative = int_where "non-negative" (fun n -> n >= 0)
+
 let scale =
   let doc = "Divide the benchmark's allocation volume by this factor." in
-  Arg.(value & opt int 8 & info [ "scale" ] ~doc)
+  Arg.(value & opt positive 8 & info [ "scale" ] ~doc)
 
 let heap_scale =
   let doc = "Divide the benchmark's live-heap target by this factor." in
-  Arg.(value & opt int 3 & info [ "heap-scale" ] ~doc)
+  Arg.(value & opt positive 3 & info [ "heap-scale" ] ~doc)
 
 let cap_mb =
-  let doc = "Cap the run length in MB of allocation." in
-  Arg.(value & opt int 256 & info [ "cap-mb" ] ~doc)
+  let doc = "Cap the run length in MB of allocation; 0 builds the boot image only." in
+  Arg.(value & opt non_negative 256 & info [ "cap-mb" ] ~doc)
 
 let seed =
   let doc = "PRNG seed (runs are deterministic given a seed)." in

@@ -17,9 +17,19 @@ val wp_without_simulate : Kg_sim.Run.spec -> simulate:bool -> bool
 val positive : int Cmdliner.Arg.conv
 (** Integers above zero; anything else is a usage error. *)
 
+val non_negative : int Cmdliner.Arg.conv
+(** Integers from zero up; anything else is a usage error. *)
+
 val scale : int Cmdliner.Term.t
+(** [--scale], positive. *)
+
 val heap_scale : int Cmdliner.Term.t
+(** [--heap-scale], positive. *)
+
 val cap_mb : int Cmdliner.Term.t
+(** [--cap-mb], non-negative: 0 builds the boot image and allocates
+    nothing after it. *)
+
 val seed : int Cmdliner.Term.t
 val domains : int Cmdliner.Term.t
 (** [--domains N], a positive count of simulated mutator domains. *)

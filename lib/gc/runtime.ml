@@ -333,41 +333,29 @@ let process_remset t rs =
 (* ------------------------------------------------------------------ *)
 (* Collections                                                         *)
 
-let los_for_large t =
-  (* Baselines and KG-N have a single large object space. *)
-  t.los_pcm
-
 let adopt_large t los o =
   let old_addr = O.addr t.words o in
   Los.adopt los o;
   copy_traffic t ~old_addr o
 
-(* Copy a nursery survivor to [dst]; with an observer space the
-   destination is the observer, falling back to mature PCM if a
-   survival spike overflows it. *)
+(* Copy a nursery survivor to the observer if there is one with room:
+   large survivors pass through it too (§4.2.4) and reach large PCM
+   only after surviving an observer collection. Otherwise (no observer,
+   or a survival spike overflowing it) a large survivor goes to large
+   PCM and a small one to mature PCM. *)
 let promote_nursery_object t o =
   let w = t.words in
   let old_addr = O.addr w o in
-  (match t.observer with
-  | Some obs ->
-    (* Large survivors also pass through the observer (§4.2.4); they
-       only reach large PCM after surviving an observer collection. *)
-    if Bump_space.alloc obs o then begin
-      copy_traffic t ~old_addr o;
-      t.stats.Gc_stats.observer_in_bytes <-
-        t.stats.Gc_stats.observer_in_bytes + O.size w o
-    end
-    else if O.is_large w o then adopt_large t (los_for_large t) o
-    else begin
-      alloc_into_immix t t.mature_pcm o;
-      copy_traffic t ~old_addr o
-    end
-  | None ->
-    if O.is_large w o then adopt_large t (los_for_large t) o
-    else begin
-      alloc_into_immix t t.mature_pcm o;
-      copy_traffic t ~old_addr o
-    end);
+  let observed = match t.observer with Some obs -> Bump_space.alloc obs o | None -> false in
+  if observed then begin
+    copy_traffic t ~old_addr o;
+    t.stats.Gc_stats.observer_in_bytes <- t.stats.Gc_stats.observer_in_bytes + O.size w o
+  end
+  else if O.is_large w o then adopt_large t t.los_pcm o
+  else begin
+    alloc_into_immix t t.mature_pcm o;
+    copy_traffic t ~old_addr o
+  end;
   O.set_age w o (Int.min (O.age w o + 1) O.max_age)
 
 let collect_nursery t =
@@ -454,21 +442,27 @@ let log_pause t phase (copied0, scanned0) =
   let copied, scanned = copied_scanned t.stats in
   Gc_stats.log_collection t.stats phase ~copied:(copied - copied0) ~scanned:(scanned - scanned0)
 
-let collect_observer t =
+(* The young generation's collection, alone or at the head of a major:
+   with [~observer] and an observer space, evacuate the observer, then
+   the nursery (part of an observer collection, §4.2.2), then consume
+   the observer remset; otherwise the nursery alone. *)
+let collect_young t ~observer =
   match t.observer with
-  | None -> ()
-  | Some obs ->
-    let st = t.stats in
-    st.Gc_stats.observer_gcs <- st.Gc_stats.observer_gcs + 1;
-    let work0 = copied_scanned st in
+  | Some obs when observer ->
     Mem_iface.set_phase t.mem Phase.Observer_gc;
     evacuate_observer t obs;
-    (* The nursery is part of an observer collection (§4.2.2). *)
     collect_nursery t;
-    Option.iter (process_remset t) t.obs_remset;
-    log_pause t Phase.Observer_gc work0;
-    Mem_iface.flush t.mem;
-    t.gc_hook Phase.Observer_gc
+    Option.iter (process_remset t) t.obs_remset
+  | _ ->
+    Mem_iface.set_phase t.mem Phase.Nursery_gc;
+    collect_nursery t
+
+(* Every collection ends alike: log the pause with the work done since
+   [work0], flush the runtime's port, then run the hook. *)
+let end_collection t phase work0 =
+  log_pause t phase work0;
+  Mem_iface.flush t.mem;
+  t.gc_hook phase
 
 (* Marking a live mature object: trace-read its header and reference
    fields, then record its mark state. MDO redirects the mark write of
@@ -521,16 +515,7 @@ let major_gc_inner t =
   let st = t.stats in
   st.Gc_stats.major_gcs <- st.Gc_stats.major_gcs + 1;
   let work0 = copied_scanned st in
-  (* Collect the young generation(s) first. *)
-  (match t.observer with
-  | Some _ ->
-    Mem_iface.set_phase t.mem Phase.Observer_gc;
-    (match t.observer with Some obs -> evacuate_observer t obs | None -> ());
-    collect_nursery t;
-    Option.iter (process_remset t) t.obs_remset
-  | None ->
-    Mem_iface.set_phase t.mem Phase.Nursery_gc;
-    collect_nursery t);
+  collect_young t ~observer:true;
   Mem_iface.set_phase t.mem Phase.Major_gc;
   let mdo =
     match t.cfg.Gc_config.collector with
@@ -626,9 +611,7 @@ let major_gc_inner t =
       victims;
     ignore (Immix_space.sweep t.mature_pcm ~now:t.now ())
   | _ -> ());
-  log_pause t Phase.Major_gc work0;
-  Mem_iface.flush t.mem;
-  t.gc_hook Phase.Major_gc
+  end_collection t Phase.Major_gc work0
 
 (* Entry into any stop-the-world section. Every domain's buffered port
    records drain first (one merged, stamp-ordered delivery — flushing
@@ -671,34 +654,27 @@ let maybe_major t =
     | _ -> ()
 
 (* A young collection outside a major: nursery only for the baselines;
-   for KG-W, a plain nursery GC when the observer has room for the
-   expected survivors, otherwise a full observer collection. *)
+   with an observer, a plain nursery GC when the observer has room for
+   1.5x the expected survivors, otherwise a full observer collection. *)
 let young_gc t =
   stw_prologue t;
-  (match t.observer with
-  | Some obs ->
-    let expected =
-      int_of_float
-        (t.recent_survival
-        *. float_of_int
-             (Array.fold_left (fun a n -> a + Bump_space.used_bytes n) 0 t.nurseries))
-    in
-    if Bump_space.free_bytes obs < expected * 3 / 2 then collect_observer t
-    else begin
-      let work0 = copied_scanned t.stats in
-      Mem_iface.set_phase t.mem Phase.Nursery_gc;
-      collect_nursery t;
-      log_pause t Phase.Nursery_gc work0;
-      Mem_iface.flush t.mem;
-      t.gc_hook Phase.Nursery_gc
-    end
-  | None ->
-    let work0 = copied_scanned t.stats in
-    Mem_iface.set_phase t.mem Phase.Nursery_gc;
-    collect_nursery t;
-    log_pause t Phase.Nursery_gc work0;
-    Mem_iface.flush t.mem;
-    t.gc_hook Phase.Nursery_gc);
+  let observer =
+    match t.observer with
+    | Some obs ->
+      let expected =
+        int_of_float
+          (t.recent_survival
+          *. float_of_int
+               (Array.fold_left (fun a n -> a + Bump_space.used_bytes n) 0 t.nurseries))
+      in
+      Bump_space.free_bytes obs < expected * 3 / 2
+    | None -> false
+  in
+  let st = t.stats in
+  if observer then st.Gc_stats.observer_gcs <- st.Gc_stats.observer_gcs + 1;
+  let work0 = copied_scanned st in
+  collect_young t ~observer;
+  end_collection t (if observer then Phase.Observer_gc else Phase.Nursery_gc) work0;
   Mem_iface.set_phase t.mem Phase.Application;
   maybe_major t
 
@@ -720,7 +696,7 @@ let alloc_large t ~domain o =
     st.Gc_stats.large_allocs_in_nursery <- st.Gc_stats.large_allocs_in_nursery + 1;
     st.Gc_stats.nursery_alloc_bytes <- st.Gc_stats.nursery_alloc_bytes + osize
   end
-  else if not (Los.alloc (los_for_large t) o) then
+  else if not (Los.alloc t.los_pcm o) then
     failwith "Runtime: large object space exhausted"
 
 let rec alloc_small t ~domain o =

@@ -135,10 +135,6 @@ type t = {
   mutable requests : int;
 }
 
-let config t = t.cfg
-let descriptor t = t.desc
-let runtime t = t.rt
-let thread_count t = t.nthreads
 let latencies t = t.latencies
 let pauses t = t.pauses
 let request_count t = t.requests
@@ -163,13 +159,13 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(config = default_confi
   in
   let root = Rng.of_seed seed in
   let mk_tier n = { tgt = Array.make (max 1 n) O.null; expiry = Array.make (max 1 n) 0.0 } in
-  let mk_dstate _ =
+  let mk_dstate d =
     {
       d_rng = Rng.split root;
       d_session_zipf = Rng.Zipf.create ~s:1.2;
       d_tier1_zipf = Rng.Zipf.create ~s:1.1;
       d_tier2_zipf = Rng.Zipf.create ~s:1.1;
-      d_ops = Epoch.ops_create ();
+      d_ops = Epoch.ops_create d;
       d_recent = Array.make recent_size O.null;
       d_recent_cursor = 0;
       d_write_debt = 0.0;
@@ -221,12 +217,6 @@ let add_pause t ms =
 (* ------------------------------------------------------------------ *)
 (* Generation (pure per-domain)                                        *)
 
-let draw_scratch_size t rng =
-  let mean_words = float_of_int t.desc.Descriptor.mean_small /. 8.0 in
-  let p = 1.0 /. Float.max 2.0 mean_words in
-  let words = 2 + Rng.geometric rng p in
-  Int.min Kg_heap.Layout.max_small_object (Int.max 16 (words * 8))
-
 let session_size t = Int.max 256 (t.desc.Descriptor.mean_small * 4)
 let cache_obj_size t = Int.max 128 (t.desc.Descriptor.mean_small * 2)
 
@@ -238,12 +228,7 @@ let push_recent ds tgt =
    top-level functions, so a pick allocates nothing. A pending target
    counts as live: it is this epoch's allocation. *)
 
-let rec g_pick_recent t ds now attempts =
-  if attempts = 0 then O.null
-  else begin
-    let x = ds.d_recent.(Rng.int ds.d_rng recent_size) in
-    if x < 0 || (x > 0 && O.is_live t.words x now) then x else g_pick_recent t ds now (attempts - 1)
-  end
+let g_pick_recent t ds now = Epoch.pick_recent t.words ds.d_rng ds.d_recent now 4
 
 let live t now x = if x > 0 && not (O.is_live t.words x now) then O.null else x
 
@@ -262,12 +247,12 @@ let g_pick_mature t ds now =
   if not (O.is_null o) then o
   else begin
     let o = g_pick_session t ds now in
-    if not (O.is_null o) then o else g_pick_recent t ds now 4
+    if not (O.is_null o) then o else g_pick_recent t ds now
   end
 
 (* A recent object (or pending target), else a mature one. *)
 let g_pick_recent_first t ds now =
-  let o = g_pick_recent t ds now 4 in
+  let o = g_pick_recent t ds now in
   if O.is_null o then g_pick_mature t ds now else o
 
 let g_do_write t ds now =
@@ -275,7 +260,7 @@ let g_do_write t ds now =
     if Rng.bernoulli ds.d_rng t.desc.Descriptor.nursery_write_frac then g_pick_recent_first t ds now
     else begin
       let o = g_pick_mature t ds now in
-      if O.is_null o then g_pick_recent t ds now 4 else o
+      if O.is_null o then g_pick_recent t ds now else o
     end
   in
   if not (O.is_null src) then
@@ -289,7 +274,7 @@ let g_do_write t ds now =
     else Epoch.push_write_prim ds.d_ops src
 
 let g_do_reads t ds now n =
-  let tgt = if Rng.bernoulli ds.d_rng 0.6 then g_pick_recent t ds now 4 else g_pick_mature t ds now in
+  let tgt = if Rng.bernoulli ds.d_rng 0.6 then g_pick_recent t ds now else g_pick_mature t ds now in
   if not (O.is_null tgt) then Epoch.push_read_burst ds.d_ops tgt ~words:n
 
 let scratch_heat ds = function
@@ -381,7 +366,7 @@ let g_request t ds now nursery_free =
   let read_debt = ref ds.d_read_debt in
   while !bytes < budget do
     let cls, life = Lifetime.draw t.life ds.d_rng ~nursery_remaining:nursery_free in
-    let size = draw_scratch_size t ds.d_rng in
+    let size = Mutator.draw_small_size t.desc ds.d_rng in
     let heat = scratch_heat ds cls in
     bytes := !bytes + size;
     let tgt = Epoch.push_alloc ops ~size ~heat ~life ~ref_fields:(Int.max 1 (size / 32)) in
@@ -434,23 +419,18 @@ let apply_op t allocs d i =
     Hdr_histogram.add t.latencies (Epoch.life ops i +. (t.pause_acc -. t.d_pause_mark.(d)));
     t.requests <- t.requests + 1
   end
-  else ignore (Epoch.apply_op t.rt allocs.(d) d ops i)
+  else ignore (Epoch.apply_op t.rt allocs.(d) ops i)
 
 (* Epoch barrier: resolve this epoch's pending targets in the recent
    rings, session tables and cache shards to the materialised
    objects. *)
-let resolve_pending allocs (slots : int array) =
-  for i = 0 to Array.length slots - 1 do
-    if slots.(i) < 0 then slots.(i) <- Epoch.resolve allocs slots.(i)
-  done
-
 let epoch_barrier t (allocs : O.t Vec.t array) =
   Array.iteri
     (fun d ds ->
-      resolve_pending allocs.(d) ds.d_recent;
-      resolve_pending allocs.(d) ds.d_sessions;
-      resolve_pending allocs.(d) ds.d_tier1.tgt;
-      resolve_pending allocs.(d) ds.d_tier2.tgt)
+      Epoch.resolve_all allocs.(d) ds.d_recent;
+      Epoch.resolve_all allocs.(d) ds.d_sessions;
+      Epoch.resolve_all allocs.(d) ds.d_tier1.tgt;
+      Epoch.resolve_all allocs.(d) ds.d_tier2.tgt)
     t.dstates
 
 (* ------------------------------------------------------------------ *)
@@ -467,7 +447,7 @@ let allocate_startup t =
     let d = !k mod t.nthreads in
     incr k;
     let ds = t.dstates.(d) in
-    let size = draw_scratch_size t ds.d_rng in
+    let size = Mutator.draw_small_size t.desc ds.d_rng in
     let heat = if Rng.bernoulli ds.d_rng 0.05 then O.Warm else O.Cold in
     let o = Rt.alloc_boot t.rt ~size ~heat ~ref_fields:(max 1 (size / 32)) in
     push_recent ds o

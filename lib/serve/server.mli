@@ -57,11 +57,6 @@ val create :
     built with [~domains:threads]. The descriptor supplies the
     lifetime demographics and mutation pacing. *)
 
-val config : t -> config
-val descriptor : t -> Kg_workload.Descriptor.t
-val runtime : t -> Kg_gc.Runtime.t
-val thread_count : t -> int
-
 val add_pause : t -> float -> unit
 (** Record one collection's modeled STW pause, in ms, into {!pauses}
     and the latency attribution. The driver calls it from its

@@ -2,17 +2,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
 
-let geomean xs =
-  let n = Array.length xs in
-  if n = 0 then 0.0
-  else begin
-    let acc = Array.fold_left (fun acc x ->
-        if x <= 0.0 then invalid_arg "Stats.geomean: non-positive value";
-        acc +. log x) 0.0 xs
-    in
-    exp (acc /. float_of_int n)
-  end
-
 let stddev xs =
   let n = Array.length xs in
   if n < 2 then 0.0
@@ -22,52 +11,18 @@ let stddev xs =
     sqrt (ss /. float_of_int n)
   end
 
-let percentile xs p =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.percentile: empty array";
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  let rank = p /. 100.0 *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) in
-  let hi = int_of_float (ceil rank) in
-  if lo = hi then sorted.(lo)
-  else begin
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-  end
-
-let minimum xs = Array.fold_left Float.min xs.(0) xs
-let maximum xs = Array.fold_left Float.max xs.(0) xs
-let normalize_to base xs = Array.map (fun x -> x /. base) xs
-
 module Acc = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-    mutable sum : float;
-  }
+  type t = { mutable n : int; mutable mean : float; mutable max : float }
 
-  let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; sum = 0.0 }
+  let create () = { n = 0; mean = 0.0; max = neg_infinity }
 
   let add t x =
     t.n <- t.n + 1;
-    t.sum <- t.sum +. x;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
     if x > t.max then t.max <- x
 
   let count t = t.n
   let mean t = if t.n = 0 then 0.0 else t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int t.n
-  let stddev t = sqrt (variance t)
-  let min t = t.min
   let max t = t.max
-  let sum t = t.sum
 end

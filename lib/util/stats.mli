@@ -3,24 +3,12 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 on the empty array. *)
 
-val geomean : float array -> float
-(** Geometric mean; 0 on the empty array. Values must be positive. *)
-
 val stddev : float array -> float
 (** Population standard deviation; 0 on arrays shorter than 2. *)
 
-val percentile : float array -> float -> float
-(** [percentile xs p] for [p] in [\[0,100\]], linear interpolation
-    between order statistics. Raises [Invalid_argument] on empty. *)
-
-val minimum : float array -> float
-val maximum : float array -> float
-
-val normalize_to : float -> float array -> float array
-(** [normalize_to base xs] divides every element by [base]. *)
-
-(** Streaming accumulator (Welford) for mean/variance without storing
-    samples; used by long-running simulations. *)
+(** Streaming accumulator: count, running mean (Welford's update) and
+    maximum, without storing samples; used by long-running
+    simulations. *)
 module Acc : sig
   type t
 
@@ -28,9 +16,5 @@ module Acc : sig
   val add : t -> float -> unit
   val count : t -> int
   val mean : t -> float
-  val variance : t -> float
-  val stddev : t -> float
-  val min : t -> float
   val max : t -> float
-  val sum : t -> float
 end

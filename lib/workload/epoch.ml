@@ -1,7 +1,7 @@
 (* The generic half of the generate-then-merge epoch protocol, shared
    by Kg_workload.Mutator and Kg_serve: the flat per-domain op buffer,
    the schedule-PRNG chunk schedule, the apply of the shared op kinds,
-   and the epoch loop. The determinism argument (per-domain generation
+   the barrier's resolve, the recent-ring pick and the epoch loop. The determinism argument (per-domain generation
    from private state, PRNG-driven merge preserving per-domain order)
    lives with the callers; this module only guarantees that
    [draw_schedule] is a pure function of the PRNG state and the stream
@@ -20,6 +20,7 @@ module Rt = Kg_gc.Runtime
 (* Op buffers                                                          *)
 
 type ops = {
+  domain : int option;  (* the issuing domain, [None] for domain 0 *)
   mutable len : int;
   mutable allocs : int;  (* allocation ops pushed this epoch *)
   mutable kind : int array;
@@ -34,7 +35,9 @@ let k_write_prim = 4
 let k_read_burst = 5
 let k_private = 6
 
-let ops_create () = { len = 0; allocs = 0; kind = [||]; a = [||]; b = [||]; life = [||] }
+let ops_create d =
+  let domain = if d = 0 then None else Some d in
+  { domain; len = 0; allocs = 0; kind = [||]; a = [||]; b = [||]; life = [||] }
 
 let reset ops =
   ops.len <- 0;
@@ -84,24 +87,46 @@ let[@inline] push_read_burst ops tgt ~words = push ops k_read_burst tgt words 0.
 
 let[@inline] resolve (allocs : O.t Vec.t) tgt = if tgt > 0 then tgt else Vec.get allocs (-tgt - 1)
 
-let apply_op rt allocs d ops i =
+let resolve_all allocs (slots : int array) =
+  for i = 0 to Array.length slots - 1 do
+    if slots.(i) < 0 then slots.(i) <- resolve allocs slots.(i)
+  done
+
+(* The buffer holds its domain's [?domain] argument: a [Some] built
+   per op would be one allocation per op. *)
+let apply_op rt allocs ops i =
+  let domain = ops.domain in
   let k = Array.unsafe_get ops.kind i in
   let x = Array.unsafe_get ops.a i in
   let y = Array.unsafe_get ops.b i in
   if k < k_write_ref then begin
     let death = Rt.now rt +. Array.unsafe_get ops.life i in
     let o =
-      Rt.alloc ~domain:d rt ~size:x ~heat:(Kg_heap.Object_model.heat_of_code k) ~death ~ref_fields:y
+      Rt.alloc ?domain rt ~size:x ~heat:(Kg_heap.Object_model.heat_of_code k) ~death ~ref_fields:y
     in
     Vec.push allocs o;
     o
   end
   else begin
-    if k = k_write_ref then Rt.write_ref ~domain:d rt ~src:(resolve allocs x) ~tgt:(resolve allocs y)
-    else if k = k_write_prim then Rt.write_prim ~domain:d rt (resolve allocs x)
-    else if k = k_read_burst then Rt.read_burst ~domain:d rt (resolve allocs x) y
+    if k = k_write_ref then Rt.write_ref ?domain rt ~src:(resolve allocs x) ~tgt:(resolve allocs y)
+    else if k = k_write_prim then Rt.write_prim ?domain rt (resolve allocs x)
+    else if k = k_read_burst then Rt.read_burst ?domain rt (resolve allocs x) y
     else invalid_arg "Epoch.apply_op: private op kind";
     O.null
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Picks                                                               *)
+
+(* A live object or pending target from a recent ring, [O.null] after
+   [attempts] misses. Top-level recursion, so a pick allocates
+   nothing. *)
+let rec pick_recent words rng (ring : int array) now attempts =
+  if attempts = 0 then O.null
+  else begin
+    let x = ring.(Rng.int rng (Array.length ring)) in
+    if x < 0 || (x > 0 && O.is_live words x now) then x
+    else pick_recent words rng ring now (attempts - 1)
   end
 
 (* ------------------------------------------------------------------ *)

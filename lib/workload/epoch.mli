@@ -1,7 +1,8 @@
 (** The generic half of the generate-then-merge epoch protocol shared
     by {!Mutator} and the [Kg_serve] request mutator: the flat
     per-domain op buffer, the schedule-PRNG chunk schedule, the apply
-    of the op kinds both mutators issue, and the epoch loop. The
+    of the op kinds both mutators issue, the barrier's resolve, the
+    recent-ring pick and the epoch loop. The
     determinism argument (per-domain generation from private state)
     stays with the callers.
 
@@ -17,8 +18,9 @@ type ops
     int columns and a [life] float column. Written only by the owning
     domain's generator; read by the apply. *)
 
-val ops_create : unit -> ops
-(** An empty buffer; it allocates its columns on the first push. *)
+val ops_create : int -> ops
+(** [ops_create d]: an empty buffer for domain [d]; it allocates its
+    columns on the first push. *)
 
 val reset : ops -> unit
 (** Forget every op (and the pending-allocation count), keeping the
@@ -51,13 +53,29 @@ val resolve : Kg_heap.Object_model.t Kg_util.Vec.t -> int -> Kg_heap.Object_mode
 (** [resolve allocs tgt]: the object [tgt] names, looking pending
     targets up in the issuing domain's applied allocations [allocs]. *)
 
+val resolve_all : Kg_heap.Object_model.t Kg_util.Vec.t -> int array -> unit
+(** [resolve_all allocs slots] rewrites every pending target in [slots]
+    (a recent ring, a session table, a cache shard) to the object it
+    names, as {!resolve} does; the epoch barrier's step. *)
+
 val apply_op :
-  Kg_gc.Runtime.t -> Kg_heap.Object_model.t Kg_util.Vec.t -> int -> ops -> int -> Kg_heap.Object_model.t
-(** [apply_op rt allocs d ops i] applies op [i] of domain [d]'s buffer
-    through the domain-tagged runtime interface. An allocation is
+  Kg_gc.Runtime.t -> Kg_heap.Object_model.t Kg_util.Vec.t -> ops -> int -> Kg_heap.Object_model.t
+(** [apply_op rt allocs ops i] applies op [i] of the buffer through
+    the runtime interface, tagged with the buffer's domain ([?domain]
+    is [None] for domain 0, so no op allocates). An allocation is
     appended to [allocs] and returned; a write or read returns
     {!Kg_heap.Object_model.null}. Raises [Invalid_argument] on a
     private kind. *)
+
+(** {1 Picks} *)
+
+val pick_recent :
+  Kg_heap.Object_model.store -> Kg_util.Rng.t -> int array -> float -> int -> int
+(** [pick_recent words rng ring now attempts] draws up to [attempts]
+    slots of the recent ring [ring], uniformly over its length, and
+    returns the first that holds a pending target or an object live at
+    allocation clock [now]; {!Kg_heap.Object_model.null} if none does.
+    The mutators' recent pick. *)
 
 (** {1 The chunk schedule} *)
 

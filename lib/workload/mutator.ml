@@ -27,15 +27,19 @@ let hot_skew = 1.2
    for the issuing domain's i-th allocation of the epoch; the recent
    ring holds such targets until the epoch barrier materialises them.
    A domain's state is touched only by its own generator and by the
-   epoch barrier. With one thread the op buffer stays empty. *)
+   epoch barrier. With one thread every op goes straight to the
+   runtime and the op buffer stays empty.
+
+   The debts (write at 0, read at 1) live in a float array: a mutable
+   float field of a mixed record is boxed, so each store to one would
+   allocate. *)
 type dstate = {
   d_rng : Rng.t;
   d_hot_zipf : Rng.Zipf.t;
   d_ops : Epoch.ops;
   d_recent : int array;
   mutable d_recent_cursor : int;
-  mutable d_write_debt : float;
-  mutable d_read_debt : float;
+  d_debts : float array;
 }
 
 type t = {
@@ -48,7 +52,6 @@ type t = {
   cold : O.t Vec.t;
   mutable allocated : int;  (* objects *)
   p_large : float;
-  large_mean : float;
   live_mb : int;
   nthreads : int;
   dstates : dstate array;  (* one per thread *)
@@ -56,9 +59,6 @@ type t = {
   boot_allocs_by_thread : int array;
 }
 
-let descriptor t = t.desc
-let runtime t = t.rt
-let thread_count t = t.nthreads
 let boot_allocs_by_thread t = Array.copy t.boot_allocs_by_thread
 
 let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc ~rt ~seed =
@@ -84,15 +84,14 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc ~rt ~seed =
       (Printf.sprintf
          "Mutator.create: %d threads need a runtime with %d domains (has %d)"
          threads threads (Rt.domains rt));
-  let mk_dstate _ =
+  let mk_dstate d =
     {
       d_rng = Rng.split root;
       d_hot_zipf = Rng.Zipf.create ~s:hot_skew;
-      d_ops = Epoch.ops_create ();
+      d_ops = Epoch.ops_create d;
       d_recent = Array.make recent_size O.null;
       d_recent_cursor = 0;
-      d_write_debt = 0.0;
-      d_read_debt = 0.0;
+      d_debts = Array.make 2 0.0;
     }
   in
   {
@@ -105,7 +104,6 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc ~rt ~seed =
     cold = Vec.create ();
     allocated = 0;
     p_large;
-    large_mean;
     live_mb;
     nthreads = threads;
     sched_rng = Rng.of_seed schedule_seed;
@@ -113,9 +111,9 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc ~rt ~seed =
     boot_allocs_by_thread = Array.make threads 0;
   }
 
-let draw_small_size_rng t rng =
+let draw_small_size (desc : Descriptor.t) rng =
   (* Geometric in words around the benchmark mean, 16 B..8 KB. *)
-  let mean_words = float_of_int t.desc.Descriptor.mean_small /. 8.0 in
+  let mean_words = float_of_int desc.mean_small /. 8.0 in
   let p = 1.0 /. Float.max 2.0 mean_words in
   let words = 2 + Rng.geometric rng p in
   Int.min Layout.max_small_object (Int.max 16 (words * 8))
@@ -175,7 +173,7 @@ let allocate_one t ds =
     Lifetime.draw t.life ds.d_rng ~nursery_remaining:(float_of_int (Rt.nursery_free t.rt))
   in
   let large = Rng.bernoulli ds.d_rng t.p_large in
-  let size = if large then draw_large_size_rng ds.d_rng else draw_small_size_rng t ds.d_rng in
+  let size = if large then draw_large_size_rng ds.d_rng else draw_small_size t.desc ds.d_rng in
   (* Large objects draw from the same lifetime mixture: "we find
      empirically that large objects often follow the weak-generational
      hypothesis, i.e., they die quickly" (4.2.4). *)
@@ -186,109 +184,98 @@ let allocate_one t ds =
   register t ds o;
   o
 
-(* The sequential picks return [O.null] for "nothing found" and
-   recurse through top-level functions, so a pick allocates nothing. *)
+(* The picks return [O.null] for "nothing found" and recurse through
+   top-level functions, so a pick allocates nothing. [now] is the
+   allocation clock at the object whose writes are being generated.
+   With one thread a pick drops each dead pool entry it draws; with
+   more, the pools are read-only during an epoch and the barrier
+   compacts them. A pick from the recent ring may return a pending
+   target. *)
 
-(* Pick a live object from a pool, pruning dead entries on the way.
-   Returns [O.null] if the pool is effectively empty. *)
-let rec pick_live t ds pool attempts =
-  if attempts = 0 || Vec.length pool = 0 then O.null
+(* A live object from [pool], drawn uniformly, or by the hot-pick Zipf
+   sampler over registration order when [hot]. *)
+let rec pick_pool t ds now pool ~hot attempts =
+  let n = Vec.length pool in
+  if attempts = 0 || n = 0 then O.null
   else begin
-    let i = Rng.int ds.d_rng (Vec.length pool) in
+    let i = if hot then Rng.Zipf.draw ds.d_hot_zipf ds.d_rng ~n else Rng.int ds.d_rng n in
     let o = Vec.get pool i in
-    if O.is_live t.words o (Rt.now t.rt) then o
+    if O.is_live t.words o now then o
     else begin
-      ignore (Vec.swap_remove pool i);
-      pick_live t ds pool (attempts - 1)
+      if t.nthreads = 1 then ignore (Vec.swap_remove pool i);
+      pick_pool t ds now pool ~hot (attempts - 1)
     end
   end
 
-let rec pick_recent_tries t ds attempts =
-  if attempts = 0 then O.null
-  else begin
-    let o = ds.d_recent.(Rng.int ds.d_rng recent_size) in
-    if (not (O.is_null o)) && O.is_live t.words o (Rt.now t.rt) then o
-    else pick_recent_tries t ds (attempts - 1)
-  end
+let pick_recent t ds now = Epoch.pick_recent t.words ds.d_rng ds.d_recent now 4
 
-let pick_recent t ds = pick_recent_tries t ds 4
-
-let rec pick_hot t ds attempts =
-  let pool = t.hot in
-  if attempts = 0 || Vec.length pool = 0 then O.null
-  else begin
-    let i = Rng.Zipf.draw ds.d_hot_zipf ds.d_rng ~n:(Vec.length pool) in
-    let o = Vec.get pool i in
-    if O.is_live t.words o (Rt.now t.rt) then o
-    else begin
-      ignore (Vec.swap_remove pool i);
-      pick_hot t ds (attempts - 1)
-    end
-  end
-
-let pick_mature t ds =
+let pick_mature t ds now =
   let d = t.desc in
   let u = Rng.float ds.d_rng 1.0 in
   let primary =
-    if u < d.Descriptor.top2_frac then pick_hot t ds 8
-    else if u < d.Descriptor.top10_frac then pick_live t ds t.warm 8
-    else pick_live t ds t.cold 8
+    if u < d.Descriptor.top2_frac then pick_pool t ds now t.hot ~hot:true 8
+    else if u < d.Descriptor.top10_frac then pick_pool t ds now t.warm ~hot:false 8
+    else pick_pool t ds now t.cold ~hot:false 8
   in
   if not (O.is_null primary) then primary
   else begin
-    let o = pick_live t ds t.cold 8 in
-    if not (O.is_null o) then o else pick_recent t ds
+    let o = pick_pool t ds now t.cold ~hot:false 8 in
+    if not (O.is_null o) then o else pick_recent t ds now
   end
 
 (* A recent object, else a mature one. *)
-let pick_recent_first t ds =
-  let o = pick_recent t ds in
-  if O.is_null o then pick_mature t ds else o
+let pick_recent_first t ds now =
+  let o = pick_recent t ds now in
+  if O.is_null o then pick_mature t ds now else o
 
-let pick_write_target t ds =
-  if Rng.bernoulli ds.d_rng t.desc.Descriptor.nursery_write_frac then pick_recent_first t ds
+let pick_write_target t ds now =
+  if Rng.bernoulli ds.d_rng t.desc.Descriptor.nursery_write_frac then pick_recent_first t ds now
   else begin
-    let o = pick_mature t ds in
-    if O.is_null o then pick_recent t ds else o
+    let o = pick_mature t ds now in
+    if O.is_null o then pick_recent t ds now else o
   end
 
-let do_write t ds =
-  let src = pick_write_target t ds in
+(* With one thread an op runs at once; with more it waits in the
+   domain's buffer for the merge. *)
+let write_prim t ds o =
+  if t.nthreads = 1 then Rt.write_prim t.rt o else Epoch.push_write_prim ds.d_ops o
+
+let do_write t ds now =
+  let src = pick_write_target t ds now in
   if not (O.is_null src) then
     if Rng.bernoulli ds.d_rng t.desc.Descriptor.ref_write_frac then begin
       let tgt =
-        if Rng.bernoulli ds.d_rng 0.5 then pick_recent_first t ds else pick_mature t ds
+        if Rng.bernoulli ds.d_rng 0.5 then pick_recent_first t ds now else pick_mature t ds now
       in
-      if O.is_null tgt then Rt.write_prim t.rt src else Rt.write_ref t.rt ~src ~tgt
+      if O.is_null tgt then write_prim t ds src
+      else if t.nthreads = 1 then Rt.write_ref t.rt ~src ~tgt
+      else Epoch.push_write_ref ds.d_ops ~src ~tgt
     end
-    else Rt.write_prim t.rt src
+    else write_prim t ds src
 
 (* Reads come in streaming bursts over one object (field walks, array
    scans), so one target pick services several load events. *)
-let do_reads t ds n =
-  let target = if Rng.bernoulli ds.d_rng 0.6 then pick_recent t ds else pick_mature t ds in
-  if not (O.is_null target) then Rt.read_burst t.rt target n
+let do_reads t ds now n =
+  let tgt = if Rng.bernoulli ds.d_rng 0.6 then pick_recent t ds now else pick_mature t ds now in
+  if not (O.is_null tgt) then
+    if t.nthreads = 1 then Rt.read_burst t.rt tgt n
+    else Epoch.push_read_burst ds.d_ops tgt ~words:n
 
-(* The debts live in locals for the loop (a mutable float field of a
-   mixed record is boxed, so every store to one allocates) and are
-   written back once. *)
-let mutate_for t ds (o : O.t) =
+(* The writes and reads one new object of [size] bytes owes. *)
+let mutate t ds now size =
   let d = t.desc in
-  let owed = float_of_int (O.size t.words o) *. d.Descriptor.write_alloc_ratio /. 8.0 in
-  let write_debt = ref (ds.d_write_debt +. owed) in
-  let read_debt = ref ds.d_read_debt in
-  while !write_debt >= 1.0 do
-    do_write t ds;
-    write_debt := !write_debt -. 1.0;
-    read_debt := !read_debt +. d.Descriptor.read_write_ratio;
-    if !read_debt >= 1.0 then begin
-      let burst = Int.min 8 (int_of_float !read_debt) in
-      do_reads t ds burst;
-      read_debt := !read_debt -. float_of_int burst
+  let debts = ds.d_debts in
+  debts.(0) <- debts.(0) +. (float_of_int size *. d.Descriptor.write_alloc_ratio /. 8.0);
+  while debts.(0) >= 1.0 do
+    do_write t ds now;
+    debts.(0) <- debts.(0) -. 1.0;
+    debts.(1) <- debts.(1) +. d.Descriptor.read_write_ratio;
+    if debts.(1) >= 1.0 then begin
+      let burst = Int.min 8 (int_of_float debts.(1)) in
+      do_reads t ds now burst;
+      debts.(1) <- debts.(1) -. float_of_int burst
     end
-  done;
-  ds.d_write_debt <- !write_debt;
-  ds.d_read_debt <- !read_debt
+  done
 
 let allocate_startup t =
   (* Boot image: immortal objects placed directly in the mature space.
@@ -306,18 +293,23 @@ let allocate_startup t =
     let ds = t.dstates.(d) in
     let rng = ds.d_rng in
     let large = Rng.bernoulli rng t.p_large in
-    let size = if large then draw_large_size_rng rng else draw_small_size_rng t rng in
+    let size = if large then draw_large_size_rng rng else draw_small_size t.desc rng in
     let heat = assign_heat_rng t rng Lifetime.Immortal in
     let o = Rt.alloc_boot t.rt ~size ~heat ~ref_fields:(max 1 (size / 32)) in
     register t ds o;
     t.boot_allocs_by_thread.(d) <- t.boot_allocs_by_thread.(d) + 1
   done
 
+(* One thread: allocate one object, then generate its writes and reads
+   against the clock just after the allocation (generating them
+   allocates nothing, so the clock holds still). The size charged is
+   the aligned one the runtime allocated. *)
 let run_sequential t ~alloc_bytes =
   let ds = t.dstates.(0) in
   let target = Rt.now t.rt +. float_of_int alloc_bytes in
   while Rt.now t.rt < target do
-    mutate_for t ds (allocate_one t ds)
+    let o = allocate_one t ds in
+    mutate t ds (Rt.now t.rt) (O.size t.words o)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -340,80 +332,6 @@ let run_sequential t ~alloc_bytes =
 (*    ports stamp every record with the shared issue counter so sink   *)
 (*    order is schedule order.                                         *)
 
-(* Pure pick helpers: same skew as the sequential path but against the
-   frozen snapshot — no pruning (pools are read-only during an epoch;
-   the barrier compacts them instead). Like the
-   sequential picks they return [O.null] for "nothing found"; a pick
-   from the recent ring may also return a pending target. *)
-
-let rec g_pick_live w rng now pool attempts =
-  if attempts = 0 || Vec.length pool = 0 then O.null
-  else begin
-    let o = Vec.get pool (Rng.int rng (Vec.length pool)) in
-    if O.is_live w o now then o else g_pick_live w rng now pool (attempts - 1)
-  end
-
-let rec g_pick_recent w ds now attempts =
-  if attempts = 0 then O.null
-  else begin
-    let x = ds.d_recent.(Rng.int ds.d_rng recent_size) in
-    if x < 0 || (x > 0 && O.is_live w x now) then x else g_pick_recent w ds now (attempts - 1)
-  end
-
-let rec g_pick_hot t ds now attempts =
-  let pool = t.hot in
-  if attempts = 0 || Vec.length pool = 0 then O.null
-  else begin
-    let o = Vec.get pool (Rng.Zipf.draw ds.d_hot_zipf ds.d_rng ~n:(Vec.length pool)) in
-    if O.is_live t.words o now then o else g_pick_hot t ds now (attempts - 1)
-  end
-
-let g_pick_mature t ds now =
-  let d = t.desc in
-  let w = t.words in
-  let rng = ds.d_rng in
-  let u = Rng.float rng 1.0 in
-  let primary =
-    if u < d.Descriptor.top2_frac then g_pick_hot t ds now 8
-    else if u < d.Descriptor.top10_frac then g_pick_live w rng now t.warm 8
-    else g_pick_live w rng now t.cold 8
-  in
-  if not (O.is_null primary) then primary
-  else begin
-    let o = g_pick_live w rng now t.cold 8 in
-    if not (O.is_null o) then o else g_pick_recent w ds now 4
-  end
-
-(* A recent object (or pending target), else a mature one. *)
-let g_pick_recent_first t ds now =
-  let o = g_pick_recent t.words ds now 4 in
-  if O.is_null o then g_pick_mature t ds now else o
-
-let g_pick_write_target t ds now =
-  if Rng.bernoulli ds.d_rng t.desc.Descriptor.nursery_write_frac then g_pick_recent_first t ds now
-  else begin
-    let o = g_pick_mature t ds now in
-    if O.is_null o then g_pick_recent t.words ds now 4 else o
-  end
-
-let g_do_write t ds now =
-  let src = g_pick_write_target t ds now in
-  if not (O.is_null src) then
-    if Rng.bernoulli ds.d_rng t.desc.Descriptor.ref_write_frac then begin
-      let tgt =
-        if Rng.bernoulli ds.d_rng 0.5 then g_pick_recent_first t ds now else g_pick_mature t ds now
-      in
-      if O.is_null tgt then Epoch.push_write_prim ds.d_ops src
-      else Epoch.push_write_ref ds.d_ops ~src ~tgt
-    end
-    else Epoch.push_write_prim ds.d_ops src
-
-let g_do_reads t ds now n =
-  let tgt =
-    if Rng.bernoulli ds.d_rng 0.6 then g_pick_recent t.words ds now 4 else g_pick_mature t ds now
-  in
-  if not (O.is_null tgt) then Epoch.push_read_burst ds.d_ops tgt ~words:n
-
 (* Bytes of allocation each domain generates per epoch. Small enough
    that domains interleave at burst granularity, large enough that the
    per-epoch barrier cost is amortised. *)
@@ -421,39 +339,25 @@ let epoch_quantum = 4 * 1024
 
 (* Generate one epoch's op stream for domain [d] into its buffer: the
    parallel half of the protocol. Touches only [t.dstates.(d)] and
-   read-only state; the debts live in locals, as in [mutate_for]. *)
+   read-only state. An object owes writes by its drawn size, which for
+   a large object is the unaligned one. *)
 let generate t d (snap : Epoch.snapshot) =
   let ds = t.dstates.(d) in
-  let desc = t.desc in
   let now = snap.now in
   let nursery_remaining = float_of_int snap.nursery_free.(d) in
   Epoch.reset ds.d_ops;
-  let write_debt = ref ds.d_write_debt in
-  let read_debt = ref ds.d_read_debt in
   let bytes = ref 0 in
   while !bytes < epoch_quantum do
     let cls, life = Lifetime.draw t.life ds.d_rng ~nursery_remaining in
     let large = Rng.bernoulli ds.d_rng t.p_large in
-    let size = if large then draw_large_size_rng ds.d_rng else draw_small_size_rng t ds.d_rng in
+    let size = if large then draw_large_size_rng ds.d_rng else draw_small_size t.desc ds.d_rng in
     let heat = assign_heat_rng t ds.d_rng cls in
     let ref_fields = Int.max 1 (size / 32) in
     ds.d_recent.(ds.d_recent_cursor) <- Epoch.push_alloc ds.d_ops ~size ~heat ~life ~ref_fields;
     ds.d_recent_cursor <- (ds.d_recent_cursor + 1) mod recent_size;
     bytes := !bytes + size;
-    write_debt := !write_debt +. (float_of_int size *. desc.Descriptor.write_alloc_ratio /. 8.0);
-    while !write_debt >= 1.0 do
-      g_do_write t ds now;
-      write_debt := !write_debt -. 1.0;
-      read_debt := !read_debt +. desc.Descriptor.read_write_ratio;
-      if !read_debt >= 1.0 then begin
-        let burst = Int.min 8 (int_of_float !read_debt) in
-        g_do_reads t ds now burst;
-        read_debt := !read_debt -. float_of_int burst
-      end
-    done
-  done;
-  ds.d_write_debt <- !write_debt;
-  ds.d_read_debt <- !read_debt
+    mutate t ds now size
+  done
 
 (* Apply op [i] of domain [d] through the domain-tagged runtime
    interface. Shared-pool registration happens here, in schedule
@@ -461,22 +365,17 @@ let generate t d (snap : Epoch.snapshot) =
    schedule PRNG (after the epoch's whole schedule is drawn) so
    generation streams stay untouched. *)
 let apply_op t (allocs : O.t Vec.t array) d i =
-  let o = Epoch.apply_op t.rt allocs.(d) d t.dstates.(d).d_ops i in
+  let o = Epoch.apply_op t.rt allocs.(d) t.dstates.(d).d_ops i in
   if not (O.is_null o) then add_to_pools t t.sched_rng o
 
 (* Epoch barrier: resolve the recent rings' pending targets to the
-   objects the epoch materialised, and compact the shared pools
-   (the sequential path prunes lazily inside its picks; the parallel
-   path must not mutate pools mid-epoch, so it prunes here). *)
+   objects the epoch materialised, and compact the shared pools (with
+   one thread the picks drop dead entries as they draw them; an epoch
+   must not change the pools while domains generate, so it prunes
+   here). *)
 let epoch_barrier t (allocs : O.t Vec.t array) =
   let now = Rt.now t.rt in
-  Array.iteri
-    (fun d ds ->
-      let r = ds.d_recent in
-      for i = 0 to recent_size - 1 do
-        if r.(i) < 0 then r.(i) <- Epoch.resolve allocs.(d) r.(i)
-      done)
-    t.dstates;
+  Array.iteri (fun d ds -> Epoch.resolve_all allocs.(d) ds.d_recent) t.dstates;
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.hot;
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.warm;
   Vec.filter_in_place (fun o -> O.is_live t.words o now) t.cold

@@ -24,8 +24,10 @@ val create :
 
     [threads] (default 1) is the number of mutator domains. Each gets
     its own PRNG stream, recent-allocation window and read/write
-    debts. With one thread the mutator runs the classic sequential
-    loop. With more, [rt] must have been created with
+    debts. One generator serves every thread count: it draws each
+    object and then the writes and reads the object owes, picking
+    their targets through the same picks. With one thread each op
+    runs at once. With more, [rt] must have been created with
     [~domains:threads], and {!run} executes the epoch protocol: each
     simulated domain {e generates} a symbolic op stream as a pure
     function of its private state plus an epoch-start snapshot, and
@@ -33,11 +35,6 @@ val create :
     [schedule_seed] (default 0). Everything runs on the calling
     domain; the result is a bit-reproducible function of
     [(seed, schedule_seed, threads)]. *)
-
-val descriptor : t -> Descriptor.t
-val runtime : t -> Kg_gc.Runtime.t
-
-val thread_count : t -> int
 
 val boot_allocs_by_thread : t -> int array
 (** How many boot-image objects {!allocate_startup} charged to each
@@ -51,7 +48,16 @@ val run : t -> alloc_bytes:int -> unit -> unit
 (** Allocate and mutate until [alloc_bytes] more bytes have been
     allocated: with one thread, allocate one object and perform the
     writes and reads it owes, until the target is reached; with more,
-    run epochs of the protocol described at {!create}. *)
+    run epochs of the protocol described at {!create}, in which each
+    domain generates a quantum of objects and their ops before the
+    merge applies them. *)
+
+val draw_small_size : Descriptor.t -> Kg_util.Rng.t -> int
+(** [draw_small_size desc rng]: a small-object size in bytes, geometric
+    in words around [desc]'s mean small size and clamped to 16 B and
+    the small-object maximum (8 KB); it takes one uniform from [rng].
+    The batch mutator's small objects and the server's response
+    scratch both come from it. *)
 
 val scaled_alloc_bytes : Descriptor.t -> scale:int -> cap_mb:int -> int
 (** The run length used by the experiment drivers: the benchmark's

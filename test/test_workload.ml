@@ -125,35 +125,45 @@ let test_mutator_startup_builds_boot_image () =
   check_bool "~8MB boot" true (Rt.heap_used rt >= 7 * mib && Rt.heap_used rt <= 11 * mib);
   check_int "no collections during boot" 0 (Rt.stats rt).Kg_gc.Gc_stats.nursery_gcs
 
-let test_mutator_survival_calibration () =
-  List.iter
-    (fun name ->
-      let d = D.find name in
-      let rt = mk_rt Kg_gc.Gc_config.Gen_immix in
-      let m = Mutator.create ~live_mb:16 d ~rt ~seed:7 in
-      Mutator.allocate_startup m;
-      Kg_gc.Gc_stats.reset (Rt.stats rt);
-      Mutator.run m ~alloc_bytes:(24 * mib) ();
-      let measured = Kg_gc.Gc_stats.nursery_survival (Rt.stats rt) in
-      let target = d.D.nursery_survival in
-      check_bool
-        (Printf.sprintf "%s survival %.3f vs target %.3f" name measured target)
-        true
-        (Float.abs (measured -. target) < Float.max 0.06 (0.45 *. target)))
-    [ "xalan"; "lusearch"; "hsqldb"; "pmd"; "jython" ]
-
-let test_mutator_write_split_calibration () =
-  let d = D.find "bloat" in
-  let rt = mk_rt Kg_gc.Gc_config.Gen_immix in
-  let m = Mutator.create ~live_mb:16 d ~rt ~seed:8 in
+(* The calibration tests run each descriptor at 1 and 2 threads: the
+   one generator runs ops at once with one thread and buffers them for
+   the merge with two, and both modes must honour the descriptor. *)
+let calibrated_run ~threads ~seed name =
+  let d = D.find name in
+  let rt = mk_rt ~domains:threads Kg_gc.Gc_config.Gen_immix in
+  let m = Mutator.create ~live_mb:16 ~threads d ~rt ~seed in
   Mutator.allocate_startup m;
   Kg_gc.Gc_stats.reset (Rt.stats rt);
   Mutator.run m ~alloc_bytes:(24 * mib) ();
-  let mf = Kg_gc.Gc_stats.mature_write_fraction (Rt.stats rt) in
-  check_bool
-    (Printf.sprintf "bloat mature frac %.2f vs %.2f" mf (1.0 -. d.D.nursery_write_frac))
-    true
-    (Float.abs (mf -. (1.0 -. d.D.nursery_write_frac)) < 0.16)
+  (d, Rt.stats rt)
+
+let test_mutator_survival_calibration () =
+  List.iter
+    (fun threads ->
+      List.iter
+        (fun name ->
+          let d, st = calibrated_run ~threads ~seed:7 name in
+          let measured = Kg_gc.Gc_stats.nursery_survival st in
+          let target = d.D.nursery_survival in
+          check_bool
+            (Printf.sprintf "%s, %d threads: survival %.3f vs target %.3f" name threads measured
+               target)
+            true
+            (Float.abs (measured -. target) < Float.max 0.06 (0.45 *. target)))
+        [ "xalan"; "lusearch"; "hsqldb"; "pmd"; "jython" ])
+    [ 1; 2 ]
+
+let test_mutator_write_split_calibration () =
+  List.iter
+    (fun threads ->
+      let d, st = calibrated_run ~threads ~seed:8 "bloat" in
+      let mf = Kg_gc.Gc_stats.mature_write_fraction st in
+      check_bool
+        (Printf.sprintf "bloat, %d threads: mature frac %.2f vs %.2f" threads mf
+           (1.0 -. d.D.nursery_write_frac))
+        true
+        (Float.abs (mf -. (1.0 -. d.D.nursery_write_frac)) < 0.16))
+    [ 1; 2 ]
 
 let test_mutator_generates_all_event_kinds () =
   let rt = mk_rt Kg_gc.Gc_config.kg_w_default in
@@ -320,9 +330,9 @@ let schedule_matches_reference_qcheck =
       let lens = Array.of_list lens in
       let streams = Array.map (fun len -> Kg_util.Vec.of_array (Array.init len Fun.id)) lens in
       let bufs =
-        Array.map
-          (fun len ->
-            let ops = Epoch.ops_create () in
+        Array.mapi
+          (fun d len ->
+            let ops = Epoch.ops_create d in
             for i = 1 to len do
               Epoch.push_write_prim ops i
             done;
