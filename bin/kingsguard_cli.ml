@@ -138,7 +138,7 @@ let benches_arg =
 
 let jobs_arg =
   let doc = "Audit on this many worker domains." in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt O.positive 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let check_t =
   Term.(

@@ -30,7 +30,7 @@ val line_write : t -> int -> tag:int -> unit
 val line_read_run : t -> addrs:int array -> len:int -> unit
 (** Service the first [len] addresses of [addrs] as line fetches, in
     order. Equivalent to [len] calls of {!line_read} (bit-identical
-    time/energy accumulation), with the address-map bounds and device
+    energy accumulation), with the address-map bounds and device
     constants hoisted out of the loop. *)
 
 val line_write_run : t -> addrs:int array -> tags:int array -> len:int -> unit
@@ -46,10 +46,6 @@ val writes_by_tag : t -> Kg_mem.Device.kind -> int array
 
 val bytes_written : t -> Kg_mem.Device.kind -> int
 val bytes_read : t -> Kg_mem.Device.kind -> int
-
-val access_time_ns : t -> float
-(** Sum of device latencies over all serviced accesses: the raw,
-    no-overlap memory time used by the time model. *)
 
 val access_energy_j : t -> float
 (** Dynamic energy of all serviced accesses. *)

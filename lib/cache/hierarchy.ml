@@ -20,10 +20,8 @@ type t = {
   l3 : Cache.t;
   levels : Cache.t array;
   ctrl : Controller.t;
-  line_size : int;
   line_bits : int;
   mutable phase : int;
-  mutable accesses : int;
   (* Per-level visit counters; folded into hit_time_ns on demand so the
      L1-hit fast path performs no float arithmetic (see hit_time_ns). *)
   mutable visits1 : int;
@@ -40,7 +38,8 @@ let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
-let create ?(l1 = default_l1) ?(l2 = default_l2) ?(l3 = default_l3) ?(line_size = 64) ~controller () =
+let create ?(l1 = default_l1) ?(l2 = default_l2) ?(l3 = default_l3) ~controller () =
+  let line_size = Controller.line_size controller in
   let mk name (c : level_config) =
     Cache.create ~name ~size:c.size ~ways:c.ways ~line_size ~latency_ns:c.latency_ns
   in
@@ -51,10 +50,8 @@ let create ?(l1 = default_l1) ?(l2 = default_l2) ?(l3 = default_l3) ?(line_size 
     l3 = c3;
     levels = [| c1; c2; c3 |];
     ctrl = controller;
-    line_size;
     line_bits = log2 line_size;
     phase = 0;
-    accesses = 0;
     visits1 = 0;
     visits2 = 0;
     visits3 = 0;
@@ -140,26 +137,13 @@ let check_open t =
   if t.drained then
     invalid_arg "Kg_cache.Hierarchy: access after drain (use reopen to resume)"
 
-let read t addr =
-  check_open t;
-  t.accesses <- t.accesses + 1;
-  access_line t addr false t.phase;
-  flush_spills t
-
-let write t addr =
-  check_open t;
-  t.accesses <- t.accesses + 1;
-  access_line t addr true t.phase;
-  flush_spills t
-
-(* One record's worth of line splitting, shared by the legacy
-   per-access entry point and the batch path. *)
+(* One record's worth of line splitting, shared by the per-range entry
+   point and the batch path. *)
 let[@inline] split_lines t addr size write tag =
   if size > 0 then begin
     let first = addr lsr t.line_bits in
     let last = (addr + size - 1) lsr t.line_bits in
     for line = first to last do
-      t.accesses <- t.accesses + 1;
       access_line t (line lsl t.line_bits) write tag
     done
   end
@@ -200,7 +184,6 @@ let rec fold_run t addrs sizes metas n lb first j count dirty ltag =
   end
   else begin
     if count > 0 then begin
-      t.accesses <- t.accesses + count;
       t.visits1 <- t.visits1 + count;
       Cache.bump_run t.l1 ~addr:(first lsl lb) ~count ~dirty ~tag:ltag
     end;
@@ -217,7 +200,6 @@ let rec run_records t addrs sizes metas n lb i =
       let first = addr lsr lb in
       let last = (addr + size - 1) lsr lb in
       if first = last then begin
-        t.accesses <- t.accesses + 1;
         access_line t (first lsl lb) (m land 1 = 1) (m asr 1);
         (* Only enter the coalescer if the next record actually
            continues on this line; the common non-coalescible record
@@ -278,5 +260,3 @@ let hit_time_ns t =
   (float_of_int t.visits1 *. Cache.latency_ns t.l1)
   +. (float_of_int t.visits2 *. Cache.latency_ns t.l2)
   +. (float_of_int t.visits3 *. Cache.latency_ns t.l3)
-
-let accesses t = t.accesses

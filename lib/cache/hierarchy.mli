@@ -20,10 +20,10 @@ val create :
   ?l1:level_config ->
   ?l2:level_config ->
   ?l3:level_config ->
-  ?line_size:int ->
   controller:Controller.t ->
   unit ->
   t
+(** Every level uses the controller's line size. *)
 
 val controller : t -> Controller.t
 val set_phase : t -> int -> unit
@@ -31,12 +31,6 @@ val set_phase : t -> int -> unit
     {!Kg_cache.Cache}). *)
 
 val phase : t -> int
-
-val read : t -> int -> unit
-(** Demand-read one byte-addressed location (touches one line). *)
-
-val write : t -> int -> unit
-(** Demand-write one location, tagged with the current phase. *)
 
 val access_range : t -> addr:int -> size:int -> write:bool -> unit
 (** Touch every cache line overlapping [\[addr, addr+size)]. Used for
@@ -48,9 +42,8 @@ val access_run : t -> Kg_mem.Port.batch -> unit
     order. Each record uses the write flag and phase tag it was issued
     under, not the hierarchy's current phase.
 
-    This is the primary kernel entry point: {!read}, {!write} and
-    {!access_range} are thin wrappers over the same fused three-level
-    walk. Consecutive single-line records falling in one line are
+    This is the primary kernel entry point: {!access_range} is a thin
+    wrapper over the same fused three-level walk. Consecutive single-line records falling in one line are
     coalesced into the first record's demand access plus one O(1)
     bulk stats/LRU update, which is observationally identical to the
     per-access loop (see DESIGN.md, "Cache kernel"). *)
@@ -84,5 +77,3 @@ val hit_time_ns : t -> float
     one-add-per-visit accumulation for level latencies that are exact
     multiples of 0.5 ns (the defaults are). *)
 
-val accesses : t -> int
-(** Demand accesses issued (reads + writes), before line splitting. *)

@@ -124,7 +124,7 @@ let out_arg =
 
 let jobs_arg =
   let doc = "Resolve the run matrix on this many worker domains." in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt Run_opts.positive 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let no_cache_arg =
   let doc = "Do not read or write the persistent result store." in

@@ -7,7 +7,6 @@ module R = Kg_sim.Run
 module D = Kg_workload.Descriptor
 module GS = Kg_gc.Gc_stats
 module H = Kg_util.Hdr_histogram
-module S = Kg_serve.Server
 module O = Run_opts
 
 let doc = "Serve a request/response workload and report pause/latency SLOs"
@@ -49,10 +48,9 @@ let serve_cmd bench spec rate simulate scale heap_scale cap_mb seed domains sche
     1
   | d -> (
     let mode = if simulate then R.Simulate else R.Count in
-    let serve = { S.default_config with S.rate = float_of_int rate } in
     let r =
-      R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~schedule_seed ~parallel_gc ~serve
-        ~mode spec d
+      R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~schedule_seed ~parallel_gc
+        ~serve:(float_of_int rate) ~mode spec d
     in
     match r.R.serve with
     | None -> prerr_endline "internal error: serve run produced no serve metrics"; 1

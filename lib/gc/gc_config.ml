@@ -10,13 +10,12 @@ type t = {
   heap_bytes : int;
   write_threshold : int;
   pcm_write_trigger_bytes : int option;
-  defrag_threshold : float option;
 }
 
 let kg_w_default = Kg_writers { loo = true; mdo = true; pm = true }
 
-let make ?(nursery_mb = 4) ?observer_mb ?(write_threshold = 1) ?pcm_write_trigger_mb
-    ?defrag_threshold ~heap_mb collector =
+let make ?(nursery_mb = 4) ?observer_mb ?(write_threshold = 1) ?pcm_write_trigger_mb ~heap_mb
+    collector =
   let nursery_bytes = nursery_mb * Kg_util.Units.mib in
   let observer_bytes =
     match observer_mb with
@@ -30,7 +29,6 @@ let make ?(nursery_mb = 4) ?observer_mb ?(write_threshold = 1) ?pcm_write_trigge
     heap_bytes = heap_mb * Kg_util.Units.mib;
     write_threshold;
     pcm_write_trigger_bytes = Option.map (fun mb -> mb * Kg_util.Units.mib) pcm_write_trigger_mb;
-    defrag_threshold;
   }
 
 let name t =

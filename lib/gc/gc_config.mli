@@ -28,12 +28,6 @@ type t = {
       (** KG-W extension (§6.2.1 future work): also trigger a major
           collection after this many barrier-observed PCM write bytes,
           so written PCM objects are rescued promptly. *)
-  defrag_threshold : float option;
-      (** Immix defragmentation (§6.3): when the free fraction of
-          partially-filled mature blocks exceeds this after a major
-          collection, evacuate the sparsest blocks. Off by default —
-          the paper's heaps never trigger it, and extra copies are
-          exactly the wrong tradeoff for PCM. *)
 }
 
 val kg_w_default : collector
@@ -44,7 +38,6 @@ val make :
   ?observer_mb:int ->
   ?write_threshold:int ->
   ?pcm_write_trigger_mb:int ->
-  ?defrag_threshold:float ->
   heap_mb:int ->
   collector ->
   t

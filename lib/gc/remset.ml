@@ -1,12 +1,12 @@
 open Kg_util
 
-type entry = { slot_addr : int; target : Kg_heap.Object_model.t }
-
+(* An entry is two consecutive ints in a Vec, its slot address then its
+   target, so recording one allocates nothing. *)
 type t = {
   name : string;
   buffer_base : int;
   buffer_slots : int;
-  entries : entry Vec.t;
+  entries : int Vec.t;
   mutable cursor : int;
   mutable total : int;
   (* Multicore front end: each mutator domain records barrier hits
@@ -17,7 +17,7 @@ type t = {
      sequential fast path and stays byte-identical to the pre-domain
      code. *)
   domains : int;
-  pending : entry Vec.t array;
+  pending : int Vec.t array;
   pending_cursor : int array;
   mutable handshakes : int;
 }
@@ -41,8 +41,12 @@ let create ?(domains = 1) ~name ~buffer_base ~buffer_bytes () =
 
 let name t = t.name
 
+let[@inline] push_entry v ~slot_addr ~target =
+  Vec.push v slot_addr;
+  Vec.push v target
+
 let insert t ~slot_addr ~target =
-  Vec.push t.entries { slot_addr; target };
+  push_entry t.entries ~slot_addr ~target;
   let addr = t.buffer_base + (t.cursor * entry_bytes) in
   t.cursor <- (t.cursor + 1) mod t.buffer_slots;
   t.total <- t.total + 1;
@@ -55,7 +59,7 @@ let insert t ~slot_addr ~target =
 let record t ~domain ~slot_addr ~target =
   if domain < 0 || domain >= t.domains then
     invalid_arg "Remset.record: bad domain";
-  Vec.push t.pending.(domain) { slot_addr; target };
+  push_entry t.pending.(domain) ~slot_addr ~target;
   let slice = max 1 (t.buffer_slots / t.domains) in
   let cur = t.pending_cursor.(domain) in
   let addr = t.buffer_base + (((domain * slice) + cur) * entry_bytes) in
@@ -70,8 +74,8 @@ let handshake t =
   let published = ref 0 in
   for d = 0 to t.domains - 1 do
     let p = t.pending.(d) in
-    Vec.iter (fun e -> Vec.push t.entries e) p;
-    published := !published + Vec.length p;
+    Vec.iter (fun x -> Vec.push t.entries x) p;
+    published := !published + (Vec.length p / 2);
     Vec.clear p
   done;
   t.handshakes <- t.handshakes + 1;
@@ -79,15 +83,20 @@ let handshake t =
 
 let pending_total t =
   let n = ref 0 in
-  Array.iter (fun p -> n := !n + Vec.length p) t.pending;
+  Array.iter (fun p -> n := !n + (Vec.length p / 2)) t.pending;
   !n
 
-let pending_length t ~domain = Vec.length t.pending.(domain)
+let pending_length t ~domain = Vec.length t.pending.(domain) / 2
 let handshakes t = t.handshakes
 let domains t = t.domains
 
-let length t = Vec.length t.entries
-let iter t f = Vec.iter f t.entries
+let length t = Vec.length t.entries / 2
+
+let iter t f =
+  let e = t.entries in
+  for i = 0 to length t - 1 do
+    f (Vec.get e (2 * i)) (Vec.get e ((2 * i) + 1))
+  done
 
 let clear t =
   Vec.clear t.entries;

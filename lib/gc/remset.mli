@@ -14,9 +14,10 @@
     stop-the-world section publishes all pending buffers into the
     shared set in domain order. Collections must only consume entries
     after a handshake; {!Verify} treats unpublished pending entries at
-    a collection phase as a protocol violation. *)
+    a collection phase as a protocol violation.
 
-type entry = { slot_addr : int; target : Kg_heap.Object_model.t }
+    An entry is stored as two ints, so recording one allocates no host
+    memory. *)
 
 type t
 
@@ -57,7 +58,9 @@ val domains : t -> int
 
 val length : t -> int
 
-val iter : t -> (entry -> unit) -> unit
+val iter : t -> (int -> Kg_heap.Object_model.t -> unit) -> unit
+(** [iter t f] calls [f slot_addr target] on each published entry, in
+    insertion order. *)
 
 val clear : t -> unit
 

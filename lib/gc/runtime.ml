@@ -41,7 +41,10 @@ type t = {
   mature_pcm : Immix_space.t;
   los_dram : Los.t option;
   los_pcm : Los.t;
-  meta : Meta_space.t;
+  (* The metadata region: remset buffers, line-mark chunks and MDO
+     mark tables, reserved from one arena and never freed. *)
+  meta_kind : Kg_mem.Device.kind;
+  meta_bytes : int ref;
   gen_remset : Remset.t;
   obs_remset : Remset.t option;
   mature_dram_meta : int Vec.t;  (* line-mark chunk base per 4 MB region *)
@@ -102,7 +105,7 @@ let mature_pcm_space t = t.mature_pcm
 let mature_dram_space t = t.mature_dram
 let los_pcm_space t = t.los_pcm
 let los_dram_space t = t.los_dram
-let meta_space t = t.meta
+let meta_kind t = t.meta_kind
 let gen_remset t = t.gen_remset
 let obs_remset t = t.obs_remset
 
@@ -138,7 +141,12 @@ let create ?(domains = 1) ?parallel_gc:_ ~config:cfg ~mem ~map ~seed () =
     | Gc_config.Kg_writers _ -> dram_arena
     | _ -> main_arena
   in
-  let meta = Meta_space.create ~id:6 ~name:"meta" ~arena:meta_arena in
+  let meta_bytes = ref 0 in
+  let alloc_table bytes =
+    let addr = Arena.reserve ~who:"meta" meta_arena bytes in
+    meta_bytes := !meta_bytes + bytes;
+    addr
+  in
   let mature_pcm_meta = Vec.create () in
   let mature_dram_meta = Vec.create () in
   let mdo_tables = Hashtbl.create 64 in
@@ -148,13 +156,11 @@ let create ?(domains = 1) ?parallel_gc:_ ~config:cfg ~mem ~map ~seed () =
     | _ -> false
   in
   let on_pcm_region ~base =
-    Vec.push mature_pcm_meta (Meta_space.alloc_table meta line_mark_chunk_bytes);
-    if mdo_on then
-      Hashtbl.replace mdo_tables base
-        (Meta_space.alloc_table meta Layout.mark_table_bytes_per_region)
+    Vec.push mature_pcm_meta (alloc_table line_mark_chunk_bytes);
+    if mdo_on then Hashtbl.replace mdo_tables base (alloc_table Layout.mark_table_bytes_per_region)
   in
   let on_dram_region ~base:_ =
-    Vec.push mature_dram_meta (Meta_space.alloc_table meta line_mark_chunk_bytes)
+    Vec.push mature_dram_meta (alloc_table line_mark_chunk_bytes)
   in
   (* Per-domain private nurseries splitting the configured nursery
      budget, all under the one [sp_nursery] space id. A single domain
@@ -192,14 +198,14 @@ let create ?(domains = 1) ?parallel_gc:_ ~config:cfg ~mem ~map ~seed () =
     else None
   in
   let los_pcm = Los.create ~words ~id:sp_los_pcm ~name:"los-pcm" ~arena:main_arena in
-  let remset_buffer = Meta_space.alloc_table meta (Units.mib / 4) in
+  let remset_buffer = alloc_table (Units.mib / 4) in
   let gen_remset =
     Remset.create ~domains ~name:"gen" ~buffer_base:remset_buffer
       ~buffer_bytes:(Units.mib / 4) ()
   in
   let obs_remset =
     if has_observer then begin
-      let b = Meta_space.alloc_table meta (Units.mib / 4) in
+      let b = alloc_table (Units.mib / 4) in
       Some
         (Remset.create ~domains ~name:"observer" ~buffer_base:b
            ~buffer_bytes:(Units.mib / 4) ())
@@ -224,7 +230,8 @@ let create ?(domains = 1) ?parallel_gc:_ ~config:cfg ~mem ~map ~seed () =
     mature_pcm;
     los_dram;
     los_pcm;
-    meta;
+    meta_kind = Arena.kind meta_arena;
+    meta_bytes;
     gen_remset;
     obs_remset;
     mature_dram_meta;
@@ -253,7 +260,7 @@ let usage t =
     mature_pcm_used = Immix_space.live_bytes t.mature_pcm;
     los_dram_used = (match t.los_dram with Some l -> Los.live_bytes l | None -> 0);
     los_pcm_used = Los.live_bytes t.los_pcm;
-    meta_used = Meta_space.usage_bytes t.meta;
+    meta_used = !(t.meta_bytes);
   }
 
 let heap_used t =
@@ -272,7 +279,7 @@ let dram_used t =
     match t.observer with Some o -> add_if_dram (Bump_space.base o) u.observer_used acc | None -> acc
   in
   let acc = acc + u.mature_dram_used + u.los_dram_used in
-  let acc = if Meta_space.kind t.meta = Kg_mem.Device.Dram then acc + u.meta_used else acc in
+  let acc = if t.meta_kind = Kg_mem.Device.Dram then acc + u.meta_used else acc in
   acc
 
 let pcm_used t =
@@ -322,7 +329,7 @@ let referrer_update_writes t moved =
    write — the GC-phase PCM traffic of §6.1.6. *)
 let process_remset t rs =
   let st = t.stats in
-  Remset.iter rs (fun { Remset.slot_addr; target } ->
+  Remset.iter rs (fun slot_addr target ->
       st.Gc_stats.scanned_objects <- st.Gc_stats.scanned_objects + 1;
       if O.is_live t.words target t.now then begin
         Mem_iface.write t.mem ~addr:slot_addr ~size:Layout.word;
@@ -587,30 +594,6 @@ let major_gc_inner t =
   let unmark o = O.set_marked w o false in
   Vec.iter unmark (Immix_space.objects t.mature_pcm);
   (match t.mature_dram with Some s -> Vec.iter unmark (Immix_space.objects s) | None -> ());
-  (* Optional Immix defragmentation (§6.3): evacuate the sparsest
-     blocks when fragmentation strands too much partial-block memory.
-     The copies go through the normal traffic accounting, making the
-     writes-vs-space tradeoff measurable. *)
-  (match t.cfg.Gc_config.defrag_threshold with
-  | Some threshold when Immix_space.fragmentation t.mature_pcm > threshold ->
-    let victims =
-      Immix_space.defrag_candidates t.mature_pcm ~max_bytes:(Layout.mature_region / 4)
-    in
-    (* Detach the victims from the space's population before
-       re-allocating them, or they would be registered twice. *)
-    List.iter (fun o -> O.set_space w o (-1)) victims;
-    Immix_space.remove_foreign t.mature_pcm;
-    List.iter
-      (fun o ->
-        if O.is_live w o t.now then begin
-          let old_addr = O.addr w o in
-          alloc_into_immix t t.mature_pcm o;
-          copy_traffic t ~old_addr o;
-          st.Gc_stats.copied_bytes_major <- st.Gc_stats.copied_bytes_major + O.size w o
-        end)
-      victims;
-    ignore (Immix_space.sweep t.mature_pcm ~now:t.now ())
-  | _ -> ());
   end_collection t Phase.Major_gc work0
 
 (* Entry into any stop-the-world section. Every domain's buffered port

@@ -201,6 +201,10 @@ val mature_pcm_space : t -> Kg_heap.Immix_space.t
 val mature_dram_space : t -> Kg_heap.Immix_space.t option
 val los_pcm_space : t -> Kg_heap.Los.t
 val los_dram_space : t -> Kg_heap.Los.t option
-val meta_space : t -> Kg_heap.Meta_space.t
+val meta_kind : t -> Kg_mem.Device.kind
+(** The device holding the metadata region (remembered-set buffers,
+    Immix line marks and, under MDO, the PCM regions' mark tables):
+    the single memory for GenImmix, PCM for KG-N, DRAM for KG-W. *)
+
 val gen_remset : t -> Remset.t
 val obs_remset : t -> Remset.t option

@@ -3,7 +3,6 @@ module O = Kg_heap.Object_model
 module Bump = Kg_heap.Bump_space
 module Immix = Kg_heap.Immix_space
 module Los = Kg_heap.Los
-module Meta = Kg_heap.Meta_space
 module Layout = Kg_heap.Layout
 module Map = Kg_mem.Address_map
 module Device = Kg_mem.Device
@@ -198,12 +197,12 @@ let audit ?counters ?(phase = Phase.Application) rt =
             add "config-placement" "GenImmix is single-memory but %s is on %s while the nursery is on %s"
               p.p_name (Device.kind_to_string p.p_kind) (Device.kind_to_string nursery_kind))
         pops;
-      expect "metadata" (Meta.kind (Runtime.meta_space rt)) nursery_kind
+      expect "metadata" (Runtime.meta_kind rt) nursery_kind
     | Gc_config.Kg_nursery ->
       expect "nursery" nursery_kind Device.Dram;
       expect "mature-pcm" (Immix.kind (Runtime.mature_pcm_space rt)) Device.Pcm;
       expect "los-pcm" (Los.kind (Runtime.los_pcm_space rt)) Device.Pcm;
-      expect "metadata" (Meta.kind (Runtime.meta_space rt)) Device.Pcm
+      expect "metadata" (Runtime.meta_kind rt) Device.Pcm
     | Gc_config.Kg_writers _ ->
       expect "nursery" nursery_kind Device.Dram;
       Option.iter (fun s -> expect "observer" (Bump.kind s) Device.Dram) (Runtime.observer_space rt);
@@ -213,7 +212,7 @@ let audit ?counters ?(phase = Phase.Application) rt =
       expect "mature-pcm" (Immix.kind (Runtime.mature_pcm_space rt)) Device.Pcm;
       Option.iter (fun l -> expect "los-dram" (Los.kind l) Device.Dram) (Runtime.los_dram_space rt);
       expect "los-pcm" (Los.kind (Runtime.los_pcm_space rt)) Device.Pcm;
-      expect "metadata" (Meta.kind (Runtime.meta_space rt)) Device.Dram
+      expect "metadata" (Runtime.meta_kind rt) Device.Dram
   end;
 
   (* I5: remembered sets are consumed by the collections that use them
@@ -245,13 +244,10 @@ let audit ?counters ?(phase = Phase.Application) rt =
       add "remset" "observer remset holds %d entries after a %s" (Remset.length rs)
         (Phase.to_string phase)
   | Phase.Nursery_gc, Some rs ->
-    Remset.iter rs (fun e ->
-        if
-          O.is_live w e.Remset.target now
-          && O.space w e.Remset.target = Runtime.sp_nursery
-        then
+    Remset.iter rs (fun slot_addr target ->
+        if O.is_live w target now && O.space w target = Runtime.sp_nursery then
           add "remset" "observer remset slot %#x still targets live nursery object %d after a nursery collection"
-            e.Remset.slot_addr (O.id e.Remset.target))
+            slot_addr (O.id target))
   | _ -> ());
   if Remset.total_inserts gen < st.Gc_stats.gen_remset_inserts then
     add "remset" "generational remset lifetime inserts %d below the statistics' %d"

@@ -18,14 +18,7 @@ type t = {
   mutable cells : int;  (* bytes occupied counted in cell sizes *)
   mutable nfree : int;
   objects : O.t Vec.t;
-  (* Packed per-object size-class side table in the flat-word-heap
-     style: one byte per object id, doubled on demand, [\255] meaning
-     "not resident here". Replaces a per-object [Hashtbl] keyed by cell
-     address — the last hash lookup on the sweep path. *)
-  mutable class_of_obj : Bytes.t;
 }
-
-let no_class = '\255'
 
 let create ~words ~id ~name ~arena =
   {
@@ -39,7 +32,6 @@ let create ~words ~id ~name ~arena =
     cells = 0;
     nfree = 0;
     objects = Vec.create ();
-    class_of_obj = Bytes.make 1024 no_class;
   }
 
 let id t = t.id
@@ -77,29 +69,6 @@ let grow_class t ci =
     true
   end
 
-let set_class t o ci =
-  let id = O.id o in
-  let n = Bytes.length t.class_of_obj in
-  if id >= n then begin
-    let grown = Bytes.make (max (id + 1) (2 * n)) no_class in
-    Bytes.blit t.class_of_obj 0 grown 0 n;
-    t.class_of_obj <- grown
-  end;
-  Bytes.set t.class_of_obj id (Char.chr ci)
-
-(* The stored class for [o], clearing the slot; [None] when the object
-   was never recorded (resident without a local alloc). *)
-let take_class t o =
-  let id = O.id o in
-  if id >= Bytes.length t.class_of_obj then None
-  else
-    let c = Bytes.get t.class_of_obj id in
-    if c = no_class then None
-    else begin
-      Bytes.set t.class_of_obj id no_class;
-      Some (Char.code c)
-    end
-
 let rec alloc t o =
   let w = t.words in
   let osize = O.size w o in
@@ -112,7 +81,6 @@ let rec alloc t o =
     O.set_space w o t.id;
     t.live <- t.live + osize;
     t.cells <- t.cells + size_classes.(ci);
-    set_class t o ci;
     Vec.push t.objects o;
     true
   | [] -> grow_class t ci && alloc t o
@@ -125,12 +93,10 @@ let sweep t ~now ?(on_dead = fun _ -> ()) () =
       if O.space w o <> t.id then false
       else if O.is_live w o now then true
       else begin
+        (* An object's size never changes, so it names its cell's
+           class. *)
         let oaddr = O.addr w o and osize = O.size w o in
-        let ci =
-          match take_class t o with
-          | Some ci -> ci
-          | None -> class_index osize
-        in
+        let ci = class_index osize in
         t.free.(ci) <- oaddr :: t.free.(ci);
         t.nfree <- t.nfree + 1;
         t.live <- t.live - osize;

@@ -191,10 +191,6 @@ let block_of_addr t addr =
   let b = Vec.get t.blocks (region_block0 + ((addr - base) / Layout.block)) in
   b
 
-let remove_foreign t =
-  let w = t.words in
-  Vec.filter_in_place (fun o -> O.space w o = t.id) t.objects
-
 let recyclable_free_lines t =
   Vec.fold
     (fun acc (b : block) ->
@@ -214,38 +210,6 @@ let fragmentation t =
   in
   if partial_lines = 0 then 0.0
   else float_of_int (recyclable_free_lines t) /. float_of_int partial_lines
-
-let defrag_candidates t ~max_bytes =
-  (* Rank recyclable blocks emptiest-first (fewest marked lines), then
-     take their residents until the budget is spent: moving the fewest
-     objects frees the most blocks, as Immix does. *)
-  let w = t.words in
-  let sparse =
-    Vec.fold
-      (fun acc (b : block) ->
-        if b.marked_lines > 0 && b.marked_lines < Layout.lines_per_block / 4 then b :: acc
-        else acc)
-      [] t.blocks
-  in
-  let sparse = List.sort (fun (a : block) b -> compare a.marked_lines b.marked_lines) sparse in
-  let in_block (b : block) o =
-    let oaddr = O.addr w o in
-    oaddr >= b.b_base && oaddr < b.b_base + Layout.block
-  in
-  let budget = ref max_bytes in
-  let picked = ref [] in
-  List.iter
-    (fun b ->
-      if !budget > 0 then
-        Vec.iter
-          (fun o ->
-            if in_block b o && !budget > 0 then begin
-              picked := o :: !picked;
-              budget := !budget - O.size w o
-            end)
-          t.objects)
-    sparse;
-  !picked
 
 (* ------------------------------------------------------------------ *)
 (* Self-audit (heap invariant auditor support)                         *)

@@ -80,23 +80,12 @@ val sweep :
     block order, so the caller can account the line-mark metadata
     write traffic. *)
 
-val remove_foreign : t -> unit
-(** Drop objects whose [space] no longer equals this space (moved away
-    outside a sweep). *)
-
 val fragmentation : t -> float
 (** Fraction of the lines in partially-filled blocks that are free:
     the "fragmentation is preventing the collector from using some
-    fraction of the memory in partially filled blocks" measure that
-    drives Immix defragmentation (§6.3). 0 when there are no
-    recyclable blocks. *)
-
-val defrag_candidates : t -> max_bytes:int -> Object_model.t list
-(** Live objects from the sparsest recyclable blocks, up to
-    [max_bytes]: evacuating and re-allocating them (the caller copies
-    them back via {!alloc}) frees whole blocks, trading copy writes for
-    space — exactly the tradeoff §6.3 notes is wrong for PCM, which is
-    why the collectors only defragment under memory pressure. *)
+    fraction of the memory in partially filled blocks" measure of
+    §6.3, reported by the allocator-comparison experiment. 0 when
+    there are no recyclable blocks. *)
 
 val audit : t -> string list
 (** Structural self-check; returns human-readable violations (empty

@@ -17,7 +17,6 @@ type t = {
   mutable from_anchor : node;
   mutable live_bytes : int;
   mutable count : int;
-  mutable total_allocated : int;
 }
 
 let new_anchor () =
@@ -25,8 +24,7 @@ let new_anchor () =
   n
 
 let create ~words ~id ~name ~arena =
-  { id; name; words; arena; from_anchor = new_anchor (); live_bytes = 0; count = 0;
-    total_allocated = 0 }
+  { id; name; words; arena; from_anchor = new_anchor (); live_bytes = 0; count = 0 }
 
 let id t = t.id
 let name t = t.name
@@ -47,7 +45,6 @@ let alloc t o =
     snap t.from_anchor o;
     t.live_bytes <- t.live_bytes + osize;
     t.count <- t.count + 1;
-    t.total_allocated <- t.total_allocated + osize;
     true
   end
 
@@ -58,8 +55,7 @@ let adopt t o =
   O.set_space w o t.id;
   snap t.from_anchor o;
   t.live_bytes <- t.live_bytes + osize;
-  t.count <- t.count + 1;
-  t.total_allocated <- t.total_allocated + osize
+  t.count <- t.count + 1
 
 let collect t ~now ~keep ?(on_dead = fun _ -> ()) () =
   let w = t.words in
@@ -101,4 +97,3 @@ let iter t f =
 
 let live_bytes t = t.live_bytes
 let object_count t = t.count
-let allocated_bytes_total t = t.total_allocated

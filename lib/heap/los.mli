@@ -44,6 +44,3 @@ val iter : t -> (Object_model.t -> unit) -> unit
 
 val live_bytes : t -> int
 val object_count : t -> int
-val allocated_bytes_total : t -> int
-(** Cumulative allocation volume into this space (drives the LOO
-    allocation-rate comparison, §4.2.4). *)

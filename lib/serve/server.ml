@@ -8,7 +8,7 @@
    the op buffers are interleaved by the schedule PRNG
    (Epoch.draw_schedule) and applied sequentially through the
    domain-tagged runtime calls. The whole run is therefore a pure
-   function of (seed, schedule_seed, domains, config) exactly like the
+   function of (seed, schedule_seed, domains, rate) exactly like the
    batch mutator.
 
    Workload shape, per request:
@@ -41,34 +41,17 @@ open Kg_workload
 module O = Kg_heap.Object_model
 module Rt = Kg_gc.Runtime
 
-type config = {
-  rate : float;  (* open-loop arrival rate, requests/sec, all domains *)
-  service_mib_s : float;  (* per-domain allocation speed, MiB of clock per second *)
-  req_alloc_mean : int;  (* mean request allocation burst, bytes *)
-  sessions : int;  (* session-table slots per domain *)
-  session_ttl_ms : float;
-  session_churn : float;  (* P(request retires its session early) *)
-  tier1_entries : int;  (* per-domain cache shard sizes *)
-  tier1_ttl_ms : float;
-  tier2_entries : int;
-  tier2_ttl_ms : float;
-  tier2_insert_p : float;  (* P(backend fill also lands in tier 2) *)
-}
-
-let default_config =
-  {
-    rate = 256.0;
-    service_mib_s = 64.0;
-    req_alloc_mean = 32 * 1024;
-    sessions = 256;
-    session_ttl_ms = 2000.0;
-    session_churn = 0.05;
-    tier1_entries = 512;
-    tier1_ttl_ms = 250.0;
-    tier2_entries = 2048;
-    tier2_ttl_ms = 2000.0;
-    tier2_insert_p = 0.25;
-  }
+(* The workload's fixed shape; only the arrival rate varies. *)
+let service_mib_s = 64.0  (* per-domain allocation speed, MiB of clock per second *)
+let req_alloc_mean = 32 * 1024  (* mean request allocation burst, bytes *)
+let sessions = 256  (* session-table slots per domain *)
+let session_ttl_ms = 2000.0
+let session_churn = 0.05  (* P(request retires its session early) *)
+let tier1_entries = 512  (* per-domain cache shard sizes *)
+let tier1_ttl_ms = 250.0
+let tier2_entries = 2048
+let tier2_ttl_ms = 2000.0
+let tier2_insert_p = 0.25  (* P(backend fill also lands in tier 2) *)
 
 let recent_size = 256
 let epoch_quantum = 16 * 1024
@@ -112,7 +95,6 @@ type dstate = {
 }
 
 type t = {
-  cfg : config;
   desc : Descriptor.t;
   rt : Rt.t;
   words : O.store;
@@ -145,20 +127,19 @@ let tier2_hits t = sum_by (fun ds -> ds.d_t2_hits) t
 let backend_fills t = sum_by (fun ds -> ds.d_backend_fills) t
 let sessions_churned t = sum_by (fun ds -> ds.d_sessions_churned) t
 
-let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(config = default_config)
-    desc ~rt ~seed =
+let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ~rate desc ~rt ~seed =
   let threads = max 1 threads in
   if threads > 1 && Rt.domains rt <> threads then
     invalid_arg
       (Printf.sprintf "Server.create: %d threads need a runtime with %d domains (has %d)"
          threads threads (Rt.domains rt));
-  if config.rate <= 0.0 then invalid_arg "Server.create: rate must be positive";
+  if rate <= 0.0 then invalid_arg "Server.create: rate must be positive";
   let live_mb = Option.value live_mb ~default:(Descriptor.live_mb desc) in
   let life =
     Lifetime.make ~live_mb desc ~nursery_bytes:(4 * Units.mib) ~observer_bytes:(8 * Units.mib)
   in
   let root = Rng.of_seed seed in
-  let mk_tier n = { tgt = Array.make (max 1 n) O.null; expiry = Array.make (max 1 n) 0.0 } in
+  let mk_tier n = { tgt = Array.make n O.null; expiry = Array.make n 0.0 } in
   let mk_dstate d =
     {
       d_rng = Rng.split root;
@@ -173,19 +154,18 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(config = default_confi
       d_bytes = 0.0;
       d_next_arrival = 0.0;
       d_busy_until = 0.0;
-      d_sessions = Array.make (max 1 config.sessions) O.null;
-      d_tier1 = mk_tier config.tier1_entries;
-      d_tier2 = mk_tier config.tier2_entries;
+      d_sessions = Array.make sessions O.null;
+      d_tier1 = mk_tier tier1_entries;
+      d_tier2 = mk_tier tier2_entries;
       d_t1_hits = 0;
       d_t2_hits = 0;
       d_backend_fills = 0;
       d_sessions_churned = 0;
     }
   in
-  let bytes_per_ms = config.service_mib_s *. float_of_int Units.mib /. 1000.0 in
+  let bytes_per_ms = service_mib_s *. float_of_int Units.mib /. 1000.0 in
   let n = float_of_int threads in
   {
-    cfg = config;
     desc;
     rt;
     words = Rt.words rt;
@@ -197,10 +177,10 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(config = default_confi
     bytes_per_ms;
     (* per-domain arrival rate is rate/n, so the n Poisson processes
        superpose to the configured total *)
-    interarrival = bytes_per_ms *. 1000.0 *. n /. config.rate;
-    session_life = config.session_ttl_ms *. bytes_per_ms *. n;
-    tier1_life = config.tier1_ttl_ms *. bytes_per_ms *. n;
-    tier2_life = config.tier2_ttl_ms *. bytes_per_ms *. n;
+    interarrival = bytes_per_ms *. 1000.0 *. n /. rate;
+    session_life = session_ttl_ms *. bytes_per_ms *. n;
+    tier1_life = tier1_ttl_ms *. bytes_per_ms *. n;
+    tier2_life = tier2_ttl_ms *. bytes_per_ms *. n;
     latencies = Hdr_histogram.create ();
     pauses = Hdr_histogram.create ();
     pause_acc = 0.0;
@@ -294,7 +274,6 @@ let g_insert t ds tier key ~life ~expiry_ms ~heat =
 (* One request: session touch + churn, tiered cache probe, response
    scratch burst. Returns the bytes it allocated. *)
 let g_request t ds now nursery_free =
-  let cfg = t.cfg in
   let ops = ds.d_ops in
   let bytes = ref 0 in
   let arrival = ds.d_next_arrival in
@@ -305,7 +284,7 @@ let g_request t ds now nursery_free =
   let slot = ds.d_sessions.(si) in
   let slot_live = slot < 0 || (slot > 0 && O.is_live t.words slot now) in
   let session =
-    if (not slot_live) || Rng.bernoulli ds.d_rng cfg.session_churn then begin
+    if (not slot_live) || Rng.bernoulli ds.d_rng session_churn then begin
       if slot_live then ds.d_sessions_churned <- ds.d_sessions_churned + 1;
       let heat = if Rng.bernoulli ds.d_rng 0.3 then O.Hot else O.Warm in
       let size = session_size t in
@@ -335,7 +314,7 @@ let g_request t ds now nursery_free =
       (* promote a fresh copy into tier 1 *)
       bytes := !bytes + cache_obj_size t;
       let promoted =
-        g_insert t ds ds.d_tier1 k1 ~life:t.tier1_life ~expiry_ms:cfg.tier1_ttl_ms ~heat:O.Warm
+        g_insert t ds ds.d_tier1 k1 ~life:t.tier1_life ~expiry_ms:tier1_ttl_ms ~heat:O.Warm
       in
       Epoch.push_write_ref ops ~src:promoted ~tgt:hit2
     end
@@ -344,13 +323,13 @@ let g_request t ds now nursery_free =
       ds.d_backend_fills <- ds.d_backend_fills + 1;
       bytes := !bytes + cache_obj_size t;
       let filled =
-        g_insert t ds ds.d_tier1 k1 ~life:t.tier1_life ~expiry_ms:cfg.tier1_ttl_ms ~heat:O.Warm
+        g_insert t ds ds.d_tier1 k1 ~life:t.tier1_life ~expiry_ms:tier1_ttl_ms ~heat:O.Warm
       in
       Epoch.push_write_ref ops ~src:session ~tgt:filled;
-      if Rng.bernoulli ds.d_rng cfg.tier2_insert_p then begin
+      if Rng.bernoulli ds.d_rng tier2_insert_p then begin
         bytes := !bytes + cache_obj_size t;
         ignore
-          (g_insert t ds ds.d_tier2 k2 ~life:t.tier2_life ~expiry_ms:cfg.tier2_ttl_ms ~heat:O.Cold)
+          (g_insert t ds ds.d_tier2 k2 ~life:t.tier2_life ~expiry_ms:tier2_ttl_ms ~heat:O.Cold)
       end
     end
   end;
@@ -358,8 +337,8 @@ let g_request t ds now nursery_free =
      descriptor-paced mutation debt charged per object like the batch
      mutator's; the debts live in locals and are written back once *)
   let budget =
-    (cfg.req_alloc_mean / 2)
-    + int_of_float (Rng.exponential ds.d_rng (float_of_int cfg.req_alloc_mean /. 2.0))
+    (req_alloc_mean / 2)
+    + int_of_float (Rng.exponential ds.d_rng (float_of_int req_alloc_mean /. 2.0))
   in
   let desc = t.desc in
   let write_debt = ref ds.d_write_debt in

@@ -2,8 +2,8 @@
     generate-then-merge epoch protocol as {!Kg_workload.Mutator}.
 
     Each mutator domain is one worker serving a deterministic seeded
-    open-loop request stream: Poisson arrivals at the configured
-    aggregate rate, a session table with TTL churn, a tiered
+    open-loop request stream: Poisson arrivals at the given aggregate
+    rate, a session table with TTL churn, a tiered
     in-memory cache (Zipf keys, TTL eviction realised as object death
     stamps, so eviction is mature-space churn), and per-request
     allocation bursts drawn from the {!Kg_workload.Lifetime}
@@ -14,33 +14,19 @@
     snapshot, the per-domain op buffers interleave under the schedule
     PRNG ({!Kg_workload.Epoch.draw_schedule}), and the ops apply
     sequentially ({!Kg_workload.Epoch.run}) — so a run is a pure
-    function of [(seed, schedule_seed, domains, config)].
+    function of [(seed, schedule_seed, domains, rate)].
 
     Latency model: the domain byte clock doubles as a single-server
     queue — a request's service demand is its allocated bytes, so
     queueing delay emerges as the arrival rate approaches the
     per-domain allocation speed. On top, the server attributes
     modeled STW pauses (supplied by the driver via {!add_pause}) to
-    the requests in flight while they fired. *)
+    the requests in flight while they fired.
 
-type config = {
-  rate : float;  (** open-loop arrival rate, requests/sec across all domains *)
-  service_mib_s : float;  (** per-domain allocation-clock speed, MiB/s *)
-  req_alloc_mean : int;  (** mean request allocation burst, bytes *)
-  sessions : int;  (** session-table slots per domain *)
-  session_ttl_ms : float;
-  session_churn : float;  (** P(request retires its session early) *)
-  tier1_entries : int;  (** per-domain cache shard sizes *)
-  tier1_ttl_ms : float;
-  tier2_entries : int;
-  tier2_ttl_ms : float;
-  tier2_insert_p : float;  (** P(backend fill also lands in tier 2) *)
-}
-
-val default_config : config
-(** 256 req/s, 64 MiB/s per-domain clock, 32 KiB mean bursts, 256
-    sessions (2 s TTL), 512-entry tier 1 (250 ms) over 2048-entry
-    tier 2 (2 s). *)
+    The rest of the workload's shape is fixed: a 64 MiB/s per-domain
+    clock, 32 KiB mean bursts, 256 sessions per domain (2 s TTL, 5 %
+    early churn), and a 512-entry tier 1 (250 ms) over a 2048-entry
+    tier 2 (2 s) that a quarter of backend fills also land in. *)
 
 type t
 
@@ -48,14 +34,16 @@ val create :
   ?live_mb:int ->
   ?threads:int ->
   ?schedule_seed:int ->
-  ?config:config ->
+  rate:float ->
   Kg_workload.Descriptor.t ->
   rt:Kg_gc.Runtime.t ->
   seed:int ->
   t
 (** Same contract as [Mutator.create]: [threads > 1] requires [rt]
-    built with [~domains:threads]. The descriptor supplies the
-    lifetime demographics and mutation pacing. *)
+    built with [~domains:threads]. [rate] is the open-loop arrival
+    rate in requests per second across all domains; it must be
+    positive. The descriptor supplies the lifetime demographics and
+    mutation pacing. *)
 
 val add_pause : t -> float -> unit
 (** Record one collection's modeled STW pause, in ms, into {!pauses}

@@ -44,11 +44,7 @@ let job_key o j =
   ^ match j.serve with None -> "" | Some r -> Printf.sprintf ";serve=%d" r
 
 let run_job o j =
-  let serve =
-    Option.map
-      (fun r -> { Kg_serve.Server.default_config with Kg_serve.Server.rate = float_of_int r })
-      j.serve
-  in
+  let serve = Option.map float_of_int j.serve in
   Run.run ~seed:o.seed ~scale:o.scale ~heap_scale:o.heap_scale
     ~cap_mb:(Option.value j.cap_mb ~default:o.cap_mb)
     ~trace:j.trace ~threads:j.threads ~parallel_gc:j.parallel_gc ?serve ~mode:j.mode j.spec

@@ -39,8 +39,7 @@ type job = {
   cap_mb : int option;  (** per-job override of [opts.cap_mb] *)
   serve : int option;
       (** request rate (req/s): run the {!Kg_serve.Server} mutator at
-          [Kg_serve.Server.default_config] with this rate instead of
-          the batch mutator *)
+          this rate instead of the batch mutator *)
 }
 (** One cell of the run matrix: everything that determines a
     {!Run.result} besides the environment options. *)

@@ -55,8 +55,8 @@ let label spec =
 
 (* Everything the SLO figures read off a serve run: the request
    counters plus the two log-bucketed histograms. [rate] is echoed
-   from the config so tables can reconstruct the modeled duration
-   (requests / rate) without re-deriving the job. *)
+   from the run's argument so tables can reconstruct the modeled
+   duration (requests / rate) without re-deriving the job. *)
 type serve_metrics = {
   requests : int;
   rate : float;
@@ -200,11 +200,9 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
       Gc_stats.reset (Runtime.stats rt);
       Mutator.run mutator ~alloc_bytes ();
       None
-    | Some serve_cfg ->
+    | Some rate ->
       let module S = Kg_serve.Server in
-      let srv =
-        S.create ~live_mb ~threads ~schedule_seed ~config:serve_cfg bench ~rt ~seed:(seed + 1)
-      in
+      let srv = S.create ~live_mb ~threads ~schedule_seed ~rate bench ~rt ~seed:(seed + 1) in
       S.allocate_startup srv;
       Option.iter (fun r -> Trace.record r Trace.Reset_stats) recorder;
       Gc_stats.reset (Runtime.stats rt);
@@ -216,7 +214,7 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
       Some
         {
           requests = S.request_count srv;
-          rate = serve_cfg.S.rate;
+          rate;
           t1_hits = S.tier1_hits srv;
           t2_hits = S.tier2_hits srv;
           backend_fills = S.backend_fills srv;

@@ -36,7 +36,7 @@ val label : spec -> string
 
 type serve_metrics = {
   requests : int;
-  rate : float;  (** echoed from the serve config; duration_s = requests / rate *)
+  rate : float;  (** echoed from [run ~serve]; duration_s = requests / rate *)
   t1_hits : int;
   t2_hits : int;
   backend_fills : int;
@@ -100,7 +100,7 @@ val run :
   ?parallel_gc:bool ->
   ?check:bool ->
   ?recorder:Kg_gc.Trace.recorder ->
-  ?serve:Kg_serve.Server.config ->
+  ?serve:float ->
   mode:mode ->
   spec ->
   Kg_workload.Descriptor.t ->
@@ -139,8 +139,9 @@ val run :
     reset/flush markers into a replayable {!Kg_gc.Trace}.
 
     [serve] replaces the batch mutator with the {!Kg_serve.Server}
-    request/response mutator at the given config (same epoch protocol,
-    so every flag above composes unchanged) and populates
+    request/response mutator at that arrival rate, in requests per
+    second (same epoch protocol, so every flag above composes
+    unchanged) and populates
     [result.serve] with the request counters and the pause/latency
     histograms. *)
 

@@ -134,13 +134,13 @@ type t = {
   ctrl : Kg_cache.Controller.t;
   line_size : int;
   mutable phase : int;
-  mutable accesses : int;
   mutable hit_time_ns : float;
   mutable drained : bool;
 }
 
 let create ?(l1 = Kg_cache.Hierarchy.default_l1) ?(l2 = Kg_cache.Hierarchy.default_l2)
-    ?(l3 = Kg_cache.Hierarchy.default_l3) ?(line_size = 64) ~controller () =
+    ?(l3 = Kg_cache.Hierarchy.default_l3) ~controller () =
+  let line_size = Kg_cache.Controller.line_size controller in
   let mk (c : Kg_cache.Hierarchy.level_config) =
     Cache.create ~size:c.size ~ways:c.ways ~line_size ~latency_ns:c.latency_ns
   in
@@ -149,7 +149,6 @@ let create ?(l1 = Kg_cache.Hierarchy.default_l1) ?(l2 = Kg_cache.Hierarchy.defau
     ctrl = controller;
     line_size;
     phase = 0;
-    accesses = 0;
     hit_time_ns = 0.0;
     drained = false;
   }
@@ -188,23 +187,12 @@ let rec demand t lvl addr write tag =
 let check_open t =
   if t.drained then invalid_arg "Reference_cache: access after drain"
 
-let read t addr =
-  check_open t;
-  t.accesses <- t.accesses + 1;
-  demand t 0 addr false t.phase
-
-let write t addr =
-  check_open t;
-  t.accesses <- t.accesses + 1;
-  demand t 0 addr true t.phase
-
 let split_lines t addr size write tag =
   if size > 0 then begin
     let first = addr / t.line_size in
     let last = (addr + size - 1) / t.line_size in
     for line = first to last do
       let a = line * t.line_size in
-      t.accesses <- t.accesses + 1;
       demand t 0 a write tag
     done
   end
@@ -233,4 +221,3 @@ let drain t =
 let reopen t = t.drained <- false
 let level_stats t = Array.map Cache.stats t.levels
 let hit_time_ns t = t.hit_time_ns
-let accesses t = t.accesses

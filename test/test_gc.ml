@@ -66,7 +66,7 @@ let test_remset_basic () =
   check_int "length" 21 (Remset.length rs);
   check_int "total" 21 (Remset.total_inserts rs);
   let seen = ref 0 in
-  Remset.iter rs (fun _ -> incr seen);
+  Remset.iter rs (fun _ _ -> incr seen);
   check_int "iter" 21 !seen;
   Remset.clear rs;
   check_int "cleared" 0 (Remset.length rs);
@@ -120,7 +120,7 @@ let remset_handshake_model_qcheck =
       ignore (Remset.handshake rs);
       m_handshake ();
       let seen = ref [] in
-      Remset.iter rs (fun e -> seen := e.Remset.slot_addr :: !seen);
+      Remset.iter rs (fun slot_addr _ -> seen := slot_addr :: !seen);
       !ok && List.rev !seen = !m_published && Remset.pending_total rs = 0)
 
 let test_remset_record_slices () =
@@ -551,26 +551,6 @@ let test_no_write_trigger_by_default () =
   done;
   check_int "no major without the extension" 0 (Rt.stats rt).Gc_stats.major_gcs
 
-let test_defrag_under_pressure () =
-  let map = Kg_mem.Address_map.hybrid () in
-  let cfg =
-    Gc_config.make ~nursery_mb:1 ~defrag_threshold:0.2 ~heap_mb:8 Gc_config.Gen_immix
-  in
-  let mem, _ = Mem_iface.counting ~map in
-  let rt = Rt.create ~config:cfg ~mem ~map ~seed:1 () in
-  (* interleave immortal and churn objects so mature blocks go sparse,
-     then force majors: the defrag pass must not corrupt the heap *)
-  for round = 1 to 3 do
-    ignore round;
-    for i = 1 to 8192 do
-      let death = if i mod 8 = 0 then infinity else Rt.now rt +. 300_000.0 in
-      ignore (alloc ~size:256 ~death rt)
-    done;
-    Rt.major_gc rt
-  done;
-  check_bool "survived repeated defragging majors" true ((Rt.stats rt).Gc_stats.major_gcs >= 3);
-  check_bool "copies attributed to majors" true ((Rt.stats rt).Gc_stats.copied_bytes_major >= 0)
-
 let test_observer_size_override () =
   let cfg = Gc_config.make ~nursery_mb:1 ~observer_mb:5 ~heap_mb:8 Gc_config.kg_w_default in
   check_int "observer override" (5 * mib) cfg.Gc_config.observer_bytes
@@ -662,8 +642,8 @@ let test_auditor_green_multi_domain () =
 (* Drive one scripted heap population on a bare 4-domain runtime,
    force a final major collection, and require a clean audit of the
    final heap. Returns the statistics. *)
-let edge_case ?defrag_threshold name script =
-  let cfg = Gc_config.make ~nursery_mb:1 ?defrag_threshold ~heap_mb:8 Gc_config.kg_w_default in
+let edge_case name script =
+  let cfg = Gc_config.make ~nursery_mb:1 ~heap_mb:8 Gc_config.kg_w_default in
   let map = Kg_mem.Address_map.hybrid () in
   let mem, counters = Mem_iface.counting ~map in
   let rt = Rt.create ~domains:4 ~config:cfg ~mem ~map ~seed:1 () in
@@ -688,28 +668,6 @@ let test_edge_domains_exceed_live () =
     (edge_case "domains > live objects" (fun rt ->
          ignore (alloc ~size:128 rt);
          ignore (alloc ~size:128 rt)))
-
-(* A fragmented mature heap under an always-on defragmentation
-   threshold: most promoted objects die mid-run, so the majors leave
-   sparse blocks and the defragmenting evacuation runs. *)
-let test_edge_defrag () =
-  let populate rt =
-    (* 6 MiB of 128-byte objects; 1 in 16 immortal, the rest dying at
-       the 5 MiB mark — late enough to reach the mature space alive
-       (observer evacuations land around the 3 MiB mark), early enough
-       to be swept by the final major, which strands the immortals on
-       ~12%-marked blocks: exactly the §6.3 evacuation case. (1 in 8
-       would mark exactly lines_per_block/4 lines per block — one line
-       per four — and sit right on the candidate cutoff.) *)
-    for i = 1 to 6 * mib / 128 do
-      let death = if i land 15 = 0 then infinity else float_of_int (5 * mib) in
-      ignore (alloc ~size:128 ~death rt)
-    done;
-    Rt.major_gc rt
-  in
-  let st = edge_case ~defrag_threshold:0.1 "defrag-triggering heap" populate in
-  check_bool "majors ran" true (st.Gc_stats.major_gcs >= 2);
-  check_bool "defrag moved objects" true (st.Gc_stats.copied_bytes_major > 0)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -781,7 +739,6 @@ let () =
           Alcotest.test_case "write trigger fires major" `Quick test_write_trigger_fires_major;
           Alcotest.test_case "no trigger by default" `Quick test_no_write_trigger_by_default;
           Alcotest.test_case "observer size override" `Quick test_observer_size_override;
-          Alcotest.test_case "defrag under pressure" `Quick test_defrag_under_pressure;
         ] );
       ( "stats",
         [
@@ -796,6 +753,5 @@ let () =
           Alcotest.test_case "empty mature space" `Quick test_edge_empty_mature;
           Alcotest.test_case "single live object" `Quick test_edge_single_live;
           Alcotest.test_case "domains > live objects" `Quick test_edge_domains_exceed_live;
-          Alcotest.test_case "defrag-triggering heap" `Quick test_edge_defrag;
         ] );
     ]

@@ -437,16 +437,6 @@ let test_immix_region_lookup () =
     (O.addr w o >= base && O.addr w o < base + Layout.mature_region);
   check_bool "region registered" true (Array.mem base (Immix_space.region_bases sp))
 
-let test_immix_remove_foreign () =
-  let w = fresh_words () in
-  let sp = mk_immix w () in
-  let o = obj w ~size:64 () in
-  ignore (Immix_space.alloc sp o);
-  O.set_space w o 2;
-  (* simulated move to another space *)
-  Immix_space.remove_foreign sp;
-  check_int "foreign removed" 0 (Kg_util.Vec.length (Immix_space.objects sp))
-
 let test_immix_fragmentation () =
   let w = fresh_words () in
   let sp = mk_immix w () in
@@ -459,21 +449,6 @@ let test_immix_fragmentation () =
   check_float "no recyclable blocks yet" 0.0 (Immix_space.fragmentation sp);
   ignore (Immix_space.sweep sp ~now:20.0 ());
   check_bool "fragmentation appears" true (Immix_space.fragmentation sp >= 0.45)
-
-let test_immix_defrag_candidates () =
-  let w = fresh_words () in
-  let sp = mk_immix w () in
-  (* one survivor per block: blocks are maximally sparse *)
-  for _ = 1 to 16 do
-    ignore (Immix_space.alloc sp (obj w ~size:256 ()));
-    for _ = 1 to 127 do
-      ignore (Immix_space.alloc sp (obj w ~size:256 ~death:1.0 ()))
-    done
-  done;
-  ignore (Immix_space.sweep sp ~now:5.0 ());
-  let victims = Immix_space.defrag_candidates sp ~max_bytes:(4 * 256) in
-  check_int "budget-bounded victims" 4 (List.length victims);
-  List.iter (fun o -> check_bool "victims live" true (O.is_live w o 5.0)) victims
 
 (* No two live objects may overlap, across arbitrary alloc/sweep
    interleavings: the load-bearing allocator invariant. *)
@@ -557,15 +532,6 @@ let test_los_adopt () =
   check_int "moved" 1 (Los.object_count b);
   check_int "source emptied" 0 (Los.object_count a);
   check_int "new space id" 4 (O.space w o)
-
-let test_los_allocation_rate_counter () =
-  let w = fresh_words () in
-  let los = mk_los w () in
-  ignore (Los.alloc los (obj w ~size:(16 * 1024) ()));
-  ignore (Los.alloc los (obj w ~size:(16 * 1024) ~death:0.0 ()));
-  ignore (Los.collect los ~now:1.0 ~keep:(fun _ -> true) ());
-  (* cumulative allocation is unaffected by collection *)
-  check_int "total allocated" (32 * 1024) (Los.allocated_bytes_total los)
 
 (* An allocation that lands exactly on the arena limit succeeds; the
    next one reports full (false) without raising. *)
@@ -686,7 +652,8 @@ let test_freelist_sweep_zero_survivors () =
 let test_freelist_class_table_growth () =
   let w = fresh_words () in
   let sp = mk_freelist w () in
-  (* push the id space well past the table's initial 1024 slots *)
+  (* a sweep frees a cell into its object's size class at any object
+     id, well past the first thousand *)
   for _ = 1 to 3000 do
     ignore (obj w ~size:16 ())
   done;
@@ -730,19 +697,6 @@ let freelist_no_overlap_qcheck =
       in
       ok sorted)
 
-(* ------------------------------------------------------------------ *)
-(* Meta space                                                          *)
-
-let test_meta_accounting () =
-  let m = Meta_space.create ~id:6 ~name:"meta" ~arena:(fresh_arena ()) in
-  let a1 = Meta_space.alloc_table m 1000 in
-  let a2 = Meta_space.alloc_table m 1000 in
-  check_bool "distinct" true (a1 <> a2);
-  check_int "usage" 2000 (Meta_space.usage_bytes m);
-  Meta_space.free_table m 1000;
-  check_int "freed" 1000 (Meta_space.usage_bytes m);
-  check_int "high water" 2000 (Meta_space.high_water_bytes m)
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "kg_heap"
@@ -785,9 +739,7 @@ let () =
           Alcotest.test_case "write_meta callback" `Quick test_immix_write_meta_callback;
           Alcotest.test_case "40k-object sweep" `Quick test_immix_sweep_40k;
           Alcotest.test_case "region lookup" `Quick test_immix_region_lookup;
-          Alcotest.test_case "remove foreign" `Quick test_immix_remove_foreign;
           Alcotest.test_case "fragmentation" `Quick test_immix_fragmentation;
-          Alcotest.test_case "defrag candidates" `Quick test_immix_defrag_candidates;
           q immix_no_overlap_qcheck;
         ] );
       ( "los",
@@ -795,7 +747,6 @@ let () =
           Alcotest.test_case "alloc and iter" `Quick test_los_alloc_and_iter;
           Alcotest.test_case "collect keep/evict" `Quick test_los_collect_keep_and_evict;
           Alcotest.test_case "adopt" `Quick test_los_adopt;
-          Alcotest.test_case "allocation counter" `Quick test_los_allocation_rate_counter;
           Alcotest.test_case "alloc exactly at limit" `Quick test_los_alloc_exactly_at_limit;
           Alcotest.test_case "collect zero survivors" `Quick test_los_collect_zero_survivors;
         ] );
@@ -813,5 +764,4 @@ let () =
             test_freelist_class_table_growth;
           q freelist_no_overlap_qcheck;
         ] );
-      ("meta", [ Alcotest.test_case "accounting" `Quick test_meta_accounting ]);
     ]

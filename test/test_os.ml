@@ -150,8 +150,8 @@ let observe (hier, wp) =
   let dev k = (Ctrl.reads ctrl k, Ctrl.writes ctrl k, Ctrl.writes_by_tag ctrl k) in
   let bits = Int64.bits_of_float in
   ( (dev Kg_mem.Device.Dram, dev Kg_mem.Device.Pcm),
-    (bits (Ctrl.access_time_ns ctrl), bits (Ctrl.access_energy_j ctrl), bits (H.hit_time_ns hier)),
-    (H.level_stats hier, H.accesses hier),
+    (bits (Ctrl.access_energy_j ctrl), bits (H.hit_time_ns hier)),
+    H.level_stats hier,
     Option.map
       (fun w ->
         ( WP.migrations_to_dram w,

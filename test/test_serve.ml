@@ -3,21 +3,20 @@
 
    Serve runs ride the same epoch protocol as the batch mutator, so
    they inherit its promise: a run is a pure function of
-   (seed, schedule_seed, domains, config). On top, the histograms must
+   (seed, schedule_seed, domains, rate). On top, the histograms must
    be non-degenerate (a pause profile with max <= P50 or a zero P50
    means the recorder is wired wrong). *)
 
 open Kg_sim
 module GS = Kg_gc.Gc_stats
 module H = Kg_util.Hdr_histogram
-module S = Kg_serve.Server
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let serve_run ?(rate = 1024.0) threads =
   Run.run ~seed:11 ~scale:512 ~heap_scale:8 ~cap_mb:8 ~threads
-    ~serve:{ S.default_config with S.rate } ~mode:Run.Count Run.kg_w
+    ~serve:rate ~mode:Run.Count Run.kg_w
     (Kg_workload.Descriptor.find "pjbb")
 
 let metrics (r : Run.result) =
