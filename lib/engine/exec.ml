@@ -42,38 +42,60 @@ let label (j : E.job) =
     (if j.E.trace then "+trace" else if j.E.threads > 1 then Printf.sprintf "x%d" j.E.threads else "")
     (match j.E.serve with None -> "" | Some r -> Printf.sprintf "@%drps" r)
 
-(* Resolve a miss (not in the memo): store first, then compute and
-   publish. Runs in whatever domain the pool put it on; everything it
-   touches is either freshly created (the run) or mutex-guarded (memo,
-   store file via atomic rename, progress). *)
-let resolve t key j =
-  let hit =
-    match t.store with
-    | None -> None
-    | Some s -> Store.find s key
-  in
-  match hit with
-  | Some r ->
-    memo_add t key r;
-    Progress.job_done t.progress ~label:(label j) ~hit:true ~elapsed_s:0.0;
-    r
-  | None ->
-    let t0 = Unix.gettimeofday () in
-    let r = E.run_job t.o j in
-    (match t.store with None -> () | Some s -> Store.store s key r);
-    memo_add t key r;
-    Progress.job_done t.progress ~label:(label j) ~hit:false
-      ~elapsed_s:(Unix.gettimeofday () -. t0);
-    r
+(* Runs execute in whatever domain the pool put them on; everything
+   they touch is either freshly created (the runs) or mutex-guarded
+   (memo, store file via atomic rename, progress). *)
+
+(* A store hit, memoised; [None] on a miss. *)
+let stored t key j =
+  let hit = Option.bind t.store (fun s -> Store.find s key) in
+  Option.iter
+    (fun r ->
+      memo_add t key r;
+      Progress.job_done t.progress ~label:(label j) ~hit:true ~group:1 ~elapsed_s:0.0)
+    hit;
+  hit
+
+(* Publish a computed result to the store and the memo. *)
+let publish t ?(why = "") key j r ~group ~elapsed_s =
+  Option.iter (fun s -> Store.store s key r) t.store;
+  memo_add t key r;
+  Progress.job_done t.progress ~label:(label j ^ why) ~hit:false ~group ~elapsed_s
+
+let compute t ?why key j =
+  let t0 = Unix.gettimeofday () in
+  let r = E.run_job t.o j in
+  publish t ?why key j r ~group:1 ~elapsed_s:(Unix.gettimeofday () -. t0);
+  r
 
 let fetch t j =
   let key = Store.key ~opts:t.o j in
-  match memo_find t key with Some r -> r | None -> resolve t key j
+  match memo_find t key with
+  | Some r -> r
+  | None -> ( match stored t key j with Some r -> r | None -> compute t key j)
 
 let env t = E.make_env_with ~fetch:(fetch t) t.o
 
+(* One pool job: the runs of one stream key. Store hits are served;
+   the misses run as one group, and a member that detaches from the
+   leader's stream is rerun alone. *)
+let resolve_group t members =
+  match List.filter (fun (key, j) -> stored t key j = None) members with
+  | [] -> ()
+  | [ (key, j) ] -> ignore (compute t key j)
+  | misses ->
+    let t0 = Unix.gettimeofday () in
+    let results = E.run_group t.o (List.map snd misses) in
+    let elapsed_s = Unix.gettimeofday () -. t0 in
+    List.iter2
+      (fun (key, j) -> function
+        | Ok r -> publish t key j r ~group:(List.length misses) ~elapsed_s
+        | Error (d : Kg_sim.Run.detached) ->
+          ignore (compute t ~why:(Printf.sprintf " (detached at op %d)" d.op) key j))
+      misses results
+
 let prefetch t jobs =
-  (* One pool job per distinct key the memo does not hold yet. *)
+  (* The distinct keys the memo does not hold yet. *)
   let seen = Hashtbl.create 64 in
   let pending =
     List.filter_map
@@ -86,9 +108,25 @@ let prefetch t jobs =
         end)
       jobs
   in
-  ignore
-    (Pool.run_all t.pool
-       (List.map (fun (key, j) () -> ignore (resolve t key j)) pending));
+  (* Grouped by stream key in first-seen order (a job without one is
+     a group of its own, under its store key), largest group first so
+     the longest pool jobs start first. *)
+  let groups = Hashtbl.create 64 and order = ref [] in
+  List.iter
+    (fun ((key, j) as p) ->
+      let k = Option.value (E.stream_key t.o j) ~default:key in
+      match Hashtbl.find_opt groups k with
+      | Some ms -> Hashtbl.replace groups k (p :: ms)
+      | None ->
+        Hashtbl.add groups k [ p ];
+        order := k :: !order)
+    pending;
+  let groups =
+    List.stable_sort
+      (fun a b -> compare (List.length b) (List.length a))
+      (List.rev_map (fun k -> List.rev (Hashtbl.find groups k)) !order)
+  in
+  ignore (Pool.run_all t.pool (List.map (fun g () -> resolve_group t g) groups));
   Progress.finish t.progress
 
 let prefetch_experiments t ids =
@@ -103,12 +141,15 @@ let prefetch_experiments t ids =
 let hits t = Progress.hits t.progress
 let misses t = Progress.misses t.progress
 
+(* A pool job resolves a whole stream group, so the rate counts runs,
+   not pool jobs. *)
 let summary t =
   let tot = Pool.totals t.pool in
+  let runs = hits t + misses t in
   Printf.sprintf
-    "engine: %d runs, %d hits, %d misses (jobs=%d, wall %.1f s, %.2f runs/s busy %.1f s)"
-    (hits t + misses t)
-    (hits t) (misses t) (Pool.jobs t.pool) tot.Pool.wall_s (Pool.throughput tot)
+    "engine: %d runs, %d hits, %d misses (jobs=%d, wall %.1f s, %.2f runs/s busy %.1f s)" runs
+    (hits t) (misses t) (Pool.jobs t.pool) tot.Pool.wall_s
+    (if tot.Pool.wall_s <= 0.0 then 0.0 else float_of_int runs /. tot.Pool.wall_s)
     tot.Pool.busy_s
 
 let shutdown t = Pool.shutdown t.pool

@@ -7,13 +7,16 @@
     incremental over this one.
 
     Parallelism comes from {!prefetch}: the runs of the selected
-    experiments are deduplicated by cache key and every miss is
-    scheduled onto the pool. An experiment's [runs] and its table come
-    from one plan, so the tables then find every run they read already
-    memoised. A run's value depends only on its key — each job builds
-    its own runtime, heap, caches, RNG and statistics from the options'
-    seed ({!Kg_sim.Run.run} shares no mutable state between calls) — so
-    a pool of any width, with or without a warm store, produces
+    experiments are deduplicated by cache key, grouped by
+    {!Kg_sim.Experiments.stream_key}, and each group is one pool job,
+    whose store misses share one mutator
+    ({!Kg_sim.Experiments.run_group}). An experiment's [runs] and its
+    table come from one plan, so the tables then find every run they
+    read already memoised. A run's value depends only on its key —
+    each run builds its own runtime, heap, caches and statistics from
+    the options' seed, a grouped run's equals its solo run field for
+    field, and a member that leaves its group's stream is rerun alone
+    — so a pool of any width, with or without a warm store, produces
     field-for-field identical results and byte-identical tables. *)
 
 type t
@@ -38,12 +41,19 @@ val pool : t -> Pool.t
 val store : t -> Store.t option
 
 val fetch : t -> Kg_sim.Experiments.job -> Kg_sim.Run.result
-(** Resolve one run in the calling domain (memo, store, compute). *)
+(** Resolve one run in the calling domain (memo, store, compute it
+    alone with {!Kg_sim.Experiments.run_job}). *)
 
 val prefetch : t -> Kg_sim.Experiments.job list -> unit
-(** Deduplicate by key, drop what the memo already holds, resolve the
-    rest on the pool as one list, and wait. The first failing job
-    cancels the jobs not yet started and re-raises here. *)
+(** Deduplicate by key, drop what the memo already holds, group the
+    rest by {!Kg_sim.Experiments.stream_key} (jobs without one stay
+    singletons), and resolve the groups on the pool as one list,
+    largest first, and wait. A group serves its store hits, computes
+    its misses as one {!Kg_sim.Experiments.run_group} (a lone miss
+    with {!Kg_sim.Experiments.run_job}), stores each result under its
+    own key, and reruns alone any member that detached. The first
+    failing group cancels the groups not yet started and re-raises
+    here. *)
 
 val prefetch_experiments : t -> string list -> unit
 (** {!prefetch} the runs of the named experiments
@@ -57,8 +67,9 @@ val misses : t -> int
 (** Runs computed so far. *)
 
 val summary : t -> string
-(** One line: run counts, hit/miss split, pool width, wall clock and
-    throughput. The CI smoke job parses this. *)
+(** One line: run counts, hit/miss split, pool width, wall clock,
+    runs resolved per wall-clock second and pool busy time. The CI
+    smoke job parses this. *)
 
 val shutdown : t -> unit
 (** Release the pool's domain claims (results already published remain

@@ -97,8 +97,6 @@ let totals (t : t) =
     wall_s = now () -. t.created_at;
   }
 
-let throughput tot = if tot.wall_s <= 0.0 then 0.0 else float_of_int tot.completed /. tot.wall_s
-
 let shutdown t =
   if not t.stopped then begin
     t.stopped <- true;

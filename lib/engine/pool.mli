@@ -44,8 +44,5 @@ type totals = {
 
 val totals : t -> totals
 
-val throughput : totals -> float
-(** Completed jobs per wall-clock second (0 for an idle pool). *)
-
 val shutdown : t -> unit
 (** Release the workers' domain claims. Idempotent. *)

@@ -10,26 +10,27 @@ let mode_of_string = function
 
 type t = {
   mode : mode;
-  out : out_channel;
   m : Mutex.t;
   mutable hits : int;
   mutable misses : int;
   mutable line_open : bool;  (* a \r status line is on screen *)
 }
 
-let create ?(out = stderr) mode = { mode; out; m = Mutex.create (); hits = 0; misses = 0; line_open = false }
+let create mode = { mode; m = Mutex.create (); hits = 0; misses = 0; line_open = false }
 
-let job_done t ~label ~hit ~elapsed_s =
+let job_done t ~label ~hit ~group ~elapsed_s =
   Mutex.lock t.m;
   if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
   (match t.mode with
   | Quiet -> ()
   | Log ->
-    Printf.fprintf t.out "[engine] %-50s %6.2fs %s\n%!" label elapsed_s
-      (if hit then "cache" else "computed")
+    Printf.eprintf "[engine] %-50s %6.2fs %s\n%!" label elapsed_s
+      (if hit then "cache"
+       else if group > 1 then Printf.sprintf "computed in a group of %d" group
+       else "computed")
   | Tty ->
     t.line_open <- true;
-    Printf.fprintf t.out "\r[engine] %d runs resolved (%d cached, %d computed)%!"
+    Printf.eprintf "\r[engine] %d runs resolved (%d cached, %d computed)%!"
       (t.hits + t.misses) t.hits t.misses);
   Mutex.unlock t.m
 
@@ -48,8 +49,7 @@ let misses t =
 let finish t =
   Mutex.lock t.m;
   if t.line_open then begin
-    output_char t.out '\n';
-    flush t.out;
+    prerr_newline ();
     t.line_open <- false
   end;
   Mutex.unlock t.m

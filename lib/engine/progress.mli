@@ -5,9 +5,10 @@
 
     - [Quiet]: counters only, no output (the default — table output
       must stay byte-identical across runs, so narration never goes to
-      stdout anyway; all modes write to [out], default stderr).
-    - [Log]: one line per resolved run with its timing and whether it
-      came from the store.
+      stdout anyway; all modes write to stderr).
+    - [Log]: one line per resolved run: whether it came from the
+      store, and if computed, its time, or the size and time of the
+      group it was computed in.
     - [Tty]: a single carriage-return-updated status line. *)
 
 type mode = Quiet | Log | Tty
@@ -17,8 +18,12 @@ val mode_names : string
 
 type t
 
-val create : ?out:out_channel -> mode -> t
-val job_done : t -> label:string -> hit:bool -> elapsed_s:float -> unit
+val create : mode -> t
+val job_done : t -> label:string -> hit:bool -> group:int -> elapsed_s:float -> unit
+(** One resolved run: served from the store if [hit], else computed
+    with [group - 1] others sharing its mutator ({!Kg_sim.Run.run_group};
+    1 when computed alone). [elapsed_s] is the computation's time,
+    the whole group's when [group > 1]. *)
 
 val hits : t -> int
 (** Runs served from the persistent store. *)

@@ -1,14 +1,9 @@
 open Kg_cache
 
-type config = {
-  queues : int;
-  promote_rank : int;
-  quantum_accesses : int;
-  demote_period : int;
-}
-
-let default_config =
-  { queues = 8; promote_rank = 4; quantum_accesses = 500_000; demote_period = 5 }
+let queues = 8
+let promote_rank = 4
+let demote_period = 5
+let default_quantum_accesses = 500_000
 
 type page = {
   vpage : int;
@@ -23,7 +18,7 @@ type page = {
    mirror them as flat arrays, grown on demand, for the per-record
    lookups ([absent] marks no entry). *)
 type t = {
-  cfg : config;
+  quantum_accesses : int;
   hier : Hierarchy.t;
   ctrl : Controller.t;
   pcm_base : int;
@@ -60,12 +55,12 @@ let grown (a : page array) i =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let create ?(config = default_config) ~hier ~virt_size () =
+let create ?(quantum_accesses = default_quantum_accesses) ~hier ~virt_size () =
   let ctrl = Hierarchy.controller hier in
   let map = Controller.map ctrl in
   let t =
     {
-      cfg = config;
+      quantum_accesses;
       hier;
       ctrl;
       pcm_base = Kg_mem.Address_map.pcm_base map;
@@ -117,7 +112,7 @@ let create ?(config = default_config) ~hier ~virt_size () =
           p.writes <- p.writes + 1;
           (* Queue n holds pages with 2^n writes. *)
           let rank = int_of_float (Float.log2 (float_of_int (Int.max 1 p.writes))) in
-          p.rank <- Int.min (t.cfg.queues - 1) rank
+          p.rank <- Int.min (queues - 1) rank
         end
       end);
   t
@@ -174,9 +169,9 @@ let run_quantum t =
   t.quantum <- t.quantum + 1;
   (* Promotion pass: PCM pages in the top-ranked queues move to DRAM. *)
   Hashtbl.iter
-    (fun _ p -> if p.dram_frame < 0 && p.rank >= t.cfg.promote_rank then migrate_to_dram t p)
+    (fun _ p -> if p.dram_frame < 0 && p.rank >= promote_rank then migrate_to_dram t p)
     t.pages;
-  if t.quantum mod t.cfg.demote_period = 0 then begin
+  if t.quantum mod demote_period = 0 then begin
     (* Demotion pass: every DRAM page drops one queue; pages falling
        below the promotion threshold return to PCM. *)
     let falling = ref [] in
@@ -184,7 +179,7 @@ let run_quantum t =
       (fun _ p ->
         p.rank <- Int.max 0 (p.rank - 1);
         p.writes <- p.writes / 2;
-        if p.rank < t.cfg.promote_rank then falling := p :: !falling)
+        if p.rank < promote_rank then falling := p :: !falling)
       t.dram_rev;
     List.iter (migrate_to_pcm t) !falling
   end
@@ -196,7 +191,7 @@ let[@inline] translate t vaddr =
 
 let tick t =
   t.accesses <- t.accesses + 1;
-  if t.accesses >= t.cfg.quantum_accesses then begin
+  if t.accesses >= t.quantum_accesses then begin
     t.accesses <- 0;
     run_quantum t
   end
@@ -254,7 +249,7 @@ let port t =
       (* The segment's first record may fire the quantum; the records
          after it, up to the next firing, tick without one. *)
       tick t;
-      let more = Int.max 0 (Int.min (b.len - !i - 1) (t.cfg.quantum_accesses - t.accesses - 1)) in
+      let more = Int.max 0 (Int.min (b.len - !i - 1) (t.quantum_accesses - t.accesses - 1)) in
       t.accesses <- t.accesses + more;
       let stop = !i + 1 + more in
       translate_segment t b !i stop;

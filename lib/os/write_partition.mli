@@ -16,26 +16,32 @@
     converts the paper's wall-clock quanta into units the simulator
     has. *)
 
-type config = {
-  queues : int;  (** 8 *)
-  promote_rank : int;  (** queues [promote_rank..queues-1] go to DRAM: 4 *)
-  quantum_accesses : int;  (** demand accesses per 10 ms OS quantum *)
-  demote_period : int;  (** quanta between DRAM demotions: 5 (= 50 ms) *)
-}
+val queues : int
+(** Multi-Queue levels: 8. *)
 
-val default_config : config
+val promote_rank : int
+(** Queues [promote_rank..queues-1] go to DRAM: 4. *)
+
+val demote_period : int
+(** Quanta between DRAM demotions: 5 (= 50 ms). *)
+
+val default_quantum_accesses : int
+(** Demand accesses per 10 ms OS quantum: 500,000. *)
 
 type t
 
 val create :
-  ?config:config ->
+  ?quantum_accesses:int ->
   hier:Kg_cache.Hierarchy.t ->
   virt_size:int ->
   unit ->
   t
-(** [virt_size] bounds the virtual heap range (vaddr 0..virt_size).
-    The hierarchy's controller must route over a hybrid address map;
-    WP installs itself as the controller's write observer. *)
+(** [quantum_accesses] (default {!default_quantum_accesses}) sets the
+    length of the OS quantum in demand accesses; tests shorten it to
+    step the policy. [virt_size] bounds the virtual heap range (vaddr
+    0..virt_size). The hierarchy's controller must route over a hybrid
+    address map; WP installs itself as the controller's write
+    observer. *)
 
 val port : t -> Kg_gc.Mem_iface.t
 (** The translated memory port the runtime should use: batches flush

@@ -50,6 +50,26 @@ let run_job o j =
     ~trace:j.trace ~threads:j.threads ~parallel_gc:j.parallel_gc ?serve ~mode:j.mode j.spec
     j.bench
 
+let stream_key (o : opts) j =
+  if j.threads > 1 || j.parallel_gc || j.serve <> None then None
+  else
+    let loo = match j.spec.Run.collector with Kg_gc.Gc_config.Kg_writers w -> w.loo | _ -> false in
+    Some
+      (Printf.sprintf "bench=%s;cap=%d;nur=%d;loo=%b" j.bench.Descriptor.name
+         (Option.value j.cap_mb ~default:o.cap_mb)
+         j.spec.Run.nursery_mb loo)
+
+let run_group (o : opts) = function
+  | [] -> []
+  | j :: _ as js ->
+    let key = stream_key o j in
+    if key = None || List.exists (fun k -> stream_key o k <> key) js then
+      invalid_arg "Experiments.run_group: jobs of more than one stream";
+    Run.run_group ~seed:o.seed ~scale:o.scale ~heap_scale:o.heap_scale
+      ~cap_mb:(Option.value j.cap_mb ~default:o.cap_mb)
+      j.bench
+      (List.map (fun j -> { Run.mode = j.mode; spec = j.spec; trace = j.trace }) js)
+
 type env = { o : opts; resolve : job -> Run.result }
 
 let make_env_with ~fetch o = { o; resolve = fetch }

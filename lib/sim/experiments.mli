@@ -69,6 +69,19 @@ val run_job : opts -> job -> Run.result
     engine's memo, its pool and its persistent store all compute
     exactly the same thing for a given key. *)
 
+val stream_key : opts -> job -> string option
+(** The op-stream class of a one-thread batch job: its benchmark, cap,
+    nursery size and whether its collector places large objects in
+    the nursery (LOO). Jobs of one class usually share one mutator
+    ({!run_group}); [None] for a job that runs alone (several mutator
+    threads, a modeled parallel collector, or a serve run). *)
+
+val run_group : opts -> job list -> (Run.result, Run.detached) result list
+(** Execute jobs of one {!stream_key} with {!Run.run_group}, the first
+    leading; results in job order. Each [Ok] result is the one
+    {!run_job} computes. Raises [Invalid_argument] unless every job
+    has the same key, and not [None]. *)
+
 type env
 
 val make_env_with : fetch:(job -> Run.result) -> opts -> env

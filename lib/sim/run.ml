@@ -128,57 +128,84 @@ let config_of ~heap_scale spec bench =
     ~write_threshold:spec.write_threshold ?pcm_write_trigger_mb:spec.pcm_write_trigger_mb
     ~heap_mb:(2 * live_mb) spec.collector
 
-let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = false)
-    ?(threads = 1) ?(schedule_seed = 0) ?oracle:_ ?(parallel_gc = false) ?(check = false)
-    ?recorder ?serve ~mode spec bench =
-  let live_mb = live_mb_of ~heap_scale bench in
+type member = { mode : mode; spec : spec; trace : bool }
+type detached = { member : member; op : int }
+
+(* One member's simulation, assembled: memory system, runtime, and
+   what its collection hook accumulates. *)
+type sim = {
+  member : member;
+  machine : Machine.t option;
+  wp_engine : Kg_os.Write_partition.t option;
+  mem : Mem_iface.t;
+  pipe : Kg_mem.Sink_pipe.t option;
+  counting : Mem_iface.counters option;
+  rt : Runtime.t;
+  dram_acc : Stats.Acc.t;
+  pcm_acc : Stats.Acc.t;
+  mature_dram_acc : Stats.Acc.t;
+  mutable trace_acc : (float * float * float) list;
+  violations : Verify.violation Vec.t;
+  mutable server : Kg_serve.Server.t option;
+}
+
+(* Assemble memory system, runtime address map, memory port and
+   runtime, and install the collection hook. [pipes] collects the
+   sink pipes to close however the run ends. *)
+let assemble ~seed ~heap_scale ~threads ~parallel_gc ~check ~pipes bench (member : member) =
+  let spec = member.spec in
   let cfg = config_of ~heap_scale spec bench in
-  let counting_counters = ref None in
-  (* Assemble memory system, runtime address map, and memory port. *)
-  let machine, wp_engine, runtime_map, mem =
-    match (mode, spec.wp) with
+  let machine, wp_engine, runtime_map, mem, counting =
+    match (member.mode, spec.wp) with
     | Simulate, false ->
       let m = Machine.build spec.system in
-      (Some m, None, m.Machine.map, Machine.port m)
+      (Some m, None, m.Machine.map, Machine.port m, None)
     | Simulate, true ->
       let m = Machine.build Machine.Hybrid in
       let virt_size = Kg_mem.Address_map.pcm_size m.Machine.map in
       let w = Kg_os.Write_partition.create ~hier:m.Machine.hier ~virt_size () in
       let vmap = Kg_mem.Address_map.pcm_only ~size:virt_size () in
-      (Some m, Some w, vmap, Kg_os.Write_partition.port w)
+      (Some m, Some w, vmap, Kg_os.Write_partition.port w, None)
     | Count, _ ->
       let map = Machine.map_of spec.system in
       let iface, c = Mem_iface.counting ~map in
-      counting_counters := Some c;
-      (None, None, map, iface)
+      (None, None, map, iface, Some c)
   in
   (* With a spare core, the cache-sim sink runs on its own domain,
      pipelined behind the mutator (Kg_mem.Sink_pipe); outputs are the
      same either way. It is wrapped before the runtime exists, so the
      per-domain mutator ports share it. *)
   let pipe = Kg_mem.Sink_pipe.attach mem in
-  Fun.protect ~finally:(fun () ->
-      Option.iter (fun p -> try Kg_mem.Sink_pipe.close p with _ -> ()) pipe)
-  @@ fun () ->
+  Option.iter (fun p -> pipes := p :: !pipes) pipe;
   let rt = Runtime.create ~domains:threads ~config:cfg ~mem ~map:runtime_map ~seed () in
-  Option.iter (fun r -> Runtime.set_event_hook rt (Trace.record r)) recorder;
+  let s =
+    {
+      member;
+      machine;
+      wp_engine;
+      mem;
+      pipe;
+      counting;
+      rt;
+      dram_acc = Stats.Acc.create ();
+      pcm_acc = Stats.Acc.create ();
+      mature_dram_acc = Stats.Acc.create ();
+      trace_acc = [];
+      violations = Vec.create ();
+      server = None;
+    }
+  in
   (* The one collection hook, at the end of every collection phase:
      sample heap composition, audit the heap when [check] is set, and
      feed a serve run's modeled pause to its server. *)
-  let dram_acc = Stats.Acc.create () and pcm_acc = Stats.Acc.create () in
-  let mature_dram_acc = Stats.Acc.create () in
-  let trace_acc = ref [] in
-  let violations = Vec.create () in
-  let server = ref None in
   Runtime.set_gc_hook rt (fun phase ->
       let d = Units.mib_of_bytes (Runtime.dram_used rt) in
       let p = Units.mib_of_bytes (Runtime.pcm_used rt) in
-      Stats.Acc.add dram_acc d;
-      Stats.Acc.add pcm_acc p;
-      Stats.Acc.add mature_dram_acc (Units.mib_of_bytes (Runtime.usage rt).mature_dram_used);
-      if trace then trace_acc := (Runtime.now rt, p, d) :: !trace_acc;
-      if check then
-        List.iter (Vec.push violations) (Verify.audit ?counters:!counting_counters ~phase rt);
+      Stats.Acc.add s.dram_acc d;
+      Stats.Acc.add s.pcm_acc p;
+      Stats.Acc.add s.mature_dram_acc (Units.mib_of_bytes (Runtime.usage rt).mature_dram_used);
+      if member.trace then s.trace_acc <- (Runtime.now rt, p, d) :: s.trace_acc;
+      if check then List.iter (Vec.push s.violations) (Verify.audit ?counters:counting ~phase rt);
       Option.iter
         (fun srv ->
           (* The runtime logs each collection before calling the hook. *)
@@ -186,45 +213,14 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
           let _, copied, scanned = Vec.get log (Vec.length log - 1) in
           Kg_serve.Server.add_pause srv
             (Time_model.pause_ms ~domains:threads ~parallel_gc ~copied ~scanned ()))
-        !server);
-  let alloc_bytes = Mutator.scaled_alloc_bytes bench ~scale ~cap_mb in
-  let serve_metrics =
-    match serve with
-    | None ->
-      let mutator =
-        Mutator.create ~live_mb ~threads ~schedule_seed bench ~rt ~seed:(seed + 1)
-      in
-      Mutator.allocate_startup mutator;
-      (* Demographics reflect steady state, not boot-image construction. *)
-      Option.iter (fun r -> Trace.record r Trace.Reset_stats) recorder;
-      Gc_stats.reset (Runtime.stats rt);
-      Mutator.run mutator ~alloc_bytes ();
-      None
-    | Some rate ->
-      let module S = Kg_serve.Server in
-      let srv = S.create ~live_mb ~threads ~schedule_seed ~rate bench ~rt ~seed:(seed + 1) in
-      S.allocate_startup srv;
-      Option.iter (fun r -> Trace.record r Trace.Reset_stats) recorder;
-      Gc_stats.reset (Runtime.stats rt);
-      (* Pauses count from here, after the reset, so boot collections
-         stay out of the pause profile like every other steady-state
-         statistic. *)
-      server := Some srv;
-      S.run srv ~alloc_bytes;
-      Some
-        {
-          requests = S.request_count srv;
-          rate;
-          t1_hits = S.tier1_hits srv;
-          t2_hits = S.tier2_hits srv;
-          backend_fills = S.backend_fills srv;
-          sessions_churned = S.sessions_churned srv;
-          pause_hist = S.pauses srv;
-          latency_hist = S.latencies srv;
-        }
-  in
+        s.server);
+  s
+
+(* The end of a member's run: retire, deliver and drain, then read
+   every figure. *)
+let finish ~threads ~parallel_gc ~check ~recorder ~alloc_bytes bench s serve_metrics =
   Option.iter (fun r -> Trace.record r Trace.Flush_retirement) recorder;
-  Runtime.flush_retirement_stats rt;
+  Runtime.flush_retirement_stats s.rt;
   (* Push buffered port records to the sink before the final cache
      drain, then read every device figure from the one stats record —
      whichever sink (counting, cache hierarchy, write partition) was
@@ -236,27 +232,27 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
      benchmark run misses 2,320 B of DRAM writes, 64 B of PCM writes,
      3,880 B of DRAM reads and 80 B of PCM reads). Single-domain runs
      lose nothing. [Runtime.flush_mem rt] is the fix. *)
-  Mem_iface.flush mem;
-  Option.iter Kg_mem.Sink_pipe.close pipe;
-  Option.iter Machine.drain machine;
-  let traffic = Mem_iface.stats mem in
-  let stats = Runtime.stats rt in
+  Mem_iface.flush s.mem;
+  Option.iter Kg_mem.Sink_pipe.close s.pipe;
+  Option.iter Machine.drain s.machine;
+  let traffic = Mem_iface.stats s.mem in
+  let stats = Runtime.stats s.rt in
   let parts =
     Time_model.cpu_parts ~domains:threads ~parallel_gc
       ~intensity:bench.Descriptor.cpu_intensity stats ~alloc_bytes
   in
-  let parts = match machine with Some m -> Time_model.with_machine parts m | None -> parts in
+  let parts = match s.machine with Some m -> Time_model.with_machine parts m | None -> parts in
   let time_s = Time_model.seconds parts in
-  let energy = Option.map (fun m -> Energy.of_run ~machine:m ~time_s) machine in
+  let energy = Option.map (fun m -> Energy.of_run ~machine:m ~time_s) s.machine in
   let f = float_of_int in
   let migration_pcm_bytes =
-    match wp_engine with
+    match s.wp_engine with
     | Some w -> f (Kg_os.Write_partition.migration_pcm_line_writes w * 64)
     | None -> 0.0
   in
   {
     bench;
-    spec;
+    spec = s.member.spec;
     stats;
     alloc_bytes;
     mem_pcm_write_bytes = f traffic.Mem_iface.s_pcm_write_bytes;
@@ -265,12 +261,12 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
     mem_dram_read_bytes = f traffic.Mem_iface.s_dram_read_bytes;
     pcm_writes_by_phase = Array.map f traffic.Mem_iface.s_pcm_write_bytes_by_phase;
     wear_cov =
-      (match machine with
+      (match s.machine with
       | Some { Machine.wear = Some w; _ } -> Kg_mem.Wear.write_distribution_cov w
       | _ -> 0.0);
     migration_pcm_bytes;
     wp_dram_mb =
-      (match wp_engine with
+      (match s.wp_engine with
       | Some w ->
         Units.mib_of_bytes (Kg_os.Write_partition.peak_dram_pages w * Kg_heap.Layout.page)
       | None -> 0.0);
@@ -278,20 +274,98 @@ let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = f
     time_s;
     energy;
     edp = (match energy with Some e -> Energy.edp e ~time_s | None -> 0.0);
-    dram_avg_mb = Stats.Acc.mean dram_acc;
-    dram_max_mb = (if Stats.Acc.count dram_acc = 0 then 0.0 else Stats.Acc.max dram_acc);
-    pcm_avg_mb = Stats.Acc.mean pcm_acc;
-    pcm_max_mb = (if Stats.Acc.count pcm_acc = 0 then 0.0 else Stats.Acc.max pcm_acc);
-    mature_dram_avg_mb = Stats.Acc.mean mature_dram_acc;
-    meta_mb = Units.mib_of_bytes (Runtime.usage rt).meta_used;
-    trace = List.rev !trace_acc;
+    dram_avg_mb = Stats.Acc.mean s.dram_acc;
+    dram_max_mb = (if Stats.Acc.count s.dram_acc = 0 then 0.0 else Stats.Acc.max s.dram_acc);
+    pcm_avg_mb = Stats.Acc.mean s.pcm_acc;
+    pcm_max_mb = (if Stats.Acc.count s.pcm_acc = 0 then 0.0 else Stats.Acc.max s.pcm_acc);
+    mature_dram_avg_mb = Stats.Acc.mean s.mature_dram_acc;
+    meta_mb = Units.mib_of_bytes (Runtime.usage s.rt).meta_used;
+    trace = List.rev s.trace_acc;
     check_violations =
       (if not check then []
        else
-         let final = Verify.audit ?counters:!counting_counters ~phase:Phase.Application rt in
-         List.map Verify.to_string (Array.to_list (Vec.to_array violations) @ final));
+         let final = Verify.audit ?counters:s.counting ~phase:Phase.Application s.rt in
+         List.map Verify.to_string (Array.to_list (Vec.to_array s.violations) @ final));
     serve = serve_metrics;
   }
+
+(* The one assembly path. The first member leads: its mutator (or, in
+   a serve run, which has no other member, its server) generates the
+   op stream and applies each op at once; the others follow it through
+   {!Mutator.create}'s [followers]. *)
+let run_members ~seed ~scale ~heap_scale ~cap_mb ~threads ~schedule_seed ~parallel_gc ~check
+    ~recorder ~serve bench members =
+  let pipes = ref [] in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun p -> try Kg_mem.Sink_pipe.close p with _ -> ()) !pipes)
+  @@ fun () ->
+  let sims = List.map (assemble ~seed ~heap_scale ~threads ~parallel_gc ~check ~pipes bench) members in
+  match sims with
+  | [] -> []
+  | leader :: followers ->
+    Option.iter (fun r -> Runtime.set_event_hook leader.rt (Trace.record r)) recorder;
+    let live_mb = live_mb_of ~heap_scale bench in
+    let alloc_bytes = Mutator.scaled_alloc_bytes bench ~scale ~cap_mb in
+    (* Demographics reflect steady state, not boot-image construction. *)
+    let reset_stats () =
+      Option.iter (fun r -> Trace.record r Trace.Reset_stats) recorder;
+      List.iter (fun s -> Gc_stats.reset (Runtime.stats s.rt)) sims
+    in
+    let finish = finish ~threads ~parallel_gc ~check ~recorder ~alloc_bytes bench in
+    (match serve with
+    | None ->
+      let mutator =
+        Mutator.create ~live_mb ~threads ~schedule_seed
+          ~followers:(List.map (fun s -> s.rt) followers)
+          bench ~rt:leader.rt ~seed:(seed + 1)
+      in
+      Mutator.allocate_startup mutator;
+      reset_stats ();
+      Mutator.run mutator ~alloc_bytes ();
+      List.map2
+        (fun s -> function
+          | Some op -> Error { member = s.member; op }
+          | None -> Ok (finish s None))
+        sims
+        (None :: Mutator.detached mutator)
+    | Some rate ->
+      let module S = Kg_serve.Server in
+      let srv = S.create ~live_mb ~threads ~schedule_seed ~rate bench ~rt:leader.rt ~seed:(seed + 1) in
+      S.allocate_startup srv;
+      reset_stats ();
+      (* Pauses count from here, after the reset, so boot collections
+         stay out of the pause profile like every other steady-state
+         statistic. *)
+      leader.server <- Some srv;
+      S.run srv ~alloc_bytes;
+      [
+        Ok
+          (finish leader
+             (Some
+                {
+                  requests = S.request_count srv;
+                  rate;
+                  t1_hits = S.tier1_hits srv;
+                  t2_hits = S.tier2_hits srv;
+                  backend_fills = S.backend_fills srv;
+                  sessions_churned = S.sessions_churned srv;
+                  pause_hist = S.pauses srv;
+                  latency_hist = S.latencies srv;
+                }));
+      ])
+
+let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = false)
+    ?(threads = 1) ?(schedule_seed = 0) ?oracle:_ ?(parallel_gc = false) ?(check = false)
+    ?recorder ?serve ~mode spec bench =
+  Result.get_ok
+    (List.hd
+       (run_members ~seed ~scale ~heap_scale ~cap_mb ~threads ~schedule_seed ~parallel_gc ~check
+          ~recorder ~serve bench
+          [ { mode; spec; trace } ]))
+
+let run_group ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) bench members =
+  run_members ~seed ~scale ~heap_scale ~cap_mb ~threads:1 ~schedule_seed:0 ~parallel_gc:false
+    ~check:false ~recorder:None ~serve:None bench members
 
 let record ?seed ?scale ?heap_scale ?cap_mb ?check spec bench =
   let r = Trace.recorder () in

@@ -143,7 +143,41 @@ val run :
     second (same epoch protocol, so every flag above composes
     unchanged) and populates
     [result.serve] with the request counters and the pause/latency
-    histograms. *)
+    histograms.
+
+    A run is the group of one of {!run_group}: both assemble each
+    runtime the same way. *)
+
+type member = { mode : mode; spec : spec; trace : bool }
+(** One run of a group: what {!run} takes as [~mode], the spec and
+    [?trace]. *)
+
+type detached = { member : member; op : int }
+(** A follower that left the leader's op stream at op [op] (counted
+    from the first op after the boot image): at that allocation its
+    nursery headroom differed from the leader's. *)
+
+val run_group :
+  ?seed:int ->
+  ?scale:int ->
+  ?heap_scale:int ->
+  ?cap_mb:int ->
+  Kg_workload.Descriptor.t ->
+  member list ->
+  (result, detached) Stdlib.result list
+(** One-thread batch runs of one benchmark that share one mutator. The
+    first member leads: its mutator generates the op stream and
+    applies each op to the leader's runtime as it is generated, as in
+    {!run}. Every other member's runtime replays the leader's boot
+    draws and its recorded ops a bounded chunk at a time
+    ({!Kg_workload.Mutator.create}'s [followers]). Results come back
+    in member order. A member is [Ok r] with [r] field for field
+    {!run}'s result at the same arguments, or [Error] if it detached
+    from the stream; its run must then be made alone. Members whose
+    nurseries fill and empty alike never detach: same nursery size,
+    and large objects placed in the nursery (LOO) by all or by none,
+    suffice at the figure set's options, while at larger caps a
+    collector's majors can empty the nursery at other times. *)
 
 val record :
   ?seed:int ->

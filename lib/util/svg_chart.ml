@@ -61,7 +61,11 @@ let y_ticks b ~px0 ~py0 ~py1 ~vmax =
     text b ~x:(px0 -. 6.0) ~y:(y +. 4.0) ~anchor:"end" (Printf.sprintf "%.2g" v)
   done
 
-let bar_chart ?(width = 760) ?(height = 360) ?ylabel ~title ~categories ~series () =
+(* Every chart is drawn at one size. *)
+let width = 760
+let height = 360
+
+let bar_chart ?ylabel ~title ~categories ~series () =
   let ncat = List.length categories in
   List.iter
     (fun (name, vs) ->
@@ -98,7 +102,7 @@ let bar_chart ?(width = 760) ?(height = 360) ?ylabel ~title ~categories ~series 
   Buffer.add_string b "</svg>\n";
   Buffer.contents b
 
-let line_chart ?(width = 760) ?(height = 360) ?xlabel ?ylabel ~title ~series () =
+let line_chart ?xlabel ?ylabel ~title ~series () =
   let b = Buffer.create 4096 in
   Buffer.add_string b (header width height);
   let legend = List.map fst series in

@@ -2,14 +2,12 @@
 
     Renders the experiment tables as grouped bar charts and line charts
     so regenerated figures can be eyeballed against the paper's. Output
-    is a standalone SVG document string. *)
+    is a standalone SVG document string, 760 by 360 pixels. *)
 
 type series = string * float array
 (** (legend label, one value per category). *)
 
 val bar_chart :
-  ?width:int ->
-  ?height:int ->
   ?ylabel:string ->
   title:string ->
   categories:string list ->
@@ -21,8 +19,6 @@ val bar_chart :
     0 and is scaled to the maximum value with a small headroom. *)
 
 val line_chart :
-  ?width:int ->
-  ?height:int ->
   ?xlabel:string ->
   ?ylabel:string ->
   title:string ->

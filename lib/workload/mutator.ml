@@ -28,7 +28,8 @@ let hot_skew = 1.2
    ring holds such targets until the epoch barrier materialises them.
    A domain's state is touched only by its own generator and by the
    epoch barrier. With one thread every op goes straight to the
-   runtime and the op buffer stays empty.
+   runtime, and the op buffer records it only when follower runtimes
+   replay the stream (see [replay] below).
 
    The debts (write at 0, read at 1) live in a float array: a mutable
    float field of a mixed record is boxed, so each store to one would
@@ -41,6 +42,10 @@ type dstate = {
   mutable d_recent_cursor : int;
   d_debts : float array;
 }
+
+(* A runtime replaying a one-thread leader's op stream; [f_detached]
+   is the op index at which it left the stream, -1 while it follows. *)
+type follower = { f_rt : Rt.t; mutable f_detached : int }
 
 type t = {
   desc : Descriptor.t;
@@ -57,11 +62,21 @@ type t = {
   dstates : dstate array;  (* one per thread *)
   sched_rng : Rng.t;  (* multi-domain merge schedule; seeded independently *)
   boot_allocs_by_thread : int array;
+  followers : follower array;
+  tee : bool;  (* one thread with followers: thread 0's buffer records each op *)
+  free : int array;  (* the leader's nursery headroom at each recorded allocation *)
+  mutable replayed : int;  (* ops of this run replayed before the buffer's first *)
+  replay_allocs : O.t Vec.t;  (* Epoch.apply_op's allocation list, unread *)
 }
 
 let boot_allocs_by_thread t = Array.copy t.boot_allocs_by_thread
 
-let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc ~rt ~seed =
+(* Ops a leader records before its followers replay them: a bound on
+   the buffer, and long enough that each follower's structures stay in
+   cache across a stretch of its replay. *)
+let replay_chunk = 4096
+
+let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(followers = []) desc ~rt ~seed =
   (* Calibrated against the default sizes regardless of the collector
      under test: lifetimes are a workload property. *)
   let live_mb = Option.value live_mb ~default:(Descriptor.live_mb desc) in
@@ -84,6 +99,9 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc ~rt ~seed =
       (Printf.sprintf
          "Mutator.create: %d threads need a runtime with %d domains (has %d)"
          threads threads (Rt.domains rt));
+  if threads > 1 && followers <> [] then
+    invalid_arg "Mutator.create: followers replay one-thread runs only";
+  let tee = followers <> [] in
   let mk_dstate d =
     {
       d_rng = Rng.split root;
@@ -109,7 +127,48 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) desc ~rt ~seed =
     sched_rng = Rng.of_seed schedule_seed;
     dstates = Array.init threads mk_dstate;
     boot_allocs_by_thread = Array.make threads 0;
+    followers = Array.of_list (List.map (fun f_rt -> { f_rt; f_detached = -1 }) followers);
+    tee;
+    free = (if tee then Array.make replay_chunk 0 else [||]);
+    replayed = 0;
+    replay_allocs = Vec.create ();
   }
+
+let detached t =
+  Array.to_list
+    (Array.map (fun f -> if f.f_detached < 0 then None else Some f.f_detached) t.followers)
+
+(* Replay the recorded ops on every follower still in the stream, and
+   empty the buffer. A follower whose nursery headroom differs from
+   the leader's at an allocation detaches there: its own mutator would
+   have drawn that object's lifetime against other headroom. Nothing
+   else the mutator reads from its runtime can differ: the clock sums
+   the same allocation sizes, and object ids, sizes, heats and death
+   stamps follow from the same ops. *)
+let replay t =
+  let ops = t.dstates.(0).d_ops in
+  let n = Epoch.length ops in
+  Array.iter
+    (fun f ->
+      if f.f_detached < 0 then begin
+        Vec.clear t.replay_allocs;
+        let rec go i =
+          if i < n then
+            if Epoch.is_alloc ops i && Rt.nursery_free f.f_rt <> t.free.(i) then
+              f.f_detached <- t.replayed + i
+            else begin
+              ignore (Epoch.apply_op f.f_rt t.replay_allocs ops i);
+              go (i + 1)
+            end
+        in
+        go 0
+      end)
+    t.followers;
+  t.replayed <- t.replayed + n;
+  Epoch.reset ops
+
+(* After recording an op: replay a full buffer. *)
+let[@inline] recorded t ops = if Epoch.length ops = replay_chunk then replay t
 
 let draw_small_size (desc : Descriptor.t) rng =
   (* Geometric in words around the benchmark mean, 16 B..8 KB. *)
@@ -169,9 +228,8 @@ let register t ds (o : O.t) =
   add_to_pools t ds.d_rng o
 
 let allocate_one t ds =
-  let cls, life =
-    Lifetime.draw t.life ds.d_rng ~nursery_remaining:(float_of_int (Rt.nursery_free t.rt))
-  in
+  let free = Rt.nursery_free t.rt in
+  let cls, life = Lifetime.draw t.life ds.d_rng ~nursery_remaining:(float_of_int free) in
   let large = Rng.bernoulli ds.d_rng t.p_large in
   let size = if large then draw_large_size_rng ds.d_rng else draw_small_size t.desc ds.d_rng in
   (* Large objects draw from the same lifetime mixture: "we find
@@ -181,6 +239,11 @@ let allocate_one t ds =
   let death = Rt.now t.rt +. life in
   let ref_fields = Int.max 1 (size / 32) in
   let o = Rt.alloc t.rt ~size ~heat ~death ~ref_fields in
+  if t.tee then begin
+    t.free.(Epoch.length ds.d_ops) <- free;
+    ignore (Epoch.push_alloc ds.d_ops ~size ~heat ~life ~ref_fields);
+    recorded t ds.d_ops
+  end;
   register t ds o;
   o
 
@@ -235,10 +298,28 @@ let pick_write_target t ds now =
     if O.is_null o then pick_recent t ds now else o
   end
 
-(* With one thread an op runs at once; with more it waits in the
-   domain's buffer for the merge. *)
+(* With one thread an op runs at once, and is recorded too when
+   followers replay the stream; with more it waits in the domain's
+   buffer for the merge. *)
 let write_prim t ds o =
-  if t.nthreads = 1 then Rt.write_prim t.rt o else Epoch.push_write_prim ds.d_ops o
+  if t.nthreads > 1 then Epoch.push_write_prim ds.d_ops o
+  else begin
+    Rt.write_prim t.rt o;
+    if t.tee then begin
+      Epoch.push_write_prim ds.d_ops o;
+      recorded t ds.d_ops
+    end
+  end
+
+let write_ref t ds ~src ~tgt =
+  if t.nthreads > 1 then Epoch.push_write_ref ds.d_ops ~src ~tgt
+  else begin
+    Rt.write_ref t.rt ~src ~tgt;
+    if t.tee then begin
+      Epoch.push_write_ref ds.d_ops ~src ~tgt;
+      recorded t ds.d_ops
+    end
+  end
 
 let do_write t ds now =
   let src = pick_write_target t ds now in
@@ -247,9 +328,7 @@ let do_write t ds now =
       let tgt =
         if Rng.bernoulli ds.d_rng 0.5 then pick_recent_first t ds now else pick_mature t ds now
       in
-      if O.is_null tgt then write_prim t ds src
-      else if t.nthreads = 1 then Rt.write_ref t.rt ~src ~tgt
-      else Epoch.push_write_ref ds.d_ops ~src ~tgt
+      if O.is_null tgt then write_prim t ds src else write_ref t ds ~src ~tgt
     end
     else write_prim t ds src
 
@@ -258,8 +337,14 @@ let do_write t ds now =
 let do_reads t ds now n =
   let tgt = if Rng.bernoulli ds.d_rng 0.6 then pick_recent t ds now else pick_mature t ds now in
   if not (O.is_null tgt) then
-    if t.nthreads = 1 then Rt.read_burst t.rt tgt n
-    else Epoch.push_read_burst ds.d_ops tgt ~words:n
+    if t.nthreads > 1 then Epoch.push_read_burst ds.d_ops tgt ~words:n
+    else begin
+      Rt.read_burst t.rt tgt n;
+      if t.tee then begin
+        Epoch.push_read_burst ds.d_ops tgt ~words:n;
+        recorded t ds.d_ops
+      end
+    end
 
 (* The writes and reads one new object of [size] bytes owes. *)
 let mutate t ds now size =
@@ -283,7 +368,8 @@ let allocate_startup t =
      tables, caches) receives its share of mature writes. Boot
      allocation round-robins across all mutator threads — every
      thread's PRNG stream and recent window start populated, so thread
-     0 has no privileged role once the run begins. *)
+     0 has no privileged role once the run begins. Followers allocate
+     each boot object as the leader draws it. *)
   let target = 0.4 *. float_of_int t.live_mb *. float_of_int Units.mib in
   let start = Rt.now t.rt in
   let k = ref 0 in
@@ -295,7 +381,10 @@ let allocate_startup t =
     let large = Rng.bernoulli rng t.p_large in
     let size = if large then draw_large_size_rng rng else draw_small_size t.desc rng in
     let heat = assign_heat_rng t rng Lifetime.Immortal in
-    let o = Rt.alloc_boot t.rt ~size ~heat ~ref_fields:(max 1 (size / 32)) in
+    let ref_fields = max 1 (size / 32) in
+    let o = Rt.alloc_boot t.rt ~size ~heat ~ref_fields in
+    if t.tee then
+      Array.iter (fun f -> ignore (Rt.alloc_boot f.f_rt ~size ~heat ~ref_fields)) t.followers;
     register t ds o;
     t.boot_allocs_by_thread.(d) <- t.boot_allocs_by_thread.(d) + 1
   done
@@ -310,7 +399,8 @@ let run_sequential t ~alloc_bytes =
   while Rt.now t.rt < target do
     let o = allocate_one t ds in
     mutate t ds (Rt.now t.rt) (O.size t.words o)
-  done
+  done;
+  if t.tee then replay t
 
 (* ------------------------------------------------------------------ *)
 (* Epoch-parallel execution (threads > 1)                              *)

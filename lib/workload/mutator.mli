@@ -15,6 +15,7 @@ val create :
   ?live_mb:int ->
   ?threads:int ->
   ?schedule_seed:int ->
+  ?followers:Kg_gc.Runtime.t list ->
   Descriptor.t ->
   rt:Kg_gc.Runtime.t ->
   seed:int ->
@@ -34,7 +35,24 @@ val create :
     the streams are {e applied} in a deterministic merge drawn from
     [schedule_seed] (default 0). Everything runs on the calling
     domain; the result is a bit-reproducible function of
-    [(seed, schedule_seed, threads)]. *)
+    [(seed, schedule_seed, threads)].
+
+    [followers] (one thread only; default none) are fresh runtimes
+    that run the same op stream as [rt], the leader. The leader still
+    applies each op as it generates it; the mutator also records the
+    op, and followers replay the record a bounded chunk at a time
+    through {!Epoch.apply_op} (boot objects as each is drawn). The
+    mutator reads its runtime only through the allocation clock,
+    [nursery_free] and the object store, and the first two decide the
+    stream: so a follower whose [nursery_free] differs from the
+    leader's at a replayed allocation leaves the stream there
+    ({!detached}), and every other follower ends in exactly the state
+    a mutator of its own would have left it in. *)
+
+val detached : t -> int option list
+(** Per follower, in [followers] order: the index (from 0, the first
+    op of {!run}) of the allocation at which it left the leader's
+    stream, or [None] if it replayed all of it. *)
 
 val boot_allocs_by_thread : t -> int array
 (** How many boot-image objects {!allocate_startup} charged to each

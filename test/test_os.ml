@@ -14,8 +14,7 @@ let mk ?(quantum = 50) () =
   let map = Kg_mem.Address_map.hybrid ~dram_size:mib ~pcm_size:(16 * mib) () in
   let ctrl = Kg_cache.Controller.create ~map ~line_size:64 () in
   let hier = H.create ~controller:ctrl () in
-  let cfg = { WP.default_config with WP.quantum_accesses = quantum } in
-  let wp = WP.create ~config:cfg ~hier ~virt_size:(8 * mib) () in
+  let wp = WP.create ~quantum_accesses:quantum ~hier ~virt_size:(8 * mib) () in
   (wp, WP.port wp, ctrl, hier)
 
 (* A demand write immediately flushed through the port and drained out
@@ -126,9 +125,10 @@ let test_wp_dram_writes_keep_page_hot () =
   check_int "hot page pinned in DRAM" 1 (WP.dram_pages wp)
 
 let test_wp_default_config () =
-  check_int "8 queues" 8 WP.default_config.WP.queues;
-  check_int "promote rank 4" 4 WP.default_config.WP.promote_rank;
-  check_int "demote every 5 quanta" 5 WP.default_config.WP.demote_period
+  check_int "8 queues" 8 WP.queues;
+  check_int "promote rank 4" 4 WP.promote_rank;
+  check_int "demote every 5 quanta" 5 WP.demote_period;
+  check_int "500,000 accesses per quantum" 500_000 WP.default_quantum_accesses
 
 let test_wp_virt_size_validation () =
   let map = Kg_mem.Address_map.hybrid ~dram_size:mib ~pcm_size:(2 * mib) () in
@@ -174,8 +174,7 @@ let machine ~wp =
       ()
   in
   if wp then begin
-    let cfg = { WP.default_config with WP.quantum_accesses = 3000 } in
-    let w = WP.create ~config:cfg ~hier ~virt_size:(8 * mib) () in
+    let w = WP.create ~quantum_accesses:3000 ~hier ~virt_size:(8 * mib) () in
     match Port.sink (WP.port w) with
     | Port.Cache_sim d -> ((hier, Some w), d)
     | _ -> assert false

@@ -171,8 +171,8 @@ let test_hot_path_budgets () =
   (* A fifth of the default OS quantum, so each pass also pays two
      quanta's ranking and migration. *)
   let wp =
-    let config = { Kg_os.Write_partition.default_config with quantum_accesses = 100_000 } in
-    Kg_os.Write_partition.create ~config ~hier:(hierarchy ()) ~virt_size:(16 * mib) ()
+    Kg_os.Write_partition.create ~quantum_accesses:100_000 ~hier:(hierarchy ()) ~virt_size:(16 * mib)
+      ()
   in
   per_record "write partitioning" 0.01 (Kg_os.Write_partition.port wp);
   let pipe = Kg_mem.Sink_pipe.create (Kg_gc.Mem_iface.hierarchy_driver (hierarchy ())) in
