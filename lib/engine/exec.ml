@@ -94,6 +94,15 @@ let resolve_group t members =
           ignore (compute t ~why:(Printf.sprintf " (detached at op %d)" d.op) key j))
       misses results
 
+(* A one-wide pool leaves the host's other cores to its runs' cache-sim
+   pipes (Kg_mem.Sink_pipe), one per Simulate run, while a group can
+   pipe only as many members as there are spare cores: on two cores,
+   its first Simulate member. Grouped anyway, a one-wide pass over the
+   figure set at the CLI's default options ran 7 % longer there. So
+   only a wider pool, whose domains take those cores, groups runs. *)
+let group_key t key j =
+  if Pool.jobs t.pool > 1 then Option.value (E.stream_key t.o j) ~default:key else key
+
 let prefetch t jobs =
   (* The distinct keys the memo does not hold yet. *)
   let seen = Hashtbl.create 64 in
@@ -108,13 +117,14 @@ let prefetch t jobs =
         end)
       jobs
   in
-  (* Grouped by stream key in first-seen order (a job without one is
-     a group of its own, under its store key), largest group first so
-     the longest pool jobs start first. *)
+  (* Grouped by stream key in first-seen order (a job without one, or
+     any job on a one-wide pool, is a group of its own, under its
+     store key), largest group first so the longest pool jobs start
+     first. *)
   let groups = Hashtbl.create 64 and order = ref [] in
   List.iter
     (fun ((key, j) as p) ->
-      let k = Option.value (E.stream_key t.o j) ~default:key in
+      let k = group_key t key j in
       match Hashtbl.find_opt groups k with
       | Some ms -> Hashtbl.replace groups k (p :: ms)
       | None ->

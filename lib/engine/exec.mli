@@ -8,8 +8,8 @@
 
     Parallelism comes from {!prefetch}: the runs of the selected
     experiments are deduplicated by cache key, grouped by
-    {!Kg_sim.Experiments.stream_key}, and each group is one pool job,
-    whose store misses share one mutator
+    {!Kg_sim.Experiments.stream_key} on a pool of two or more domains,
+    and each group is one pool job, whose store misses share one mutator
     ({!Kg_sim.Experiments.run_group}). An experiment's [runs] and its
     table come from one plan, so the tables then find every run they
     read already memoised. A run's value depends only on its key —
@@ -47,7 +47,9 @@ val fetch : t -> Kg_sim.Experiments.job -> Kg_sim.Run.result
 val prefetch : t -> Kg_sim.Experiments.job list -> unit
 (** Deduplicate by key, drop what the memo already holds, group the
     rest by {!Kg_sim.Experiments.stream_key} (jobs without one stay
-    singletons), and resolve the groups on the pool as one list,
+    singletons, and so does every job on a one-wide pool, which
+    leaves the host's spare cores to each Simulate run's cache-sim
+    pipe), and resolve the groups on the pool as one list,
     largest first, and wait. A group serves its store hits, computes
     its misses as one {!Kg_sim.Experiments.run_group} (a lone miss
     with {!Kg_sim.Experiments.run_job}), stores each result under its

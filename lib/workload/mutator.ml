@@ -71,9 +71,8 @@ type t = {
 
 let boot_allocs_by_thread t = Array.copy t.boot_allocs_by_thread
 
-(* Ops a leader records before its followers replay them: a bound on
-   the buffer, and long enough that each follower's structures stay in
-   cache across a stretch of its replay. *)
+(* Ops a leader records before its followers replay them: the bound
+   on the buffer. *)
 let replay_chunk = 4096
 
 let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(followers = []) desc ~rt ~seed =

@@ -506,6 +506,22 @@ let group_qcheck =
              | Error (d : R.detached) -> d.R.member = m && d.R.op >= 0)
            members results)
 
+(* At the figure-set options no member detaches, so the property's
+   accepted [Error]s must not hide a group that stopped sharing: KG-N,
+   PCM-only and WP, all Simulate, stay in lusearch's stream. *)
+let test_figset_group_stays () =
+  let o = group_opts 1 and bench = D.find "lusearch" in
+  let members =
+    List.map (fun spec -> { R.mode = R.Simulate; spec; trace = false }) [ R.kg_n; R.pcm_only; R.wp ]
+  in
+  List.iter2
+    (fun (m : R.member) -> function
+      | Ok r -> compare_results (R.label m.R.spec ^ " equals its solo run") (solo o bench m) r
+      | Error (d : R.detached) -> Alcotest.failf "%s detached at op %d" (R.label m.R.spec) d.R.op)
+    members
+    (R.run_group ~seed:o.E.seed ~scale:o.E.scale ~heap_scale:o.E.heap_scale ~cap_mb:o.E.cap_mb
+       bench members)
+
 (* The quick options at seed 11, where lusearch's LOO classes split. *)
 let detach_opts = { E.quick_opts with E.seed = 11 }
 let count spec = { R.mode = R.Count; spec; trace = false }
@@ -695,6 +711,8 @@ let () =
       ( "group",
         [
           QCheck_alcotest.to_alcotest group_qcheck;
+          Alcotest.test_case "figure-set group stays in the stream" `Quick
+            test_figset_group_stays;
           Alcotest.test_case "LOO member detaches" `Quick test_detach_loo;
           Alcotest.test_case "12 MB nursery detaches at op 0" `Quick test_detach_nursery;
           Alcotest.test_case "engine stores a detached member's solo run" `Quick
