@@ -57,15 +57,15 @@ let stored t key j =
   hit
 
 (* Publish a computed result to the store and the memo. *)
-let publish t ?(why = "") key j r ~group ~elapsed_s =
+let publish t key ~label r ~group ~elapsed_s =
   Option.iter (fun s -> Store.store s key r) t.store;
   memo_add t key r;
-  Progress.job_done t.progress ~label:(label j ^ why) ~hit:false ~group ~elapsed_s
+  Progress.job_done t.progress ~label ~hit:false ~group ~elapsed_s
 
-let compute t ?why key j =
+let compute t key j =
   let t0 = Unix.gettimeofday () in
   let r = E.run_job t.o j in
-  publish t ?why key j r ~group:1 ~elapsed_s:(Unix.gettimeofday () -. t0);
+  publish t key ~label:(label j) r ~group:1 ~elapsed_s:(Unix.gettimeofday () -. t0);
   r
 
 let fetch t j =
@@ -77,8 +77,8 @@ let fetch t j =
 let env t = E.make_env_with ~fetch:(fetch t) t.o
 
 (* One pool job: the runs of one stream key. Store hits are served;
-   the misses run as one group, and a member that detaches from the
-   leader's stream is rerun alone. *)
+   the misses run as one group, and every member's result is
+   published, a member that split off the leader's stream included. *)
 let resolve_group t members =
   match List.filter (fun (key, j) -> stored t key j = None) members with
   | [] -> ()
@@ -88,10 +88,13 @@ let resolve_group t members =
     let results = E.run_group t.o (List.map snd misses) in
     let elapsed_s = Unix.gettimeofday () -. t0 in
     List.iter2
-      (fun (key, j) -> function
-        | Ok r -> publish t key j r ~group:(List.length misses) ~elapsed_s
-        | Error (d : Kg_sim.Run.detached) ->
-          ignore (compute t ~why:(Printf.sprintf " (detached at op %d)" d.op) key j))
+      (fun (key, j) (r, split) ->
+        let label =
+          match split with
+          | None -> label j
+          | Some k -> Printf.sprintf "%s (split at allocation %d)" (label j) k
+        in
+        publish t key ~label r ~group:(List.length misses) ~elapsed_s)
       misses results
 
 (* A one-wide pool leaves the host's other cores to its runs' cache-sim

@@ -14,10 +14,11 @@
     table come from one plan, so the tables then find every run they
     read already memoised. A run's value depends only on its key —
     each run builds its own runtime, heap, caches and statistics from
-    the options' seed, a grouped run's equals its solo run field for
-    field, and a member that leaves its group's stream is rerun alone
-    — so a pool of any width, with or without a warm store, produces
-    field-for-field identical results and byte-identical tables. *)
+    the options' seed, and a grouped run's equals its solo run field
+    for field, a member that splits off its group's stream included,
+    with no member ever rerun — so a pool of any width, with or
+    without a warm store, produces field-for-field identical results
+    and byte-identical tables. *)
 
 type t
 
@@ -52,10 +53,10 @@ val prefetch : t -> Kg_sim.Experiments.job list -> unit
     pipe), and resolve the groups on the pool as one list,
     largest first, and wait. A group serves its store hits, computes
     its misses as one {!Kg_sim.Experiments.run_group} (a lone miss
-    with {!Kg_sim.Experiments.run_job}), stores each result under its
-    own key, and reruns alone any member that detached. The first
-    failing group cancels the groups not yet started and re-raises
-    here. *)
+    with {!Kg_sim.Experiments.run_job}) and stores each result under
+    its own key, a member that split off the leader's stream
+    included; it reruns none. The first failing group cancels the
+    groups not yet started and re-raises here. *)
 
 val prefetch_experiments : t -> string list -> unit
 (** {!prefetch} the runs of the named experiments

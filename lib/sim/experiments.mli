@@ -73,14 +73,19 @@ val stream_key : opts -> job -> string option
 (** The op-stream class of a one-thread batch job: its benchmark, cap,
     nursery size and whether its collector places large objects in
     the nursery (LOO). Jobs of one class usually share one mutator
-    ({!run_group}); [None] for a job that runs alone (several mutator
-    threads, a modeled parallel collector, or a serve run). *)
+    to the end ({!run_group}); the key only predicts that, and a job
+    it groups wrongly shares only the ops before it splits off. [None]
+    for a job that runs alone (several mutator threads, a modeled
+    parallel collector, or a serve run). *)
 
-val run_group : opts -> job list -> (Run.result, Run.detached) result list
+val run_group : opts -> job list -> (Run.result * int option) list
 (** Execute jobs of one {!stream_key} with {!Run.run_group}, the first
-    leading; results in job order. Each [Ok] result is the one
-    {!run_job} computes. Raises [Invalid_argument] unless every job
-    has the same key, and not [None]. *)
+    leading; results in job order, each the one {!run_job} computes,
+    with the run allocation at which the job split off the leader's
+    stream ([None] if it never did). No job is rerun: a job the key
+    groups with runs whose nurseries diverge shares only the ops
+    before its split. Raises [Invalid_argument] unless every job has
+    the same key, and not [None]. *)
 
 type env
 

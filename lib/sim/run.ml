@@ -129,7 +129,6 @@ let config_of ~heap_scale spec bench =
     ~heap_mb:(2 * live_mb) spec.collector
 
 type member = { mode : mode; spec : spec; trace : bool }
-type detached = { member : member; op : int }
 
 (* One member's simulation, assembled: memory system, runtime, and
    what its collection hook accumulates. *)
@@ -291,8 +290,9 @@ let finish ~threads ~parallel_gc ~check ~recorder ~alloc_bytes bench s serve_met
 
 (* The one assembly path. The first member leads: its mutator (or, in
    a serve run, which has no other member, its server) generates the
-   op stream and applies each op at once; the others follow it through
-   {!Mutator.create}'s [followers]. *)
+   op stream and applies each op at once, and the others take each op
+   as the leader does, through {!Mutator.create}'s [followers]. Each
+   result comes with the allocation at which its member split off. *)
 let run_members ~seed ~scale ~heap_scale ~cap_mb ~threads ~schedule_seed ~parallel_gc ~check
     ~recorder ~serve bench members =
   let pipes = ref [] in
@@ -322,12 +322,7 @@ let run_members ~seed ~scale ~heap_scale ~cap_mb ~threads ~schedule_seed ~parall
       Mutator.allocate_startup mutator;
       reset_stats ();
       Mutator.run mutator ~alloc_bytes ();
-      List.map2
-        (fun s -> function
-          | Some op -> Error { member = s.member; op }
-          | None -> Ok (finish s None))
-        sims
-        (None :: Mutator.detached mutator)
+      List.map2 (fun s split -> (finish s None, split)) sims (None :: Mutator.splits mutator)
     | Some rate ->
       let module S = Kg_serve.Server in
       let srv = S.create ~live_mb ~threads ~schedule_seed ~rate bench ~rt:leader.rt ~seed:(seed + 1) in
@@ -339,25 +334,25 @@ let run_members ~seed ~scale ~heap_scale ~cap_mb ~threads ~schedule_seed ~parall
       leader.server <- Some srv;
       S.run srv ~alloc_bytes;
       [
-        Ok
-          (finish leader
-             (Some
-                {
-                  requests = S.request_count srv;
-                  rate;
-                  t1_hits = S.tier1_hits srv;
-                  t2_hits = S.tier2_hits srv;
-                  backend_fills = S.backend_fills srv;
-                  sessions_churned = S.sessions_churned srv;
-                  pause_hist = S.pauses srv;
-                  latency_hist = S.latencies srv;
-                }));
+        ( finish leader
+            (Some
+               {
+                 requests = S.request_count srv;
+                 rate;
+                 t1_hits = S.tier1_hits srv;
+                 t2_hits = S.tier2_hits srv;
+                 backend_fills = S.backend_fills srv;
+                 sessions_churned = S.sessions_churned srv;
+                 pause_hist = S.pauses srv;
+                 latency_hist = S.latencies srv;
+               }),
+          None );
       ])
 
 let run ?(seed = 42) ?(scale = 16) ?(heap_scale = 3) ?(cap_mb = 256) ?(trace = false)
     ?(threads = 1) ?(schedule_seed = 0) ?oracle:_ ?(parallel_gc = false) ?(check = false)
     ?recorder ?serve ~mode spec bench =
-  Result.get_ok
+  fst
     (List.hd
        (run_members ~seed ~scale ~heap_scale ~cap_mb ~threads ~schedule_seed ~parallel_gc ~check
           ~recorder ~serve bench

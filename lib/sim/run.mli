@@ -152,11 +152,6 @@ type member = { mode : mode; spec : spec; trace : bool }
 (** One run of a group: what {!run} takes as [~mode], the spec and
     [?trace]. *)
 
-type detached = { member : member; op : int }
-(** A follower that left the leader's op stream at op [op] (counted
-    from the first op after the boot image): at that allocation its
-    nursery headroom differed from the leader's. *)
-
 val run_group :
   ?seed:int ->
   ?scale:int ->
@@ -164,18 +159,19 @@ val run_group :
   ?cap_mb:int ->
   Kg_workload.Descriptor.t ->
   member list ->
-  (result, detached) Stdlib.result list
+  (result * int option) list
 (** One-thread batch runs of one benchmark that share one mutator. The
-    first member leads: its mutator generates the op stream and
-    applies each op to the leader's runtime as it is generated, as in
-    {!run}. Every other member's runtime replays the leader's boot
-    draws and its recorded ops a bounded chunk at a time
-    ({!Kg_workload.Mutator.create}'s [followers]). Results come back
-    in member order. A member is [Ok r] with [r] field for field
-    {!run}'s result at the same arguments, or [Error] if it detached
-    from the stream; its run must then be made alone. Members whose
-    nurseries fill and empty alike never detach: same nursery size,
-    and large objects placed in the nursery (LOO) by all or by none,
+    first member leads: its mutator generates the op stream and applies
+    each op to the leader's runtime as it is generated, as in {!run},
+    and to every other member's runtime right after
+    ({!Kg_workload.Mutator.create}'s [followers]). Results come back in
+    member order, each field for field {!run}'s result at the same
+    arguments, with the run allocation at which the member first left
+    the leader's stream ([None] if it never did): there its nursery
+    headroom differed from the leader's, and it ran on from there on a
+    copy of the generator. No member is ever rerun. Members whose
+    nurseries fill and empty alike never split: same nursery size, and
+    large objects placed in the nursery (LOO) by all or by none,
     suffice at the figure set's options, while at larger caps a
     collector's majors can empty the nursery at other times. *)
 

@@ -45,8 +45,6 @@ let reset ops =
 
 let kind ops i = ops.kind.(i)
 let life ops i = ops.life.(i)
-let length ops = ops.len
-let is_alloc ops i = ops.kind.(i) < k_write_ref
 
 let grow ops =
   let cap = Array.length ops.kind in

@@ -35,12 +35,6 @@ val k_private : int
 val kind : ops -> int -> int
 val life : ops -> int -> float
 
-val length : ops -> int
-(** Ops pushed since the last {!reset}. *)
-
-val is_alloc : ops -> int -> bool
-(** Is op [i] an allocation? *)
-
 val push : ops -> int -> int -> int -> float -> unit
 (** [push ops kind a b life] appends one raw op. *)
 

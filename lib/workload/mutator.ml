@@ -28,8 +28,8 @@ let hot_skew = 1.2
    ring holds such targets until the epoch barrier materialises them.
    A domain's state is touched only by its own generator and by the
    epoch barrier. With one thread every op goes straight to the
-   runtime, and the op buffer records it only when follower runtimes
-   replay the stream (see [replay] below).
+   group's runtimes (see [split] below), and the op buffer stays
+   empty.
 
    The debts (write at 0, read at 1) live in a float array: a mutable
    float field of a mixed record is boxed, so each store to one would
@@ -43,14 +43,10 @@ type dstate = {
   d_debts : float array;
 }
 
-(* A runtime replaying a one-thread leader's op stream; [f_detached]
-   is the op index at which it left the stream, -1 while it follows. *)
-type follower = { f_rt : Rt.t; mutable f_detached : int }
-
 type t = {
   desc : Descriptor.t;
-  rt : Rt.t;
-  words : O.store;  (* the runtime's flat-word heap tables *)
+  rt : Rt.t;  (* the leader: its clock and nursery drive the draws *)
+  words : O.store;  (* the leader's flat-word heap tables *)
   life : Lifetime.t;
   hot : O.t Vec.t;
   warm : O.t Vec.t;
@@ -62,18 +58,12 @@ type t = {
   dstates : dstate array;  (* one per thread *)
   sched_rng : Rng.t;  (* multi-domain merge schedule; seeded independently *)
   boot_allocs_by_thread : int array;
-  followers : follower array;
-  tee : bool;  (* one thread with followers: thread 0's buffer records each op *)
-  free : int array;  (* the leader's nursery headroom at each recorded allocation *)
-  mutable replayed : int;  (* ops of this run replayed before the buffer's first *)
-  replay_allocs : O.t Vec.t;  (* Epoch.apply_op's allocation list, unread *)
+  mutable rts : Rt.t array;  (* every runtime applying the ops, [rt] first *)
+  group : Rt.t array;  (* [create]'s runtimes, its leader first; the copies share it *)
+  left : int array;  (* per [group] runtime: the run allocation at which it left, or -1 *)
 }
 
 let boot_allocs_by_thread t = Array.copy t.boot_allocs_by_thread
-
-(* Ops a leader records before its followers replay them: the bound
-   on the buffer. *)
-let replay_chunk = 4096
 
 let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(followers = []) desc ~rt ~seed =
   (* Calibrated against the default sizes regardless of the collector
@@ -99,8 +89,7 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(followers = []) desc ~
          "Mutator.create: %d threads need a runtime with %d domains (has %d)"
          threads threads (Rt.domains rt));
   if threads > 1 && followers <> [] then
-    invalid_arg "Mutator.create: followers replay one-thread runs only";
-  let tee = followers <> [] in
+    invalid_arg "Mutator.create: followers share one-thread runs only";
   let mk_dstate d =
     {
       d_rng = Rng.split root;
@@ -111,6 +100,7 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(followers = []) desc ~
       d_debts = Array.make 2 0.0;
     }
   in
+  let rts = Array.of_list (rt :: followers) in
   {
     desc;
     rt;
@@ -126,48 +116,15 @@ let create ?live_mb ?(threads = 1) ?(schedule_seed = 0) ?(followers = []) desc ~
     sched_rng = Rng.of_seed schedule_seed;
     dstates = Array.init threads mk_dstate;
     boot_allocs_by_thread = Array.make threads 0;
-    followers = Array.of_list (List.map (fun f_rt -> { f_rt; f_detached = -1 }) followers);
-    tee;
-    free = (if tee then Array.make replay_chunk 0 else [||]);
-    replayed = 0;
-    replay_allocs = Vec.create ();
+    rts;
+    group = rts;
+    left = Array.make (Array.length rts) (-1);
   }
 
-let detached t =
-  Array.to_list
-    (Array.map (fun f -> if f.f_detached < 0 then None else Some f.f_detached) t.followers)
-
-(* Replay the recorded ops on every follower still in the stream, and
-   empty the buffer. A follower whose nursery headroom differs from
-   the leader's at an allocation detaches there: its own mutator would
-   have drawn that object's lifetime against other headroom. Nothing
-   else the mutator reads from its runtime can differ: the clock sums
-   the same allocation sizes, and object ids, sizes, heats and death
-   stamps follow from the same ops. *)
-let replay t =
-  let ops = t.dstates.(0).d_ops in
-  let n = Epoch.length ops in
-  Array.iter
-    (fun f ->
-      if f.f_detached < 0 then begin
-        Vec.clear t.replay_allocs;
-        let rec go i =
-          if i < n then
-            if Epoch.is_alloc ops i && Rt.nursery_free f.f_rt <> t.free.(i) then
-              f.f_detached <- t.replayed + i
-            else begin
-              ignore (Epoch.apply_op f.f_rt t.replay_allocs ops i);
-              go (i + 1)
-            end
-        in
-        go 0
-      end)
-    t.followers;
-  t.replayed <- t.replayed + n;
-  Epoch.reset ops
-
-(* After recording an op: replay a full buffer. *)
-let[@inline] recorded t ops = if Epoch.length ops = replay_chunk then replay t
+let splits t =
+  List.init (Array.length t.left - 1) (fun i ->
+      let k = t.left.(i + 1) in
+      if k < 0 then None else Some k)
 
 let draw_small_size (desc : Descriptor.t) rng =
   (* Geometric in words around the benchmark mean, 16 B..8 KB. *)
@@ -227,8 +184,8 @@ let register t ds (o : O.t) =
   add_to_pools t ds.d_rng o
 
 let allocate_one t ds =
-  let free = Rt.nursery_free t.rt in
-  let cls, life = Lifetime.draw t.life ds.d_rng ~nursery_remaining:(float_of_int free) in
+  let nursery_remaining = float_of_int (Rt.nursery_free t.rt) in
+  let cls, life = Lifetime.draw t.life ds.d_rng ~nursery_remaining in
   let large = Rng.bernoulli ds.d_rng t.p_large in
   let size = if large then draw_large_size_rng ds.d_rng else draw_small_size t.desc ds.d_rng in
   (* Large objects draw from the same lifetime mixture: "we find
@@ -238,11 +195,9 @@ let allocate_one t ds =
   let death = Rt.now t.rt +. life in
   let ref_fields = Int.max 1 (size / 32) in
   let o = Rt.alloc t.rt ~size ~heat ~death ~ref_fields in
-  if t.tee then begin
-    t.free.(Epoch.length ds.d_ops) <- free;
-    ignore (Epoch.push_alloc ds.d_ops ~size ~heat ~life ~ref_fields);
-    recorded t ds.d_ops
-  end;
+  for i = 1 to Array.length t.rts - 1 do
+    ignore (Rt.alloc (Array.unsafe_get t.rts i) ~size ~heat ~death ~ref_fields)
+  done;
   register t ds o;
   o
 
@@ -297,28 +252,22 @@ let pick_write_target t ds now =
     if O.is_null o then pick_recent t ds now else o
   end
 
-(* With one thread an op runs at once, and is recorded too when
-   followers replay the stream; with more it waits in the domain's
-   buffer for the merge. *)
+(* With one thread an op runs at once on each of the group's
+   runtimes, leader first; with more it waits in the domain's buffer
+   for the merge. *)
 let write_prim t ds o =
   if t.nthreads > 1 then Epoch.push_write_prim ds.d_ops o
-  else begin
-    Rt.write_prim t.rt o;
-    if t.tee then begin
-      Epoch.push_write_prim ds.d_ops o;
-      recorded t ds.d_ops
-    end
-  end
+  else
+    for i = 0 to Array.length t.rts - 1 do
+      Rt.write_prim (Array.unsafe_get t.rts i) o
+    done
 
 let write_ref t ds ~src ~tgt =
   if t.nthreads > 1 then Epoch.push_write_ref ds.d_ops ~src ~tgt
-  else begin
-    Rt.write_ref t.rt ~src ~tgt;
-    if t.tee then begin
-      Epoch.push_write_ref ds.d_ops ~src ~tgt;
-      recorded t ds.d_ops
-    end
-  end
+  else
+    for i = 0 to Array.length t.rts - 1 do
+      Rt.write_ref (Array.unsafe_get t.rts i) ~src ~tgt
+    done
 
 let do_write t ds now =
   let src = pick_write_target t ds now in
@@ -337,13 +286,10 @@ let do_reads t ds now n =
   let tgt = if Rng.bernoulli ds.d_rng 0.6 then pick_recent t ds now else pick_mature t ds now in
   if not (O.is_null tgt) then
     if t.nthreads > 1 then Epoch.push_read_burst ds.d_ops tgt ~words:n
-    else begin
-      Rt.read_burst t.rt tgt n;
-      if t.tee then begin
-        Epoch.push_read_burst ds.d_ops tgt ~words:n;
-        recorded t ds.d_ops
-      end
-    end
+    else
+      for i = 0 to Array.length t.rts - 1 do
+        Rt.read_burst (Array.unsafe_get t.rts i) tgt n
+      done
 
 (* The writes and reads one new object of [size] bytes owes. *)
 let mutate t ds now size =
@@ -368,7 +314,8 @@ let allocate_startup t =
      allocation round-robins across all mutator threads — every
      thread's PRNG stream and recent window start populated, so thread
      0 has no privileged role once the run begins. Followers allocate
-     each boot object as the leader draws it. *)
+     each boot object as the leader draws it: no boot draw reads the
+     nursery, so no follower leaves here. *)
   let target = 0.4 *. float_of_int t.live_mb *. float_of_int Units.mib in
   let start = Rt.now t.rt in
   let k = ref 0 in
@@ -382,24 +329,72 @@ let allocate_startup t =
     let heat = assign_heat_rng t rng Lifetime.Immortal in
     let ref_fields = max 1 (size / 32) in
     let o = Rt.alloc_boot t.rt ~size ~heat ~ref_fields in
-    if t.tee then
-      Array.iter (fun f -> ignore (Rt.alloc_boot f.f_rt ~size ~heat ~ref_fields)) t.followers;
+    for i = 1 to Array.length t.rts - 1 do
+      ignore (Rt.alloc_boot t.rts.(i) ~size ~heat ~ref_fields)
+    done;
     register t ds o;
     t.boot_allocs_by_thread.(d) <- t.boot_allocs_by_thread.(d) + 1
   done
+
+(* Does a follower's nursery headroom differ from the leader's? Asked
+   before every allocation of a group, so it allocates nothing. *)
+let rec diverged t free i =
+  i < Array.length t.rts && (Rt.nursery_free t.rts.(i) <> free || diverged t free (i + 1))
 
 (* One thread: allocate one object, then generate its writes and reads
    against the clock just after the allocation (generating them
    allocates nothing, so the clock holds still). The size charged is
    the aligned one the runtime allocated. *)
-let run_sequential t ~alloc_bytes =
+let rec run_sequential t ~target =
   let ds = t.dstates.(0) in
-  let target = Rt.now t.rt +. float_of_int alloc_bytes in
   while Rt.now t.rt < target do
+    if Array.length t.rts > 1 then split t ~target;
     let o = allocate_one t ds in
     mutate t ds (Rt.now t.rt) (O.size t.words o)
-  done;
-  if t.tee then replay t
+  done
+
+(* The mutator reads its runtime through the clock, the nursery
+   headroom and the object store. The clocks agree (they sum the same
+   sizes), and so do object ids, sizes, heats and death stamps while
+   the ops agree; the headroom, which the next lifetime draw reads, is
+   the one thing a collector can change. So before each allocation the
+   followers whose headroom differs from the leader's leave together
+   and run to [target] on a copy of this mutator, which splits again if
+   they diverge in turn. Every draw so far was theirs too, so the copy
+   is the mutator each would have had alone. *)
+and split t ~target =
+  let free = Rt.nursery_free t.rt in
+  if diverged t free 1 then begin
+    let stay, leave = List.partition (fun rt -> Rt.nursery_free rt = free) (Array.to_list t.rts) in
+    let rts = Array.of_list leave in
+    let at = t.allocated - t.boot_allocs_by_thread.(0) in
+    Array.iteri (fun i rt -> if t.left.(i) < 0 && Array.memq rt rts then t.left.(i) <- at) t.group;
+    t.rts <- Array.of_list stay;
+    let ds = t.dstates.(0) in
+    let copy v = Vec.of_array (Vec.to_array v) in
+    run_sequential
+      {
+        t with
+        rt = rts.(0);
+        words = Rt.words rts.(0);
+        hot = copy t.hot;
+        warm = copy t.warm;
+        cold = copy t.cold;
+        dstates =
+          [|
+            {
+              ds with
+              d_rng = Rng.copy ds.d_rng;
+              (* Its only state caches h(n + 0.5) for the last n. *)
+              d_hot_zipf = Rng.Zipf.create ~s:hot_skew;
+              d_recent = Array.copy ds.d_recent;
+              d_debts = Array.copy ds.d_debts;
+            };
+          |];
+        rts;
+      }
+      ~target
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Epoch-parallel execution (threads > 1)                              *)
@@ -477,7 +472,8 @@ let run_epochs t ~alloc_bytes =
     ~generate:(generate t) ~apply:(apply_op t) ~barrier:(epoch_barrier t)
 
 let run t ~alloc_bytes () =
-  if t.nthreads = 1 then run_sequential t ~alloc_bytes else run_epochs t ~alloc_bytes
+  if t.nthreads = 1 then run_sequential t ~target:(Rt.now t.rt +. float_of_int alloc_bytes)
+  else run_epochs t ~alloc_bytes
 
 let scaled_alloc_bytes (d : Descriptor.t) ~scale ~cap_mb =
   let scaled = d.alloc_mb / max 1 scale in

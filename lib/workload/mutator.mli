@@ -38,21 +38,21 @@ val create :
     [(seed, schedule_seed, threads)].
 
     [followers] (one thread only; default none) are fresh runtimes
-    that run the same op stream as [rt], the leader. The leader still
-    applies each op as it generates it; the mutator also records the
-    op, and followers replay the record a bounded chunk at a time
-    through {!Epoch.apply_op} (boot objects as each is drawn). The
+    that run the same op stream as [rt], the leader. Each op goes to
+    every runtime of the group as it is generated, leader first. The
     mutator reads its runtime only through the allocation clock,
-    [nursery_free] and the object store, and the first two decide the
-    stream: so a follower whose [nursery_free] differs from the
-    leader's at a replayed allocation leaves the stream there
-    ({!detached}), and every other follower ends in exactly the state
-    a mutator of its own would have left it in. *)
+    [nursery_free] and the object store, and the clocks and stores
+    agree while the ops do; so before each allocation the followers
+    whose [nursery_free] differs from the leader's leave together
+    ({!splits}) and run to the end of {!run} on a copy of the
+    generator, the first of them leading, and split again if they
+    diverge in turn. No follower is ever rerun: each ends in exactly
+    the state a mutator of its own would have left it in. *)
 
-val detached : t -> int option list
-(** Per follower, in [followers] order: the index (from 0, the first
-    op of {!run}) of the allocation at which it left the leader's
-    stream, or [None] if it replayed all of it. *)
+val splits : t -> int option list
+(** Per follower, in [followers] order: the run allocation (counted
+    from 0, the first allocation after the boot image) at which it
+    first left the leader, or [None] if it never did. *)
 
 val boot_allocs_by_thread : t -> int array
 (** How many boot-image objects {!allocate_startup} charged to each

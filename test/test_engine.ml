@@ -490,85 +490,94 @@ let solo (o : E.opts) bench (m : R.member) =
   R.run ~seed:o.E.seed ~scale:o.E.scale ~heap_scale:o.E.heap_scale ~cap_mb:o.E.cap_mb
     ~trace:m.R.trace ~mode:m.R.mode m.R.spec bench
 
+let run_group (o : E.opts) bench group =
+  R.run_group ~seed:o.E.seed ~scale:o.E.scale ~heap_scale:o.E.heap_scale ~cap_mb:o.E.cap_mb bench
+    group
+
 let group_qcheck =
-  QCheck.Test.make ~name:"run_group: every Ok member equals its solo run" ~count:12
+  QCheck.Test.make ~name:"run_group: every member equals its solo run" ~count:12
     (QCheck.make ~print:print_group group_gen)
     (fun (bench, cap, members) ->
       let o = group_opts cap in
-      let results =
-        R.run_group ~seed:o.E.seed ~scale:o.E.scale ~heap_scale:o.E.heap_scale
-          ~cap_mb:o.E.cap_mb bench members
-      in
+      let results = run_group o bench members in
       List.length results = List.length members
-      && List.for_all2
-           (fun m -> function
-             | Ok r -> diffs r (solo o bench m) = []
-             | Error (d : R.detached) -> d.R.member = m && d.R.op >= 0)
-           members results)
+      && snd (List.hd results) = None
+      && List.for_all2 (fun m (r, _) -> diffs r (solo o bench m) = []) members results)
 
-(* At the figure-set options no member detaches, so the property's
-   accepted [Error]s must not hide a group that stopped sharing: KG-N,
-   PCM-only and WP, all Simulate, stay in lusearch's stream. *)
-let test_figset_group_stays () =
-  let o = group_opts 1 and bench = D.find "lusearch" in
-  let members =
-    List.map (fun spec -> { R.mode = R.Simulate; spec; trace = false }) [ R.kg_n; R.pcm_only; R.wp ]
-  in
+(* [run_group], after checking that every member equals its solo run. *)
+let check_group o bench group =
+  let results = run_group o bench group in
   List.iter2
-    (fun (m : R.member) -> function
-      | Ok r -> compare_results (R.label m.R.spec ^ " equals its solo run") (solo o bench m) r
-      | Error (d : R.detached) -> Alcotest.failf "%s detached at op %d" (R.label m.R.spec) d.R.op)
-    members
-    (R.run_group ~seed:o.E.seed ~scale:o.E.scale ~heap_scale:o.E.heap_scale ~cap_mb:o.E.cap_mb
-       bench members)
+    (fun (m : R.member) (r, _) ->
+      compare_results (R.label m.R.spec ^ " equals its solo run") (solo o bench m) r)
+    group results;
+  results
+
+let lusearch = D.find "lusearch"
+let check_split msg expected actual = Alcotest.(check (list (option int))) msg expected actual
+
+(* A member that splits still equals its solo run, so the property
+   holds even if every follower splits at its first allocation. At the
+   figure-set options none splits: KG-N, PCM-only and WP, all
+   Simulate, share lusearch's whole stream. *)
+let test_figset_group_stays () =
+  let o = group_opts 1 in
+  check_split "no member splits" [ None; None; None ]
+    (List.map snd
+       (check_group o lusearch
+          (List.map
+             (fun spec -> { R.mode = R.Simulate; spec; trace = false })
+             [ R.kg_n; R.pcm_only; R.wp ])))
 
 (* The quick options at seed 11, where lusearch's LOO classes split. *)
-let detach_opts = { E.quick_opts with E.seed = 11 }
+let split_opts = { E.quick_opts with E.seed = 11 }
 let count spec = { R.mode = R.Count; spec; trace = false }
 
-let detach_group members =
-  let o = detach_opts in
-  R.run_group ~seed:o.E.seed ~scale:o.E.scale ~heap_scale:o.E.heap_scale ~cap_mb:o.E.cap_mb
-    (D.find "lusearch") members
+(* The splits of a checked group of Count runs. *)
+let split_group specs = List.map snd (check_group split_opts lusearch (List.map count specs))
 
-let test_detach_loo () =
-  match detach_group [ count R.kg_n; count R.kg_w ] with
-  | [ Ok leader; Error d ] ->
-    check_str "detached member" (R.label R.kg_w) (R.label d.R.member.R.spec);
-    check_bool (Printf.sprintf "KG-W detaches after op 0 (at %d)" d.R.op) true (d.R.op > 0);
-    compare_results "leader equals its solo run" leader
-      (solo detach_opts (D.find "lusearch") (count R.kg_n))
-  | _ -> Alcotest.fail "expected KG-N Ok and KG-W detached"
+let test_split_loo () =
+  match split_group [ R.kg_n; R.kg_w ] with
+  | [ None; Some k ] ->
+    check_bool (Printf.sprintf "KG-W splits after allocation 0 (at %d)" k) true (k > 0)
+  | _ -> Alcotest.fail "expected KG-W to split from KG-N"
 
-let test_detach_nursery () =
-  match detach_group [ count R.kg_n; count R.kg_n_12 ] with
-  | [ Ok _; Error d ] ->
-    check_str "detached member" (R.label R.kg_n_12) (R.label d.R.member.R.spec);
-    check_int "KG-N-12 detaches at its first allocation" 0 d.R.op
-  | _ -> Alcotest.fail "expected KG-N Ok and KG-N-12 detached"
+let test_split_nursery () =
+  check_split "KG-N-12 splits at its first allocation" [ None; Some 0 ]
+    (split_group [ R.kg_n; R.kg_n_12 ])
+
+(* KG-W and KG-W-PM leave KG-N at one allocation, together, and do not
+   split from each other after. *)
+let test_split_subgroup () =
+  match split_group [ R.kg_n; R.kg_w; R.kg_w_no_pm ] with
+  | [ None; Some k; Some k' ] ->
+    check_int "KG-W and KG-W-PM leave at one allocation" k k';
+    check_split "KG-W-PM stays with KG-W" [ None; None ]
+      (List.map snd (run_group split_opts lusearch [ count R.kg_w; count R.kg_w_no_pm ]))
+  | _ -> Alcotest.fail "expected KG-W and KG-W-PM to split from KG-N"
 
 (* A member of KG-W's stream class whose write-triggered majors empty
-   its nursery at other times: Exec groups it with KG-W, it detaches,
-   and Exec stores the run it then makes alone. *)
-let test_exec_stores_detached () =
-  let o = detach_opts in
-  let bench = D.find "lusearch" in
+   its nursery at other times: Exec groups it with KG-W, it splits,
+   and Exec stores the result it computed on from there. *)
+let test_exec_stores_split () =
+  let o = split_opts in
   let triggered = { R.kg_w with R.pcm_write_trigger_mb = Some 1 } in
-  let jobs = [ E.job R.Count R.kg_w bench; E.job R.Count triggered bench ] in
+  let jobs = [ E.job R.Count R.kg_w lusearch; E.job R.Count triggered lusearch ] in
   check_bool "one stream key" true
     (E.stream_key o (List.hd jobs) = E.stream_key o (List.nth jobs 1));
-  (match E.run_group o jobs with
-  | [ Ok _; Error _ ] -> ()
-  | _ -> Alcotest.fail "expected the write-triggered member to detach");
+  let split_run =
+    match check_group o lusearch [ count R.kg_w; count triggered ] with
+    | [ (_, None); (r, Some _) ] -> r
+    | _ -> Alcotest.fail "expected the write-triggered member to split"
+  in
   let dir = temp_dir () in
   let ex = Exec.create ~jobs:2 ~cache_dir:dir o in
   Exec.prefetch ex jobs;
   check_int "both computed" 2 (Exec.misses ex);
   Exec.shutdown ex;
-  let alone = E.run_job o (List.nth jobs 1) in
   match Store.find (Store.create ~dir ()) (Store.key ~opts:o (List.nth jobs 1)) with
-  | None -> Alcotest.fail "detached member not stored"
-  | Some r -> compare_results "stored detached member equals its solo run" alone r
+  | None -> Alcotest.fail "split member not stored"
+  | Some r -> compare_results "stored split member equals its solo run" split_run r
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: parallel + store == sequential, cold and warm          *)
@@ -580,6 +589,11 @@ let render_all env =
 
 let declared_keys (e : E.experiment) = List.map (E.job_key o) (e.E.runs o)
 
+(* The determinism test's cold pool pass, rendered, with its options:
+   the fixture test checks these tables when the options are the
+   fixture's rather than compute the matrix again. *)
+let cold_tables = ref None
+
 let test_determinism () =
   let dir = temp_dir () in
   (* cold store, parallel pool *)
@@ -590,6 +604,7 @@ let test_determinism () =
   check_int "cold pass: one run per distinct declared key" (List.length distinct)
     (Exec.misses ex4);
   let tables4 = render_all (Exec.env ex4) in
+  cold_tables := Some (o, tables4);
   check_int "rendering after the prefetch computes nothing" (List.length distinct)
     (Exec.misses ex4);
   (* Each table reads exactly the runs its experiment declares, and no
@@ -667,17 +682,25 @@ let read_file path =
   close_in ic;
   s
 
+(* The figure set at the fixture options: the determinism test's cold
+   pool pass when it ran at them (outside quick mode), else a pass of
+   its own. *)
+let fixture_tables () =
+  match !cold_tables with
+  | Some (o, tables) when o = fixture_opts -> tables
+  | _ ->
+    let ex = Exec.create ~jobs:cold_jobs ~cache:false fixture_opts in
+    Exec.prefetch_experiments ex all_ids;
+    let tables = render_all (Exec.env ex) in
+    Exec.shutdown ex;
+    tables
+
 let test_pre_refactor_fixture () =
-  let ex = Exec.create ~jobs:cold_jobs ~cache:false fixture_opts in
-  Exec.prefetch_experiments ex all_ids;
-  let env = Exec.env ex in
   List.iter
-    (fun (e : E.experiment) ->
-      let expected = read_file (Filename.concat fixture_dir (e.E.id ^ ".txt")) in
-      check_str (e.E.id ^ ": byte-identical to pre-refactor fixture") expected
-        (Kg_util.Table.render (e.E.table env)))
-    E.all;
-  Exec.shutdown ex
+    (fun (id, table) ->
+      let expected = read_file (Filename.concat fixture_dir (id ^ ".txt")) in
+      check_str (id ^ ": byte-identical to pre-refactor fixture") expected table)
+    (fixture_tables ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -713,10 +736,10 @@ let () =
           QCheck_alcotest.to_alcotest group_qcheck;
           Alcotest.test_case "figure-set group stays in the stream" `Quick
             test_figset_group_stays;
-          Alcotest.test_case "LOO member detaches" `Quick test_detach_loo;
-          Alcotest.test_case "12 MB nursery detaches at op 0" `Quick test_detach_nursery;
-          Alcotest.test_case "engine stores a detached member's solo run" `Quick
-            test_exec_stores_detached;
+          Alcotest.test_case "LOO member splits" `Quick test_split_loo;
+          Alcotest.test_case "KG-N-12 splits at allocation 0" `Quick test_split_nursery;
+          Alcotest.test_case "LOO members split as one subgroup" `Quick test_split_subgroup;
+          Alcotest.test_case "engine stores a split member's run" `Quick test_exec_stores_split;
         ] );
       ( "determinism",
         [
