@@ -89,7 +89,7 @@ let run_t =
 (* ------------------------------------------------------------------ *)
 (* check: audit heap invariants across benchmarks x collectors         *)
 
-let check_cmd benches scale heap_scale cap_mb seed domains parallel_gc jobs =
+let check_cmd benches scale heap_scale cap_mb seed domains jobs =
   let benches = if benches = [] then [ "lusearch"; "xalan"; "pmd" ] else benches in
   let specs = [ ("genimmix", R.pcm_only); ("kg-n", R.kg_n); ("kg-w", R.kg_w) ] in
   let failures = ref 0 in
@@ -112,8 +112,8 @@ let check_cmd benches scale heap_scale cap_mb seed domains parallel_gc jobs =
     Kg_engine.Pool.run_all pool
       (List.map
          (fun (_, d, _, spec) () ->
-           R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~parallel_gc ~check:true
-             ~mode:R.Count spec d)
+           R.run ~seed ~scale ~heap_scale ~cap_mb ~threads:domains ~check:true ~mode:R.Count
+             spec d)
          matrix)
   in
   Kg_engine.Pool.shutdown pool;
@@ -143,7 +143,7 @@ let jobs_arg =
 let check_t =
   Term.(
     const check_cmd $ benches_arg $ O.scale $ O.heap_scale $ O.cap_mb $ O.seed $ O.domains
-    $ O.parallel_gc $ jobs_arg)
+    $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* replay: record a run, replay its trace, compare bit-for-bit         *)

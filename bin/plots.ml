@@ -29,7 +29,6 @@ let read_csv path =
 (* Keep the columns where every row parses as a number. *)
 let numeric_columns header rows =
   let ncols = List.length header in
-  List.filteri (fun _ _ -> true) header |> ignore;
   let is_numeric ci =
     ci > 0
     && List.for_all
@@ -37,7 +36,6 @@ let numeric_columns header rows =
          rows
   in
   List.filteri (fun ci _ -> is_numeric ci) (List.mapi (fun i h -> (i, h)) header)
-  |> List.map (fun (ci, h) -> (ci, h))
   |> fun cols -> if List.length cols > 0 && ncols > 1 then cols else []
 
 let plot_bar name header rows out =

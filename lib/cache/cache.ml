@@ -238,8 +238,3 @@ let invalidate_all t =
   !acc
 
 let stats t = { hits = t.hits; misses = t.misses; writebacks = t.writebacks }
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.writebacks <- 0

@@ -66,4 +66,3 @@ val invalidate_all : t -> writeback list
 type stats = { hits : int; misses : int; writebacks : int }
 
 val stats : t -> stats
-val reset_stats : t -> unit

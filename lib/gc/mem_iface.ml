@@ -49,18 +49,10 @@ let hierarchy_driver h =
     drv_stats = (fun () -> stats_of_controller (Kg_cache.Hierarchy.controller h));
   }
 
-let of_hierarchy ?capacity h =
-  Port.create ?capacity ~sink:(Port.Cache_sim (hierarchy_driver h)) ()
+let of_hierarchy h = Port.create ~sink:(Port.Cache_sim (hierarchy_driver h)) ()
 
 let counting ~map =
   let c = Port.fresh_counters ~phases:Phase.count in
   (Port.create ~sink:(Port.Counting (map, c)) (), c)
 
-let null ?capacity () = Port.create ?capacity ~sink:Port.Null ()
-
-(* Per-domain mutator ports in front of [base]'s sink. The group
-   shares base's sink and an issue counter, so merged deliveries land
-   on the same devices as runtime-side traffic through [base] while
-   preserving one global issue order across domains. *)
-let domain_group base n =
-  Port.sequenced_group ~capacity:(Port.capacity base) ~sink:(Port.sink base) n
+let null () = Port.create ~sink:Port.Null ()

@@ -57,16 +57,9 @@ val stats_of_controller : Kg_cache.Controller.t -> stats
 
 val hierarchy_driver : Kg_cache.Hierarchy.t -> Kg_mem.Port.driver
 
-val of_hierarchy : ?capacity:int -> Kg_cache.Hierarchy.t -> t
+val of_hierarchy : Kg_cache.Hierarchy.t -> t
 
 val counting : map:Kg_mem.Address_map.t -> t * counters
 
-val null : ?capacity:int -> unit -> t
+val null : unit -> t
 (** Discards traffic entirely; for tests exercising pure heap logic. *)
-
-val domain_group : t -> int -> t array
-(** [domain_group base n] builds [n] per-domain mutator ports sharing
-    [base]'s sink behind a {!Kg_mem.Port.sequenced_group}: every
-    record is stamped with a group-wide issue counter and any flush
-    delivers all domains' buffered records merged by stamp, so the
-    sink observes one deterministic total order. *)

@@ -25,11 +25,10 @@ type t = {
   words : O.store;
   mem : Mem_iface.t;
   (* One port per mutator domain. With a single domain this is [| mem |]
-     — the pre-domain path, bit for bit. With N > 1 the slots come from
-     {!Mem_iface.domain_group}: records are stamped with a group-wide
-     issue counter and every flush delivers all domains' traffic merged
-     by stamp, so the sink order is independent of which buffer fills
-     first. *)
+     — the pre-domain path, bit for bit. With N > 1 the slots form a
+     {!Kg_mem.Port.sequenced_group} in front of [mem]'s sink: every
+     domain appends into one shared buffer, so it holds the records in
+     issue order, and any flush delivers all domains' traffic. *)
   mut_mems : Mem_iface.t array;
   domains : int;
   map : Kg_mem.Address_map.t;
@@ -91,7 +90,7 @@ let mem t = t.mem
 (* Push any buffered port records to the sink; callers reading device
    counters or controller state mid-run must flush first. The runtime
    itself flushes before every gc_hook invocation. Domain ports drain
-   first (one merged delivery), then the runtime's own port, matching
+   first (one delivery), then the runtime's own port, matching
    program order: mutator records were issued before whatever the
    caller is about to account. *)
 let flush_mem t =
@@ -213,7 +212,10 @@ let create ?(domains = 1) ?parallel_gc:_ ~config:cfg ~mem ~map ~seed () =
     else None
   in
   let mut_mems =
-    if domains = 1 then [| mem |] else Mem_iface.domain_group mem domains
+    if domains = 1 then [| mem |]
+    else
+      Kg_mem.Port.sequenced_group ~capacity:(Kg_mem.Port.capacity mem)
+        ~sink:(Kg_mem.Port.sink mem) domains
   in
   {
     cfg;
@@ -597,11 +599,11 @@ let major_gc_inner t =
   end_collection t Phase.Major_gc work0
 
 (* Entry into any stop-the-world section. Every domain's buffered port
-   records drain first (one merged, stamp-ordered delivery — flushing
-   any group member flushes them all), then each domain publishes its
-   pending remset entries in domain order. Only after the handshake may
-   a collection consume remset entries; {!Verify} flags pending entries
-   still unpublished when a collection phase ends. *)
+   records drain first (one delivery of the group's shared buffer —
+   flushing any member flushes them all), then each domain publishes
+   its pending remset entries in domain order. Only after the
+   handshake may a collection consume remset entries; {!Verify} flags
+   pending entries still unpublished when a collection phase ends. *)
 let stw_prologue t =
   if t.domains > 1 then begin
     Mem_iface.flush t.mut_mems.(0);

@@ -49,10 +49,12 @@ val create :
 
     [domains] (default 1) is the number of mutator domains. Each
     domain gets a private nursery (an equal slice of the configured
-    nursery budget) and a private memory port from
-    {!Mem_iface.domain_group}; collections are stop-the-world across
-    all domains and begin with a port flush + remembered-set handshake
-    (see {!Remset}). With one domain the runtime is byte-identical to
+    nursery budget) and a port of its own. Above one domain the ports
+    form a {!Kg_mem.Port.sequenced_group} with [mem]'s capacity in
+    front of [mem]'s sink: they append into one shared buffer in
+    issue order. Collections are stop-the-world across all domains and
+    begin with a port flush + remembered-set handshake (see
+    {!Remset}). With one domain the runtime is byte-identical to
     the pre-domain implementation. Every collection phase runs inline
     on the calling domain.
 

@@ -45,7 +45,6 @@ let alloc t o =
 
 let free_bytes t = t.limit - t.cursor
 let used_bytes t = t.cursor - t.base
-let is_empty t = Vec.is_empty t.objects
 
 let objects t = t.objects
 

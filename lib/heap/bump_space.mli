@@ -25,7 +25,6 @@ val alloc : t -> Object_model.t -> bool
 
 val free_bytes : t -> int
 val used_bytes : t -> int
-val is_empty : t -> bool
 
 val objects : t -> Object_model.t Kg_util.Vec.t
 (** Resident objects in allocation order. The collector consumes this

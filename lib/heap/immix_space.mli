@@ -13,7 +13,7 @@
 
     Allocation bump-allocates through one cursor and takes no lock: it
     runs only in sequential phases (boot, the epoch's schedule apply,
-    the apply step of a collection), never inside a parallel plan. *)
+    a collection), all on the calling domain. *)
 
 type t
 

@@ -50,4 +50,3 @@ let pcm_base t =
 
 let dram_size t = if t.dram_base_ < 0 then 0 else t.dram_limit - t.dram_base_
 let pcm_size t = if t.pcm_base_ < 0 then 0 else t.pcm_limit - t.pcm_base_
-let total_size t = List.fold_left (fun acc r -> acc + r.size) 0 t.regions

@@ -40,5 +40,3 @@ val dram_size : t -> int
 
 val pcm_size : t -> int
 (** Bytes of PCM in the map (0 if none). *)
-
-val total_size : t -> int

@@ -1,8 +1,3 @@
 let years ~size_bytes ~endurance ~write_rate_bytes_per_s =
   if write_rate_bytes_per_s <= 0.0 then infinity
   else size_bytes *. endurance /. (write_rate_bytes_per_s *. Kg_util.Units.seconds_per_year)
-
-let write_rate ~bytes_written ~elapsed_s =
-  if elapsed_s <= 0.0 then 0.0 else bytes_written /. elapsed_s
-
-let relative ~baseline_rate ~rate = if rate <= 0.0 then infinity else baseline_rate /. rate

@@ -11,11 +11,3 @@
 
 val years : size_bytes:float -> endurance:float -> write_rate_bytes_per_s:float -> float
 (** Lifetime in years; [infinity] when the write rate is 0. *)
-
-val write_rate : bytes_written:float -> elapsed_s:float -> float
-(** Convenience: B from observed traffic. *)
-
-val relative : baseline_rate:float -> rate:float -> float
-(** Lifetime improvement factor of [rate] over [baseline_rate]; because
-    Y is inversely proportional to B this is just the write-rate
-    ratio. *)

@@ -18,7 +18,6 @@ type batch = {
   addrs : int array;
   sizes : int array;
   metas : int array;  (* bit 0: write flag; bits 1+: phase tag *)
-  seqs : int array;  (* issue-order tags; only meaningful in groups *)
 }
 
 let meta ~write ~tag = (tag lsl 1) lor (if write then 1 else 0)
@@ -141,28 +140,26 @@ let rec deliver sink b =
     deliver a b;
     deliver b' b
 
-(* A sequenced group ties N ports (one per mutator domain) to one
-   shared sink. Every append through a member port is stamped with the
-   next value of the group-wide issue counter, and flushing ANY member
-   merges the buffered records of ALL members by that stamp before a
-   single delivery — so the sink observes one global total order no
-   matter which member's buffer happened to fill first. The counter is
-   a plain mutable int: records are only issued from the deterministic
-   apply loop (one domain at a time), never concurrently. The merge
-   writes into a scratch batch the group owns, grown only when a flush
-   is larger than any before it. *)
-type group = {
-  mutable next_seq : int;
-  mutable batches : batch array;  (* the members' buffers *)
-  mutable scratch : batch;
-  pos : int array;  (* per-member merge cursor *)
+(* A sequenced group ties n ports (one per mutator domain) to one
+   shared buffer of n × capacity records in front of one sink. Records
+   are only issued from the deterministic apply loop, one at a time,
+   never concurrently, so every member appends straight into the
+   shared buffer: it holds the records in issue order, and a flush
+   delivers it as it stands. Each member counts its own appends since
+   the last delivery and flushes the group when that count reaches
+   [capacity] — exactly where a private buffer of that capacity would
+   have filled — so the shared buffer never overflows. *)
+type member = {
+  counts : int array;  (* each member's appends since the last delivery *)
+  slot : int;  (* this member's index into [counts] *)
+  member_capacity : int;
 }
 
-and t = {
-  batch : batch;
+type t = {
+  batch : batch;  (* shared by every member of a group *)
   mutable sink : sink;
   mutable phase_tag : int;
-  mutable group : group option;
+  member : member option;  (* [None] for a standalone port *)
 }
 
 let default_capacity = 1024
@@ -173,111 +170,44 @@ let make_batch capacity =
     addrs = Array.make capacity 0;
     sizes = Array.make capacity 0;
     metas = Array.make capacity 0;
-    seqs = Array.make capacity 0;
   }
 
 let create ?(capacity = default_capacity) ~sink () =
   if capacity <= 0 then invalid_arg "Port.create: capacity must be positive";
-  {
-    batch = make_batch capacity;
-    sink;
-    phase_tag = 0;
-    group = None;
-  }
+  { batch = make_batch capacity; sink; phase_tag = 0; member = None }
 
 let sink t = t.sink
 let set_sink t s = t.sink <- s
 let capacity t = Array.length t.batch.addrs
 
-(* Merge member batches into [out] (which must hold them all) ordered
-   by issue stamp, using [pos] as the per-batch cursor. Each member's
-   buffer is already ascending in [seqs] (the group counter is
-   monotonic), so this is a k-way merge of sorted runs. Stamps are
-   unique, which makes the result a total order independent of the
-   arrival order of the input batches — the property the QCheck suite
-   pins down. *)
-let merge_into out pos (batches : batch array) =
-  let k = Array.length batches in
-  let total = ref 0 in
-  for j = 0 to k - 1 do
-    pos.(j) <- 0;
-    total := !total + batches.(j).len
-  done;
-  for i = 0 to !total - 1 do
-    (* Pick the member whose next un-consumed record has the smallest
-       stamp. k is the domain count (tiny), so a linear scan beats a
-       heap here. *)
-    let best = ref (-1) in
-    let best_seq = ref max_int in
-    for j = 0 to k - 1 do
-      let b = batches.(j) in
-      if pos.(j) < b.len && b.seqs.(pos.(j)) < !best_seq then begin
-        best := j;
-        best_seq := b.seqs.(pos.(j))
-      end
-    done;
-    let b = batches.(!best) in
-    let p = pos.(!best) in
-    out.addrs.(i) <- b.addrs.(p);
-    out.sizes.(i) <- b.sizes.(p);
-    out.metas.(i) <- b.metas.(p);
-    out.seqs.(i) <- b.seqs.(p);
-    pos.(!best) <- p + 1
-  done;
-  out.len <- !total
-
-let merge (batches : batch array) : batch =
-  let total = Array.fold_left (fun a b -> a + b.len) 0 batches in
-  let out = make_batch (max total 1) in
-  merge_into out (Array.make (Array.length batches) 0) batches;
-  out
-
-let flush_group g sink =
-  let total = Array.fold_left (fun a b -> a + b.len) 0 g.batches in
-  if total > 0 then begin
-    if Array.length g.scratch.addrs < total then g.scratch <- make_batch total;
-    merge_into g.scratch g.pos g.batches;
-    deliver sink g.scratch;
-    Array.iter (fun b -> b.len <- 0) g.batches
-  end
+let sequenced_group ?(capacity = default_capacity) ~sink n =
+  if n <= 0 || capacity <= 0 then
+    invalid_arg "Port.sequenced_group: n and capacity must be positive";
+  let batch = make_batch (n * capacity) and counts = Array.make n 0 in
+  Array.init n (fun slot ->
+      { batch; sink; phase_tag = 0; member = Some { counts; slot; member_capacity = capacity } })
 
 let flush t =
-  match t.group with
-  | Some g -> flush_group g t.sink
-  | None ->
-    let b = t.batch in
-    if b.len > 0 then begin
-      deliver t.sink b;
-      b.len <- 0
-    end
-
-let sequenced_group ?(capacity = default_capacity) ~sink n =
-  if n <= 0 then invalid_arg "Port.sequenced_group: n must be positive";
-  let g = { next_seq = 0; batches = [||]; scratch = make_batch 1; pos = Array.make n 0 } in
-  let members =
-    Array.init n (fun _ ->
-        let p = create ~capacity ~sink () in
-        p.group <- Some g;
-        p)
-  in
-  g.batches <- Array.map (fun p -> p.batch) members;
-  members
-
-let group_seq t =
-  match t.group with None -> None | Some g -> Some g.next_seq
+  let b = t.batch in
+  if b.len > 0 then begin
+    deliver t.sink b;
+    b.len <- 0;
+    match t.member with
+    | Some g -> Array.fill g.counts 0 (Array.length g.counts) 0
+    | None -> ()
+  end
 
 let[@inline] append t ~addr ~size m =
   let b = t.batch in
-  if b.len = Array.length b.addrs then flush t;
+  (match t.member with
+  | None -> if b.len = Array.length b.addrs then flush t
+  | Some g ->
+    if g.counts.(g.slot) = g.member_capacity then flush t;
+    g.counts.(g.slot) <- g.counts.(g.slot) + 1);
   let i = b.len in
   Array.unsafe_set b.addrs i addr;
   Array.unsafe_set b.sizes i size;
   Array.unsafe_set b.metas i m;
-  (match t.group with
-  | None -> ()
-  | Some g ->
-    Array.unsafe_set b.seqs i g.next_seq;
-    g.next_seq <- g.next_seq + 1);
   b.len <- i + 1
 
 let[@inline] read t ~addr ~size = append t ~addr ~size (t.phase_tag lsl 1)

@@ -20,9 +20,6 @@ type batch = {
   addrs : int array;
   sizes : int array;
   metas : int array;  (** bit 0: write flag; bits 1+: phase tag *)
-  seqs : int array;
-      (** issue-order stamps from a {!sequenced_group}; all zero for a
-          standalone port *)
 }
 
 val make_batch : int -> batch
@@ -81,26 +78,19 @@ val create : ?capacity:int -> sink:sink -> unit -> t
 val sink : t -> sink
 val set_sink : t -> sink -> unit
 val capacity : t -> int
+(** Records the port's buffer holds; for a {!sequenced_group} member,
+    the group's shared buffer. *)
 
 val sequenced_group : ?capacity:int -> sink:sink -> int -> t array
 (** [sequenced_group ~sink n] creates [n] ports (one per mutator
-    domain) sharing [sink] and a group-wide issue counter. Every
-    record appended through a member is stamped with the next counter
-    value; flushing any member merges the buffered records of all
-    members by stamp and delivers them as one batch, so the sink sees
-    a single global total order regardless of which member's buffer
-    filled first. *)
-
-val merge : batch array -> batch
-(** [merge bs] is one batch holding every record of [bs] ordered by
-    ascending issue stamp. Each input must itself be stamp-ascending
-    (as per-member buffers are); stamps must be unique across inputs.
-    The result is independent of the order of [bs] — the
-    permutation-stability property the test suite checks. *)
-
-val group_seq : t -> int option
-(** Next issue stamp of the port's group, or [None] for a standalone
-    port. Exposes merge progress to the differential tests. *)
+    domain) that append into one shared buffer of [n * capacity]
+    records in front of [sink], so the buffer holds their records in
+    issue order and a delivery hands it over as it stands. Each member
+    counts its own appends since the last delivery: an append by a
+    member that already appended [capacity] records flushes the group
+    first, where a private buffer of that capacity would have filled.
+    Flushing any member delivers every member's records. Members must
+    not append concurrently. *)
 
 val read : t -> addr:int -> size:int -> unit
 (** Append one read record tagged with the current phase. *)

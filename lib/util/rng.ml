@@ -14,12 +14,7 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   Random.State.int t bound
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: hi < lo";
-  lo + int t (hi - lo + 1)
-
 let float t bound = Random.State.float t bound
-let bool t = Random.State.bool t
 let bernoulli t p = Random.State.float t 1.0 < p
 
 let exponential t mean =
@@ -94,11 +89,3 @@ module Zipf = struct
       !rank
     end
 end
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

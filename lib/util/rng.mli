@@ -29,14 +29,8 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be > 0. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
@@ -79,6 +73,3 @@ module Zipf : sig
       1/(rank+1){^ s}. [n] must be positive; [n = 1] returns 0 without
       drawing. *)
 end
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -24,15 +24,6 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    t.len <- t.len - 1;
-    let x = t.data.(t.len) in
-    t.data.(t.len) <- Obj.magic 0;
-    Some x
-  end
-
 let swap_remove t i =
   check t i "swap_remove";
   let x = t.data.(i) in

@@ -17,9 +17,6 @@ val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
 
-val pop : 'a t -> 'a option
-(** Remove and return the last element. *)
-
 val swap_remove : 'a t -> int -> 'a
 (** [swap_remove t i] removes index [i] in O(1) by moving the last
     element into its place, and returns the removed element. Order is

@@ -73,6 +73,5 @@ let draw t rng ~nursery_remaining =
   else if u < t.p_short +. t.p_medium then (Medium, t.med_lo +. Rng.float rng t.med_span)
   else (Long, t.med_lo +. Rng.exponential rng t.long_mean)
 
-let immortal = (Immortal, infinity)
 let p_long t = t.p_long
 let expected_nursery_survival t = t.target_ns

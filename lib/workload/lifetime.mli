@@ -30,15 +30,12 @@ val make : ?live_mb:int -> Descriptor.t -> nursery_bytes:int -> observer_bytes:i
 
 val draw : t -> Kg_util.Rng.t -> nursery_remaining:float -> cls * float
 (** A lifetime in bytes of future allocation (never [Immortal]; the
-    immortal base is requested explicitly with {!immortal}).
+    driver allocates the immortal base itself).
     [nursery_remaining] is the allocation headroom before the next
     nursery collection: most short-class draws are clamped below it so
     measured survival matches the benchmark even when the target is
     near zero, while the objects still live long enough to take
     writes. *)
-
-val immortal : cls * float
-(** The class/lifetime pair for startup-immortal objects. *)
 
 val p_long : t -> float
 (** Probability mass of the [Long] class (exposed for tests). *)

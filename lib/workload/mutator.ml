@@ -413,17 +413,17 @@ and split t ~target =
 (* 3. Apply runs one op at a time, through                             *)
 (*    the domain-tagged runtime interface; collections fire inside it  *)
 (*    exactly where the op stream forces them, and the per-domain      *)
-(*    ports stamp every record with the shared issue counter so sink   *)
-(*    order is schedule order.                                         *)
+(*    ports append into their group's one shared buffer, so sink order *)
+(*    is schedule order.                                               *)
 
 (* Bytes of allocation each domain generates per epoch. Small enough
    that domains interleave at burst granularity, large enough that the
    per-epoch barrier cost is amortised. *)
 let epoch_quantum = 4 * 1024
 
-(* Generate one epoch's op stream for domain [d] into its buffer: the
-   parallel half of the protocol. Touches only [t.dstates.(d)] and
-   read-only state. An object owes writes by its drawn size, which for
+(* Generate one epoch's op stream for domain [d] into its buffer.
+   Generation runs in domain order on the calling domain, and touches
+   only [t.dstates.(d)] and read-only state. An object owes writes by its drawn size, which for
    a large object is the unaligned one. *)
 let generate t d (snap : Epoch.snapshot) =
   let ds = t.dstates.(d) in

@@ -46,13 +46,6 @@ let test_rng_int_bounds () =
   Alcotest.check_raises "bound must be positive" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int r 0))
 
-let test_rng_int_in () =
-  let r = Rng.of_seed 12 in
-  for _ = 1 to 500 do
-    let v = Rng.int_in r (-3) 4 in
-    check_bool "in [-3,4]" true (v >= -3 && v <= 4)
-  done
-
 let test_rng_bernoulli_extremes () =
   let r = Rng.of_seed 13 in
   for _ = 1 to 100 do
@@ -143,14 +136,6 @@ let test_rng_zipf_one_uniform_per_draw () =
         (List.init 4 (fun _ -> Rng.bits64 r) = List.init 4 (fun _ -> Rng.bits64 u)))
     [ 1.1; 1.2 ]
 
-let test_rng_shuffle_permutation () =
-  let r = Rng.of_seed 18 in
-  let a = Array.init 50 Fun.id in
-  Rng.shuffle r a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
-
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 
@@ -188,14 +173,6 @@ let test_vec_bounds () =
   let v = Vec.of_array [| 1; 2 |] in
   Alcotest.check_raises "oob" (Invalid_argument "Vec.get: index 2 out of bounds (len 2)")
     (fun () -> ignore (Vec.get v 2))
-
-let test_vec_pop () =
-  let v = Vec.of_array [| 1; 2; 3 |] in
-  Alcotest.(check (option int)) "pop" (Some 3) (Vec.pop v);
-  check_int "len" 2 (Vec.length v);
-  ignore (Vec.pop v);
-  ignore (Vec.pop v);
-  Alcotest.(check (option int)) "empty pop" None (Vec.pop v)
 
 let test_vec_swap_remove () =
   let v = Vec.of_array [| 10; 20; 30; 40 |] in
@@ -329,10 +306,7 @@ let test_table_cells () =
 
 let test_units () =
   check_int "mib" (1024 * 1024) Units.mib;
-  check_int "of_mib" (4 * 1024 * 1024) (Units.bytes_of_mib 4);
   check_float "mib_of_bytes" 4.0 (Units.mib_of_bytes (4 * 1024 * 1024));
-  let s = Format.asprintf "%a" Units.pp_bytes (3 * Units.mib) in
-  Alcotest.(check string) "pp" "3.0 MiB" s;
   check_float "year" (2.0 ** 25.0) Units.seconds_per_year
 
 (* ------------------------------------------------------------------ *)
@@ -480,7 +454,6 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
-          Alcotest.test_case "int_in" `Quick test_rng_int_in;
           Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
@@ -488,7 +461,6 @@ let () =
           Alcotest.test_case "zipf range and skew" `Quick test_rng_zipf_range_and_skew;
           Alcotest.test_case "zipf one uniform per draw" `Quick test_rng_zipf_one_uniform_per_draw;
           q zipf_matches_reference_qcheck;
-          Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         ] );
       ( "stats",
         [
@@ -500,7 +472,6 @@ let () =
         [
           Alcotest.test_case "push/get" `Quick test_vec_push_get;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
-          Alcotest.test_case "pop" `Quick test_vec_pop;
           Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
           Alcotest.test_case "truncate/clear" `Quick test_vec_truncate_clear;
           Alcotest.test_case "filter_in_place" `Quick test_vec_filter_in_place;

@@ -96,11 +96,6 @@ let test_lifetime_clamping_bounds_survival () =
   done;
   check_bool "almost nothing outlives the GC" true (float_of_int !leaked /. float_of_int n < 0.01)
 
-let test_lifetime_immortal () =
-  let cls, life = Lifetime.immortal in
-  check_bool "immortal class" true (cls = Lifetime.Immortal);
-  check_bool "infinite" true (life = infinity)
-
 (* ------------------------------------------------------------------ *)
 (* Mutator                                                             *)
 
@@ -373,7 +368,6 @@ let () =
           Alcotest.test_case "p_long" `Quick test_lifetime_p_long;
           Alcotest.test_case "draw classes" `Quick test_lifetime_draw_classes;
           Alcotest.test_case "clamping bounds survival" `Quick test_lifetime_clamping_bounds_survival;
-          Alcotest.test_case "immortal" `Quick test_lifetime_immortal;
         ] );
       ( "mutator",
         [
